@@ -1,11 +1,20 @@
-"""Setuptools shim.
+"""Package metadata for the ``repro`` library (sources under ``src/``).
 
-The project is configured via ``pyproject.toml``; this file exists so that
-legacy editable installs (``pip install -e . --no-use-pep517``) work in
-offline environments that lack the ``wheel`` package required by PEP 660
-editable builds.
+Install for development with ``pip install -e .``; the test and lint tools
+are listed in ``requirements-dev.txt``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="0.1.0",
+    description=(
+        "Tsunami: a learned multi-dimensional index for correlated data "
+        "and skewed workloads"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy", "scipy"],
+)

@@ -4,20 +4,25 @@
 
 1. :func:`repro.bench.workloads.build_scenario_data` materializes the table,
    template pool, serving stream, and write schedule — once per point of the
-   dimensionality sweep, fully derived from the scenario seed.
+   dimensionality x table-size sweep, fully derived from the scenario seed.
 2. Every configured index is built over the same table/pool and serves the
    same stream through the real serving stack for its variant: ``plain`` /
    ``delta`` / ``sharded`` run through :class:`~repro.query.engine.QueryEngine`,
    ``lifecycle`` through :class:`~repro.core.lifecycle.LifecycleManager`, and
    ``served`` through concurrent clients on a
    :class:`~repro.serve.frontend.ServingFrontend`.
-3. Unless the scenario opts out (``verify: false``, required for fault
-   injection), **every** answer is checked against the full-scan oracle —
-   including mid-stream, after each interleaved write batch — and the report
-   carries machine-independent work counters next to the wall-clock numbers.
-4. Smoke thresholds (correctness, throughput floors, index-vs-index speedup)
-   are evaluated into ``violations``; CI fails a smoke config whose report
-   has any.
+   A faulted scenario serves the stream three times on one index: a
+   fault-free baseline, under the seeded fault plan, and recovered after the
+   plan is lifted.
+3. Unless the scenario opts out (``verify: false``), **every** answer is
+   checked against the full-scan oracle — including mid-stream, after each
+   interleaved write batch; for faulted scenarios, the baseline and recovered
+   passes — and the report carries machine-independent work counters next to
+   the wall-clock numbers.  Every timed pass starts from a collected heap;
+   with ``repetitions`` > 1 the report carries the median of each timing.
+4. Smoke thresholds (correctness, throughput floors, index-vs-index speedup,
+   update-rate degradation, fault recovery) are evaluated into
+   ``violations``; CI fails a smoke config whose report has any.
 
 Reports are JSON-serializable dictionaries stamped with
 ``schema_version``/``kind`` and checked by :func:`validate_report`, so every
@@ -26,8 +31,11 @@ config in ``benchmarks/configs/`` produces the same envelope.
 
 from __future__ import annotations
 
+import gc
+import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from functools import partial
 
 import numpy as np
@@ -57,7 +65,14 @@ from repro.storage.scan import ScanExecutor
 from repro.storage.table import Table
 
 #: Client threads driving the ``served`` variant's closed loop.
-_SERVED_CLIENTS = 8
+_SERVED_CLIENTS = 32
+
+#: Report keys that vary run to run; repetitions report their median.
+_TIMINGS = ("queries_per_second", "rows_inserted_per_second", "recovery_ratio")
+
+
+def _rate(count: int, seconds: float) -> float:
+    return round(count / seconds, 1) if seconds else 0.0
 
 
 def base_index_factory(index: IndexConfig, num_shards: int = 1):
@@ -153,7 +168,7 @@ class _Serving:
             self.frontend = ServingFrontend(
                 self.backend,
                 ServingConfig(
-                    max_batch_size=64,
+                    max_batch_size=index_config.batch_size or 64,
                     max_queue_depth=8_192,
                     cache_entries=index_config.cache_entries,
                 ),
@@ -165,7 +180,16 @@ class _Serving:
         if self.frontend is not None:
             assert self._pool is not None
             return list(self._pool.map(self.frontend.query, queries))
-        return self.backend.run_batch(queries)
+        size = self.config.batch_size
+        if size == 1:
+            return [self.backend.run(query) for query in queries]
+        if size is None:
+            return self.backend.run_batch(queries)
+        return [
+            result
+            for start in range(0, len(queries), size)
+            for result in self.backend.run_batch(queries[start : start + size])
+        ]
 
     def insert_many(self, rows: list[dict]) -> None:
         target = self.frontend if self.frontend is not None else self.backend
@@ -259,50 +283,92 @@ class ScenarioRunner:
             segments.append((stream[last:], None))
         return segments or [(stream, None)]
 
+    def _serve(self, serving: _Serving, data: ScenarioData) -> dict:
+        """One timed pass over the stream, inserting each write batch on cue."""
+        gc.collect()  # start from a heap without the previous pass's garbage
+        outcomes: list = []
+        insert_log: list[tuple[int, list[dict]]] = []
+        insert_seconds = 0.0
+        start = time.perf_counter()
+        for queries, rows in self._segments(data):
+            outcomes.extend(serving.run_segment(queries))
+            if rows is not None:
+                write_start = time.perf_counter()
+                serving.insert_many(rows)
+                insert_seconds += time.perf_counter() - write_start
+                insert_log.append((len(outcomes), rows))
+        return {
+            "outcomes": outcomes,
+            "insert_log": insert_log,
+            "seconds": time.perf_counter() - start,
+            "insert_seconds": insert_seconds,
+        }
+
+    @staticmethod
+    def _mismatches(served: dict, data: ScenarioData) -> int:
+        """Answers of one pass that differ from the full-scan oracle."""
+        oracle = _Oracle(data.table)
+        insert_log = served["insert_log"]
+        cursor = 0
+        mismatches = 0
+        for position, outcome in enumerate(served["outcomes"]):
+            while cursor < len(insert_log) and insert_log[cursor][0] <= position:
+                oracle.absorb(insert_log[cursor][1])
+                cursor += 1
+            if outcome.value != oracle.expected(data.stream[position]):
+                mismatches += 1
+        return mismatches
+
+    def _serve_faulted(self, serving: _Serving, data: ScenarioData) -> dict[str, dict]:
+        """Baseline, faulted, and recovered passes over one sharded index.
+
+        Each pass carries a ``summary``: its throughput and the index's
+        fault-stat deltas over the pass.
+        """
+        plan = build_fault_plan(self.config, data)
+        stats = serving.index.fault_stats
+        passes = {}
+        for phase in ("baseline", "faulted", "recovered"):
+            before = stats.as_dict()
+            with faults.active(plan) if phase == "faulted" else nullcontext():
+                served = self._serve(serving, data)
+            after = stats.as_dict()
+            served["summary"] = {
+                "queries_per_second": _rate(len(served["outcomes"]), served["seconds"]),
+                **{key: after[key] - before[key] for key in after},
+            }
+            passes[phase] = served
+            if phase == "faulted":
+                served["summary"]["injected_faults"] = len(plan.injections)
+                # Let every opened breaker's cooldown elapse, so recovery
+                # starts from half-open probes like a real incident ending.
+                time.sleep(2 * _degraded_fault_policy().breaker_cooldown_seconds)
+        return passes
+
     def _measure_once(self, index_config: IndexConfig, data: ScenarioData) -> dict:
         faulted = self.config.faults is not None
         serving = _Serving(index_config, data, faulted)
-        plan = build_fault_plan(self.config, data) if faulted else None
-        outcomes: list = []
-        insert_log: list[tuple[int, list[dict]]] = []
-        rows_inserted = 0
-        insert_seconds = 0.0
         try:
             # Warm the plan caches so every index measures steady state.
-            warmup = data.stream[: min(64, len(data.stream))]
-            serving.run_segment(warmup)
-
-            start = time.perf_counter()
-            if plan is not None:
-                faults.install(plan)
-            try:
-                for queries, rows in self._segments(data):
-                    outcomes.extend(serving.run_segment(queries))
-                    if rows is not None:
-                        write_start = time.perf_counter()
-                        serving.insert_many(rows)
-                        insert_seconds += time.perf_counter() - write_start
-                        insert_log.append((len(outcomes), rows))
-                        rows_inserted += len(rows)
-            finally:
-                if plan is not None:
-                    faults.uninstall()
-            elapsed = time.perf_counter() - start
+            serving.run_segment(data.stream[: min(64, len(data.stream))])
+            if faulted:
+                passes = self._serve_faulted(serving, data)
+                served = passes["faulted"]
+                verified = [passes["baseline"], passes["recovered"]]
+            else:
+                served = self._serve(serving, data)
+                verified = [served]
             details = serving.describe()
         finally:
             serving.close()
 
-        mismatches = 0
-        if self.config.verify:
-            oracle = _Oracle(data.table)
-            cursor = 0
-            for position, outcome in enumerate(outcomes):
-                while cursor < len(insert_log) and insert_log[cursor][0] <= position:
-                    oracle.absorb(insert_log[cursor][1])
-                    cursor += 1
-                if outcome.value != oracle.expected(data.stream[position]):
-                    mismatches += 1
-
+        outcomes = served["outcomes"]
+        elapsed = served["seconds"]
+        insert_seconds = served["insert_seconds"]
+        rows_inserted = sum(len(rows) for _, rows in served["insert_log"])
+        mismatches = (
+            sum(self._mismatches(run, data) for run in verified) if self.config.verify else None
+        )
         points = sum(outcome.stats.points_scanned for outcome in outcomes)
         ranges = sum(outcome.stats.cell_ranges for outcome in outcomes)
         values_scanned = sum(outcome.stats.values_scanned for outcome in outcomes)
@@ -315,8 +381,8 @@ class ScenarioRunner:
             "build_seconds": round(serving.build_seconds, 4),
             "num_queries": len(outcomes),
             "seconds_total": round(elapsed, 4),
-            "queries_per_second": round(len(outcomes) / elapsed, 1) if elapsed else 0.0,
-            "rows_scanned_per_sec": round(points / elapsed, 1) if elapsed else 0.0,
+            "queries_per_second": _rate(len(outcomes), elapsed),
+            "rows_scanned_per_sec": _rate(points, elapsed),
             "avg_points_scanned": round(points / num_queries, 1),
             "avg_cell_ranges": round(ranges / num_queries, 2),
             "values_scanned": values_scanned,
@@ -331,15 +397,19 @@ class ScenarioRunner:
             # cost included — that is the point of measuring it).
             "insert_seconds": round(insert_seconds, 4),
             "rows_inserted_per_second": (
-                round(rows_inserted / insert_seconds, 1)
-                if rows_inserted and insert_seconds
-                else None
+                _rate(rows_inserted, insert_seconds) if rows_inserted else None
             ),
             "correct": mismatches == 0 if self.config.verify else None,
-            "mismatches": mismatches if self.config.verify else None,
+            "mismatches": mismatches,
         }
-        if plan is not None:
-            result["injected_faults"] = len(plan.injections)
+        if faulted:
+            phases = {phase: run["summary"] for phase, run in passes.items()}
+            result["injected_faults"] = phases["faulted"]["injected_faults"]
+            result["fault_phases"] = phases
+            baseline = phases["baseline"]["queries_per_second"]
+            result["recovery_ratio"] = (
+                round(phases["recovered"]["queries_per_second"] / baseline, 3) if baseline else 0.0
+            )
         if details:
             result.update(details)
         return result
@@ -349,39 +419,32 @@ class ScenarioRunner:
             self._measure_once(index_config, data)
             for _ in range(self.config.repetitions)
         ]
-        best = max(runs, key=lambda run: run["queries_per_second"])
-        if len(runs) > 1:
-            best = dict(best)
-            best["repetitions"] = {
-                "count": len(runs),
-                "queries_per_second": [run["queries_per_second"] for run in runs],
-            }
-        return best
+        if len(runs) == 1:
+            return runs[0]
+        # Counters repeat exactly; timings do not: report their medians, and
+        # every repetition's value beside them.
+        result = dict(runs[0])
+        samples = {}
+        for key in _TIMINGS:
+            values = [run[key] for run in runs if run.get(key) is not None]
+            if values:
+                result[key] = round(statistics.median(values), 3)
+                samples[key] = values
+        if self.config.verify:
+            result["mismatches"] = sum(run["mismatches"] for run in runs)
+            result["correct"] = result["mismatches"] == 0
+        result["repetitions"] = {"count": len(runs), **samples}
+        return result
 
     # -- entry point ------------------------------------------------------------------
 
     def run(self) -> dict:
         """Execute the whole scenario; returns the JSON-ready report."""
         sweep_results = []
-        for num_dimensions in self.config.dataset.dimension_sweep():
-            data = build_scenario_data(self.config, num_dimensions)
-            cell = {
-                "num_dimensions": int(num_dimensions),
-                "num_rows": data.table.num_rows,
-                "num_queries": len(data.stream),
-                "num_templates": len(data.build_workload),
-                "write_events": len(data.writes),
-                # Storage footprint + per-column dtype breakdown, so the
-                # narrow-dtype compression ratio shows in every artifact.
-                "table": data.table.describe(),
-                "indexes": [
-                    self._measure(index_config, data)
-                    for index_config in self.config.indexes
-                ],
-            }
-            if data.categorical is not None:
-                cell["categorical_reordering"] = data.categorical
-            sweep_results.append(cell)
+        dataset = self.config.dataset
+        for num_dimensions in dataset.dimension_sweep():
+            for num_rows in dataset.row_sweep():
+                sweep_results.append(self._run_cell(num_dimensions, num_rows))
 
         violations = self._check_thresholds(sweep_results)
         report = {
@@ -399,11 +462,30 @@ class ScenarioRunner:
         validate_report(report)
         return report
 
+    def _run_cell(self, num_dimensions: int, num_rows: int) -> dict:
+        data = build_scenario_data(self.config, num_dimensions, num_rows)
+        cell = {
+            "num_dimensions": int(num_dimensions),
+            "num_rows": data.table.num_rows,
+            "num_queries": len(data.stream),
+            "num_templates": len(data.build_workload),
+            "write_events": len(data.writes),
+            # Storage footprint + per-column dtype breakdown, so the
+            # narrow-dtype compression ratio shows in every artifact.
+            "table": data.table.describe(),
+            "indexes": [
+                self._measure(index_config, data) for index_config in self.config.indexes
+            ],
+        }
+        if data.categorical is not None:
+            cell["categorical_reordering"] = data.categorical
+        return cell
+
     def _check_thresholds(self, sweep_results: list[dict]) -> list[str]:
         thresholds = self.config.thresholds
         violations = []
         for cell in sweep_results:
-            label = f"d={cell['num_dimensions']}"
+            label = f"d={cell['num_dimensions']} rows={cell['num_rows']}"
             by_name = {entry["index"]: entry for entry in cell["indexes"]}
             for entry in cell["indexes"]:
                 if thresholds.require_correct and entry["correct"] is False:
@@ -419,6 +501,15 @@ class ScenarioRunner:
                         f"{label}: {entry['index']} served "
                         f"{entry['queries_per_second']} qps, below the "
                         f"{thresholds.min_queries_per_second} qps floor"
+                    )
+                if (
+                    thresholds.min_recovery_ratio is not None
+                    and entry["recovery_ratio"] < thresholds.min_recovery_ratio
+                ):
+                    violations.append(
+                        f"{label}: {entry['index']} recovered to "
+                        f"{entry['recovery_ratio']}x of its fault-free throughput, "
+                        f"below the {thresholds.min_recovery_ratio}x floor"
                     )
                 if (
                     thresholds.max_bytes_per_value is not None
@@ -465,7 +556,38 @@ class ScenarioRunner:
                         f"{thresholds.speedup_over}, below the "
                         f"{thresholds.min_speedup}x floor"
                     )
+        if thresholds.max_update_rate_degradation is not None:
+            violations.extend(self._check_degradation(sweep_results))
         return violations
+
+    def _check_degradation(self, sweep_results: list[dict]) -> list[str]:
+        """Local-merge insert rate, smallest vs largest table of the size sweep."""
+        ceiling = self.config.thresholds.max_update_rate_degradation
+        local = [
+            index.name
+            for index in self.config.indexes
+            if index.accepts_writes() and index.merge_strategy == "local"
+        ]
+        violations = []
+        for num_dimensions in self.config.dataset.dimension_sweep():
+            cells = [c for c in sweep_results if c["num_dimensions"] == num_dimensions]
+            small = min(cells, key=lambda cell: cell["num_rows"])
+            large = max(cells, key=lambda cell: cell["num_rows"])
+            for name in local:
+                first = _entry(small, name)["rows_inserted_per_second"] or 0.0
+                last = _entry(large, name)["rows_inserted_per_second"] or 0.0
+                degradation = round(first / last, 2) if last else float("inf")
+                if degradation >= ceiling:
+                    violations.append(
+                        f"d={num_dimensions}: {name}'s sustained insert rate "
+                        f"degrades {degradation}x from {small['num_rows']} to "
+                        f"{large['num_rows']} rows, not below the {ceiling}x ceiling"
+                    )
+        return violations
+
+
+def _entry(cell: dict, name: str) -> dict:
+    return next(entry for entry in cell["indexes"] if entry["index"] == name)
 
 
 #: Keys every scenario report must carry (the report schema, v1).

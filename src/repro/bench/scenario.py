@@ -1,12 +1,12 @@
 """Declarative scenario configs: one JSON file per reproducible result.
 
-Every benchmark in this repository — the paper figures, the five serving
-perf trackers, and the survey-grade workload matrix — is described by a
-config file in ``benchmarks/configs/`` and reproduced with one command::
+Every benchmark in this repository — the paper figures, the serving perf
+gates, and the survey-grade workload matrix — is described by a config file
+in ``benchmarks/configs/`` and reproduced with one command::
 
     python -m repro.bench.cli run benchmarks/configs/<name>.json
 
-A config is one of three kinds:
+A config is one of two kinds:
 
 * ``"scenario"`` — the generic workload matrix: a dataset axis, a workload
   axis (read/write mix, point-lookup fraction, categorical hybrid
@@ -16,9 +16,6 @@ A config is one of three kinds:
   concurrent front-end).  Run by
   :class:`~repro.bench.runner.ScenarioRunner`, which verifies every answer
   against the full-scan oracle and emits a schema-versioned report.
-* ``"tracker"`` — one of the five serving perf trackers whose
-  ``BENCH_*.json`` shapes gate CI (``benchmarks/bench_*.py`` are thin
-  wrappers over these configs; see :mod:`repro.bench.trackers`).
 * ``"figure"`` — a paper table/figure regenerated through the experiment
   drivers in :mod:`repro.bench.experiments`.
 
@@ -68,8 +65,8 @@ INDEX_VARIANTS = ("plain", "delta", "sharded", "lifecycle", "served")
 #: Named drift schedules (see repro.bench.workloads.drift_phases).
 DRIFT_SCHEDULES = ("none", "step_shift", "rotating_hotspot")
 
-#: The five serving perf trackers (see repro.bench.trackers).
-TRACKER_NAMES = ("throughput", "updates", "shards", "serving", "faults")
+#: Template placement styles (see repro.bench.workloads._build_pools).
+PLACEMENTS = ("quantile", "narrow", "localized")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -106,7 +103,8 @@ class DatasetConfig:
     """Which table the scenario builds, and at what scale."""
 
     source: str = "correlated_xyz"
-    num_rows: int = 20_000
+    #: int, or a list for a table-size sweep.
+    num_rows: int | tuple[int, ...] = 20_000
     #: int, or a list for a dimensionality sweep (synthetic sources only).
     num_dimensions: int | tuple[int, ...] = 3
     #: Storage domain of synthetic dimensions.
@@ -120,7 +118,8 @@ class DatasetConfig:
             self.source in DATASET_SOURCES,
             f"dataset.source must be one of {DATASET_SOURCES}, got {self.source!r}",
         )
-        _require(self.num_rows >= 1, f"dataset.num_rows must be >= 1, got {self.num_rows}")
+        for count in self.row_sweep():
+            _require(count >= 1, f"dataset.num_rows entries must be >= 1, got {count}")
         _require(self.domain >= 2, f"dataset.domain must be >= 2, got {self.domain}")
         for count in self.dimension_sweep():
             _require(
@@ -149,6 +148,12 @@ class DatasetConfig:
             return (self.num_dimensions,)
         return tuple(self.num_dimensions)
 
+    def row_sweep(self) -> tuple[int, ...]:
+        """The table-size axis: one entry per table the scenario builds."""
+        if isinstance(self.num_rows, int):
+            return (self.num_rows,)
+        return tuple(self.num_rows)
+
 
 @dataclass(frozen=True)
 class WriteMixConfig:
@@ -156,6 +161,10 @@ class WriteMixConfig:
 
     write_fraction: float = 0.1
     rows_per_write: int = 64
+    #: ``[low, high)`` x window every inserted row falls in (a write hotspot);
+    #: y and z follow the correlated_xyz law.  None draws rows uniformly
+    #: within the table's bounds.
+    hotspot: tuple[int, int] | None = None
 
     def validate(self) -> None:
         _require(
@@ -167,6 +176,14 @@ class WriteMixConfig:
             self.rows_per_write >= 1,
             f"workload.writes.rows_per_write must be >= 1, got {self.rows_per_write}",
         )
+        if self.hotspot is not None:
+            _require(
+                isinstance(self.hotspot, tuple)
+                and len(self.hotspot) == 2
+                and self.hotspot[0] < self.hotspot[1],
+                f"workload.writes.hotspot must be [low, high) with low < high, "
+                f"got {self.hotspot!r}",
+            )
 
 
 @dataclass(frozen=True)
@@ -206,6 +223,12 @@ class WorkloadConfig:
     categorical_fraction: float = 0.0
     #: Apply workload-aware categorical reordering before building indexes.
     reorder_categorical: bool = False
+    #: "quantile" places each template's filters on a quantile slice of the
+    #: data; "narrow" and "localized" draw x/z range templates over the
+    #: correlated_xyz domain (narrow: x windows 0.5-5% of the domain;
+    #: localized: 1-5%, far narrower than a shard of a sharded index).
+    #: The x/z styles ignore selectivity and dims_per_query.
+    placement: str = "quantile"
     writes: WriteMixConfig | None = None
     drift: DriftConfig = field(default_factory=DriftConfig)
 
@@ -252,8 +275,28 @@ class WorkloadConfig:
                 self.point_lookup_fraction == 0 and self.categorical_fraction == 0,
                 "point-lookup and categorical axes apply to synthetic sources only",
             )
+        _require(
+            self.placement in PLACEMENTS,
+            f"workload.placement must be one of {PLACEMENTS}, got {self.placement!r}",
+        )
+        if self.placement != "quantile":
+            _require(
+                dataset.source == "correlated_xyz"
+                and self.point_lookup_fraction == 0
+                and self.categorical_fraction == 0
+                and self.drift.schedule != "step_shift",
+                f"workload.placement {self.placement!r} draws x/z range templates: "
+                "it needs the correlated_xyz source, no point-lookup or "
+                "categorical templates, and no step_shift drift",
+            )
         if self.writes is not None:
             self.writes.validate()
+            _require(
+                self.writes.hotspot is None
+                or (dataset.source == "correlated_xyz" and dataset.categorical is None),
+                "workload.writes.hotspot draws x/y/z rows; it needs the "
+                "correlated_xyz source without a categorical column",
+            )
         self.drift.validate()
 
 
@@ -297,6 +340,10 @@ class IndexConfig:
     parallelism: int = 0
     updatable_shards: bool = False
     cache_entries: int = 0
+    #: Most queries one executor batch holds; 1 serves query by query
+    #: through ``run``.  None batches each stream segment whole.  For the
+    #: served variant it is the front-end's max batch size (default 64).
+    batch_size: int | None = None
 
     def validate(self) -> None:
         _require(
@@ -317,6 +364,10 @@ class IndexConfig:
         _require(self.num_shards >= 1, "index.num_shards must be >= 1")
         _require(self.parallelism >= 0, "index.parallelism must be >= 0")
         _require(self.cache_entries >= 0, "index.cache_entries must be >= 0")
+        _require(
+            self.batch_size is None or self.batch_size >= 1,
+            "index.batch_size must be >= 1",
+        )
 
     @property
     def name(self) -> str:
@@ -353,6 +404,13 @@ class ThresholdsConfig:
     #: (rows_inserted_per_second) must reach at least this fraction of the
     #: fastest writer's rate in the same cell.
     min_relative_update_rate: float | None = None
+    #: Gate: across a num_rows sweep, every local-merge writer's sustained
+    #: insert rate at the smallest table must stay below this multiple of its
+    #: rate at the largest (rebuild merges are expected to degrade).
+    max_update_rate_degradation: float | None = None
+    #: Gate (faulted scenarios): throughput after the fault plan is lifted
+    #: must reach this fraction of the fault-free baseline.
+    min_recovery_ratio: float | None = None
 
     def validate(self, index_names: Sequence[str]) -> None:
         if self.speedup_of is not None or self.speedup_over is not None:
@@ -376,6 +434,15 @@ class ThresholdsConfig:
             _require(
                 0.0 < self.min_relative_update_rate <= 1.0,
                 "thresholds.min_relative_update_rate must be in (0, 1]",
+            )
+        if self.max_update_rate_degradation is not None:
+            _require(
+                self.max_update_rate_degradation > 0,
+                "thresholds.max_update_rate_degradation must be > 0",
+            )
+        if self.min_recovery_ratio is not None:
+            _require(
+                self.min_recovery_ratio > 0, "thresholds.min_recovery_ratio must be > 0"
             )
 
 
@@ -418,11 +485,6 @@ class ScenarioConfig:
                 raise ConfigError(
                     "lifecycle variants are stateful; repetitions must be 1"
                 )
-        if self.workload.writes is not None:
-            _require(
-                self.repetitions == 1,
-                "read/write scenarios are stateful; repetitions must be 1",
-            )
         if self.faults is not None:
             self.faults.validate()
             _require(
@@ -430,10 +492,20 @@ class ScenarioConfig:
                 "fault injection requires every index to use the sharded variant",
             )
             _require(
-                not self.verify,
-                "faulted scenarios serve degraded partial answers; set "
-                '"verify": false',
+                self.workload.writes is None,
+                "faulted scenarios replay one read-only stream per phase; "
+                "drop workload.writes",
             )
+        _require(
+            self.thresholds.min_recovery_ratio is None or self.faults is not None,
+            "thresholds.min_recovery_ratio needs a faults section",
+        )
+        _require(
+            self.thresholds.max_update_rate_degradation is None
+            or (self.workload.writes is not None and len(self.dataset.row_sweep()) > 1),
+            "thresholds.max_update_rate_degradation needs workload.writes and a "
+            "dataset.num_rows sweep",
+        )
         self.thresholds.validate(names)
 
     # -- (de)serialization ------------------------------------------------------
@@ -480,9 +552,9 @@ class ScenarioConfig:
                 "dataset.categorical", categorical_raw, ["dimension", "cardinality", "skew"]
             )
             dataset_raw["categorical"] = CategoricalDatasetConfig(**categorical_raw)
-        dims = dataset_raw.get("num_dimensions")
-        if isinstance(dims, list):
-            dataset_raw["num_dimensions"] = tuple(dims)
+        for key in ("num_rows", "num_dimensions"):
+            if isinstance(dataset_raw.get(key), list):
+                dataset_raw[key] = tuple(dataset_raw[key])
         dataset = DatasetConfig(**dataset_raw)
 
         workload_raw = dict(raw.get("workload", {}))
@@ -498,13 +570,19 @@ class ScenarioConfig:
                 "point_lookup_fraction",
                 "categorical_fraction",
                 "reorder_categorical",
+                "placement",
                 "writes",
                 "drift",
             ],
         )
         writes_raw = workload_raw.pop("writes", None)
         if writes_raw is not None:
-            _check_keys("workload.writes", writes_raw, ["write_fraction", "rows_per_write"])
+            writes_raw = dict(writes_raw)
+            _check_keys(
+                "workload.writes", writes_raw, ["write_fraction", "rows_per_write", "hotspot"]
+            )
+            if isinstance(writes_raw.get("hotspot"), list):
+                writes_raw["hotspot"] = tuple(writes_raw["hotspot"])
             workload_raw["writes"] = WriteMixConfig(**writes_raw)
         drift_raw = workload_raw.pop("drift", None)
         if drift_raw is not None:
@@ -529,6 +607,7 @@ class ScenarioConfig:
                     "parallelism",
                     "updatable_shards",
                     "cache_entries",
+                    "batch_size",
                 ],
             )
             indexes.append(IndexConfig(**index_raw))
@@ -558,6 +637,8 @@ class ScenarioConfig:
                     "max_bytes_per_value",
                     "max_table_bytes_per_value",
                     "min_relative_update_rate",
+                    "max_update_rate_degradation",
+                    "min_recovery_ratio",
                 ],
             )
             thresholds = ThresholdsConfig(**thresholds_raw)
@@ -590,83 +671,18 @@ class ScenarioConfig:
             {k: v for k, v in index.items() if v is not None}
             for index in raw["indexes"]
         ]
-        dims = raw["dataset"]["num_dimensions"]
-        if isinstance(dims, tuple):
-            raw["dataset"]["num_dimensions"] = list(dims)
+        for key in ("num_rows", "num_dimensions"):
+            if isinstance(raw["dataset"][key], tuple):
+                raw["dataset"][key] = list(raw["dataset"][key])
+        writes = raw["workload"]["writes"]
+        if writes is not None and writes["hotspot"] is not None:
+            writes["hotspot"] = list(writes["hotspot"])
         return raw
 
 
 # ---------------------------------------------------------------------------
-# Config files: loading, discovery, and the non-scenario kinds
+# Config files: loading, discovery, and the figure kind
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrackerConfig:
-    """One of the five serving perf trackers, config-driven.
-
-    ``scales`` holds the ``smoke`` and ``full`` parameter sets handed to the
-    tracker body in :mod:`repro.bench.trackers`; ``output`` is the historical
-    ``BENCH_*.json`` file name the full run writes at the repo root.
-    """
-
-    name: str
-    tracker: str
-    description: str = ""
-    smoke: bool = True
-    output: str = ""
-    seed: int | None = None
-    params: Mapping = field(default_factory=dict)
-    scales: Mapping[str, Mapping] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        _require(bool(self.name), "tracker config name must be non-empty")
-        _require(
-            self.tracker in TRACKER_NAMES,
-            f"tracker must be one of {TRACKER_NAMES}, got {self.tracker!r}",
-        )
-        _require(bool(self.output), "tracker config needs an output file name")
-        for mode in ("smoke", "full"):
-            _require(
-                mode in self.scales, f"tracker config is missing scales[{mode!r}]"
-            )
-
-    @classmethod
-    def from_dict(cls, raw: Mapping) -> "TrackerConfig":
-        _check_keys(
-            "tracker",
-            raw,
-            [
-                "schema_version",
-                "kind",
-                "name",
-                "tracker",
-                "description",
-                "smoke",
-                "output",
-                "seed",
-                "params",
-                "scales",
-            ],
-        )
-        version = raw.get("schema_version", SCHEMA_VERSION)
-        _require(
-            version == SCHEMA_VERSION,
-            f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})",
-        )
-        _require(raw.get("kind") == "tracker", "TrackerConfig requires kind 'tracker'")
-        config = cls(
-            name=raw.get("name", ""),
-            tracker=raw.get("tracker", ""),
-            description=raw.get("description", ""),
-            smoke=bool(raw.get("smoke", True)),
-            output=raw.get("output", ""),
-            seed=raw.get("seed"),
-            params=dict(raw.get("params", {})),
-            scales={mode: dict(value) for mode, value in raw.get("scales", {}).items()},
-        )
-        config.validate()
-        return config
 
 
 @dataclass(frozen=True)
@@ -730,11 +746,10 @@ class FigureConfig:
         return config
 
 
-AnyConfig = ScenarioConfig | TrackerConfig | FigureConfig
+AnyConfig = ScenarioConfig | FigureConfig
 
 _PARSERS = {
     "scenario": ScenarioConfig.from_dict,
-    "tracker": TrackerConfig.from_dict,
     "figure": FigureConfig.from_dict,
 }
 

@@ -1,10 +1,11 @@
 """Build (table, workload, stream) triples from a :class:`ScenarioConfig`.
 
 This is the single place benchmark data comes from: every axis of the
-scenario matrix — dataset family, dimensionality, zipf skew, selectivity,
-point-lookup fraction, categorical hybrid predicates, read/write mix, and
-named drift schedules — is realized here, so no benchmark script carries its
-own generation logic.
+scenario matrix — dataset family, table size, dimensionality, zipf skew,
+selectivity, template placement, point-lookup fraction, categorical hybrid
+predicates, read/write mix (optionally a write hotspot), and named drift
+schedules — is realized here, so no benchmark script carries its own
+generation logic.
 
 Everything is derived from the scenario's one ``seed`` through
 :func:`repro.common.rng.spawn_rngs`: child 0 generates the dataset, child 1
@@ -70,14 +71,17 @@ class ScenarioData:
 # ---------------------------------------------------------------------------
 
 
-def _make_correlated_xyz(
-    num_rows: int, domain: int, rng: np.random.Generator
-) -> Table:
-    """The skewed x/y/z family every serving tracker uses: y tracks 3x."""
-    x = rng.integers(0, domain, num_rows)
-    y = x * 3 + rng.integers(-500, 501, num_rows)
-    z = rng.integers(0, max(domain // 20, 2), num_rows)
-    return Table.from_arrays("scenario_xyz", {"x": x, "y": y, "z": z})
+def _correlated_xyz(
+    x: np.ndarray, domain: int, rng: np.random.Generator
+) -> dict[str, np.ndarray]:
+    """The skewed x/y/z law given x: y tracks 3x, z is small and independent."""
+    y = x * 3 + rng.integers(-500, 501, len(x))
+    z = rng.integers(0, _z_domain(domain), len(x))
+    return {"x": x, "y": y, "z": z}
+
+
+def _z_domain(domain: int) -> int:
+    return max(domain // 20, 2)
 
 
 def _add_categorical_column(
@@ -97,19 +101,20 @@ def _add_categorical_column(
 
 
 def build_table(
-    config: ScenarioConfig, num_dimensions: int, rng: np.random.Generator
+    config: ScenarioConfig, num_dimensions: int, num_rows: int, rng: np.random.Generator
 ) -> Table:
-    """Build the scenario's table for one point of the dimensionality sweep."""
+    """Build the scenario's table for one point of the dimensionality x size sweep."""
     dataset = config.dataset
     if dataset.source == "correlated_xyz":
-        table = _make_correlated_xyz(dataset.num_rows, dataset.domain, rng)
+        x = rng.integers(0, dataset.domain, num_rows)
+        table = Table.from_arrays("scenario_xyz", _correlated_xyz(x, dataset.domain, rng))
     elif dataset.source == "uniform":
-        table = make_uniform_dataset(dataset.num_rows, num_dimensions, seed=rng)
+        table = make_uniform_dataset(num_rows, num_dimensions, seed=rng)
     elif dataset.source == "correlated":
-        table = make_correlated_dataset(dataset.num_rows, num_dimensions, seed=rng)
+        table = make_correlated_dataset(num_rows, num_dimensions, seed=rng)
     elif dataset.source == "registry":
         table, _ = load_dataset(
-            dataset.registry_name, num_rows=dataset.num_rows, queries_per_type=1, seed=rng
+            dataset.registry_name, num_rows=num_rows, queries_per_type=1, seed=rng
         )
     else:  # pragma: no cover - blocked by ScenarioConfig.validate
         raise ConfigError(f"unknown dataset source {dataset.source!r}")
@@ -124,8 +129,15 @@ def build_table(
 
 #: Width (in quantile space) of each template's placement region — templates
 #: concentrate on a slice of the data space, which is what makes the
-#: workloads skewed (mirrors the trackers' localized template pools).
+#: workloads skewed.
 _REGION_WIDTH = 0.25
+
+#: x/z range placements over the correlated_xyz domain, as fractions of it:
+#: (x_low ceiling, x width floor, x width ceiling, z_high floor, z_high ceiling).
+_XZ_PLACEMENTS = {
+    "narrow": (0.90, 0.005, 0.05, 0.1, 0.8),
+    "localized": (0.94, 0.01, 0.05, 0.2, 0.9),
+}
 
 
 def _numeric_dimensions(table: Table, config: ScenarioConfig) -> list[str]:
@@ -197,6 +209,22 @@ def build_templates(
     return templates
 
 
+def _xz_templates(config: ScenarioConfig, rng: np.random.Generator) -> Workload:
+    """Range templates on x plus a z prefix, placed per ``workload.placement``."""
+    x_max, width_low, width_high, z_low, z_high = _XZ_PLACEMENTS[config.workload.placement]
+    domain = config.dataset.domain
+    z_domain = _z_domain(domain)
+    templates = []
+    for _ in range(config.workload.num_templates):
+        x_low = int(rng.integers(0, round(x_max * domain)))
+        width = int(rng.integers(round(width_low * domain), round(width_high * domain)))
+        z_high_value = int(rng.integers(round(z_low * z_domain), round(z_high * z_domain)))
+        templates.append(
+            Query.from_ranges({"x": (x_low, x_low + width), "z": (0, z_high_value)})
+        )
+    return Workload(templates, name="pool_phase0")
+
+
 # ---------------------------------------------------------------------------
 # Streams
 # ---------------------------------------------------------------------------
@@ -217,6 +245,8 @@ def _build_pools(
     table: Table, config: ScenarioConfig, template_rng: np.random.Generator
 ) -> list[Workload]:
     """One query pool per drift phase (a single pool when drift is off)."""
+    if config.workload.placement != "quantile":
+        return [_xz_templates(config, template_rng)]
     drift = config.workload.drift
     phases = drift.phases if drift.schedule == "step_shift" else 1
     pools = []
@@ -283,28 +313,38 @@ def _build_writes(
     writes = config.workload.writes
     if writes is None:
         return []
+    count = writes.rows_per_write
+    if writes.hotspot is not None:
+        low, high = writes.hotspot
+
+        def draw() -> dict[str, np.ndarray]:
+            return _correlated_xyz(rng.integers(low, high, count), config.dataset.domain, rng)
+
+    else:
+        categorical = config.dataset.categorical
+        bounds = {}
+        for name in table.column_names:
+            if categorical is not None and name == categorical.dimension:
+                bounds[name] = (0, categorical.cardinality - 1)
+            else:
+                bounds[name] = table.bounds(name)
+
+        def draw() -> dict[str, np.ndarray]:
+            return {name: rng.integers(lo, hi + 1, count) for name, (lo, hi) in bounds.items()}
+
     # A write event after every `interval` queries makes write events a
     # `write_fraction` share of all operations.
     interval = max(int(round((1.0 - writes.write_fraction) / writes.write_fraction)), 1)
-    categorical = config.dataset.categorical
-    bounds = {}
-    for name in table.column_names:
-        if categorical is not None and name == categorical.dimension:
-            bounds[name] = (0, categorical.cardinality - 1)
-        else:
-            bounds[name] = table.bounds(name)
-    events = []
-    for position in range(interval, config.workload.num_queries + 1, interval):
-        columns = {
-            name: rng.integers(low, high + 1, writes.rows_per_write)
-            for name, (low, high) in bounds.items()
-        }
-        rows = [
-            {name: int(values[i]) for name, values in columns.items()}
-            for i in range(writes.rows_per_write)
-        ]
-        events.append(WriteEvent(position=position, rows=rows))
-    return events
+    return [
+        WriteEvent(position=position, rows=_rows(draw()))
+        for position in range(interval, config.workload.num_queries + 1, interval)
+    ]
+
+
+def _rows(columns: dict[str, np.ndarray]) -> list[dict]:
+    """Column arrays -> insert rows of plain ints."""
+    names = list(columns)
+    return [dict(zip(names, row)) for row in zip(*(columns[name].tolist() for name in names))]
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +352,19 @@ def _build_writes(
 # ---------------------------------------------------------------------------
 
 
-def build_scenario_data(config: ScenarioConfig, num_dimensions: int) -> ScenarioData:
-    """Materialize one cell of the scenario matrix, fully seed-threaded."""
+def build_scenario_data(
+    config: ScenarioConfig, num_dimensions: int, num_rows: int | None = None
+) -> ScenarioData:
+    """Materialize one cell of the scenario matrix, fully seed-threaded.
+
+    ``num_rows`` picks the point of the table-size sweep (default: its first).
+    """
     dataset_rng, template_rng, stream_rng, write_rng, fault_rng = spawn_rngs(
         config.seed, 5
     )
-    table = build_table(config, num_dimensions, dataset_rng)
+    if num_rows is None:
+        num_rows = config.dataset.row_sweep()[0]
+    table = build_table(config, num_dimensions, num_rows, dataset_rng)
     pools = _build_pools(table, config, template_rng)
 
     categorical_summary = None

@@ -16,15 +16,12 @@ conditional-CDF dependency structure), converted to contiguous cell ranges,
 and either executed against the table or returned as cost-model features —
 the optimizer (§5.3) uses the same planning code on a data sample.
 
-Two planners produce identical spans:
-
-* ``planner="vectorized"`` (default) computes every per-dimension partition
-  window once, expands the cross product of the *outer* dimensions with numpy
-  stride arithmetic, and emits one coalesced span per outer-dimension prefix
-  — cells consecutive in the innermost dimension occupy contiguous physical
-  rows, so no per-cell Python work is needed.
-* ``planner="reference"`` is the original per-cell recursive enumeration,
-  kept for differential testing.
+The planner computes every per-dimension partition window once, expands the
+cross product of the *outer* dimensions with numpy stride arithmetic, and
+emits one coalesced span per outer-dimension prefix — cells consecutive in the
+innermost dimension occupy contiguous physical rows, so no per-cell Python
+work is needed.  ``tests/reference_planner.py`` keeps the per-cell recursive
+enumeration as the differential oracle.
 """
 
 from __future__ import annotations
@@ -107,23 +104,10 @@ class AugmentedGridConfig:
         return total
 
 
-@dataclass
-class _CellHit:
-    """One intersecting cell during query planning."""
-
-    cell_id: int
-    exact: bool
-
-
-#: Valid values of :class:`AugmentedGrid`'s ``planner`` argument.
-PLANNERS = ("vectorized", "reference")
-
-
 class AugmentedGrid:
     """A fitted Augmented Grid over one region's rows.
 
-    ``planner`` selects the query-planning implementation (see module
-    docstring); ``plan_cache`` optionally memoizes planned spans under the
+    ``plan_cache`` optionally memoizes planned spans under the
     query's type and quantized (partition-window) bounds so skewed workloads
     reuse plans instead of re-planning.  The cache is cleared by :meth:`fit`
     because spans are offsets into the clustered row order.
@@ -132,12 +116,8 @@ class AugmentedGrid:
     def __init__(
         self,
         config: AugmentedGridConfig,
-        planner: str = "vectorized",
         plan_cache: PlanCache | None = None,
     ) -> None:
-        if planner not in PLANNERS:
-            raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
-        self.planner = planner
         self.plan_cache = plan_cache
         self.config = config.validated()
         self.skeleton = config.skeleton
@@ -155,7 +135,7 @@ class AugmentedGrid:
         ]
         self.grid_dimensions: list[str] = independents + conditionals
         # Independent dimensions some conditional dimension partitions against;
-        # the vectorized planner tracks partition assignments only for these.
+        # the planner tracks partition assignments only for these.
         self._base_dims: set[str] = {
             self.skeleton.strategy_for(dim).base for dim in conditionals
         }
@@ -313,7 +293,7 @@ class AugmentedGrid:
         self._require_fitted()
         assert self._offsets is not None
         num_appended = appended.num_rows
-        grid = AugmentedGrid(self.config, planner=self.planner, plan_cache=plan_cache)
+        grid = AugmentedGrid(self.config, plan_cache=plan_cache)
         grid._cdf_models = dict(self._cdf_models)
         grid._conditional_models = dict(self._conditional_models)
         grid._strides = dict(self._strides)
@@ -485,7 +465,7 @@ class AugmentedGrid:
         innermost dimension's window then yields at most three spans per
         prefix — the two boundary cells and the exact interior run — because
         consecutive innermost cells are physically contiguous.  Output is
-        byte-identical to the reference recursive planner.
+        byte-identical to per-cell recursive enumeration.
         """
         assert self._offsets is not None
         offsets = self._offsets
@@ -619,70 +599,18 @@ class AugmentedGrid:
             )
         )
 
-    def _enumerate_cells(self, query: Query) -> list[_CellHit]:
-        """All cells intersecting ``query``, with per-cell exactness flags."""
-        bounds = self._effective_bounds(query)
-        filtered_dims = set(query.filtered_dimensions)
-        # The exact-range optimization is only safe when every filtered
-        # dimension is constrained by the grid itself (mapped dimensions are
-        # not: their cells can contain rows outside the mapped filter).
-        exactness_possible = filtered_dims.issubset(set(self.grid_dimensions))
-
-        hits: list[_CellHit] = []
-
-        def recurse(position: int, cell_base: int, assignment: dict[str, int], exact: bool) -> None:
-            if position == len(self.grid_dimensions):
-                hits.append(_CellHit(cell_id=cell_base, exact=exact))
-                return
-            dim = self.grid_dimensions[position]
-            first, last = self._partition_window(dim, bounds, assignment)
-            if first > last:
-                return
-            stride = self._strides[dim]
-            query_filters_dim = dim in filtered_dims
-            for partition in range(first, last + 1):
-                # A partition strictly inside the window only contains values
-                # inside the filter range (CDF monotonicity), so it preserves
-                # exactness; boundary partitions may straddle the filter edge.
-                interior = first < partition < last
-                child_exact = exact and (not query_filters_dim or interior)
-                assignment[dim] = partition
-                recurse(position + 1, cell_base + partition * stride, assignment, child_exact)
-            del assignment[dim]
-
-        recurse(0, 0, {}, exactness_possible)
-        return hits
-
-    def _hits_to_ranges(self, hits: list[_CellHit]) -> list[tuple[int, int, bool]]:
-        """Convert cell hits to coalesced relative row ranges ``(start, stop, exact)``."""
-        assert self._offsets is not None
-        spans: list[tuple[int, int, bool]] = []
-        for hit in sorted(hits, key=lambda h: h.cell_id):
-            start = int(self._offsets[hit.cell_id])
-            stop = int(self._offsets[hit.cell_id + 1])
-            if stop <= start:
-                continue
-            if spans and spans[-1][1] == start and spans[-1][2] == hit.exact:
-                spans[-1] = (spans[-1][0], stop, hit.exact)
-            else:
-                spans.append((start, stop, hit.exact))
-        return spans
-
     def plan(self, query: Query) -> tuple[list[tuple[int, int, bool]], QueryPlanFeatures]:
         """Plan ``query``: relative row ranges plus cost-model features."""
         self._require_fitted()
-        if self.planner == "reference":
-            spans = self._hits_to_ranges(self._enumerate_cells(query))
-        else:
-            windows = self._window_table(query)
-            if self.plan_cache is not None:
-                key = self._plan_key(query, windows)
-                spans = self.plan_cache.get(key)
-                if spans is None:
-                    spans = self._vectorized_spans(query, windows)
-                    self.plan_cache.put(key, spans)
-            else:
+        windows = self._window_table(query)
+        if self.plan_cache is not None:
+            key = self._plan_key(query, windows)
+            spans = self.plan_cache.get(key)
+            if spans is None:
                 spans = self._vectorized_spans(query, windows)
+                self.plan_cache.put(key, spans)
+        else:
+            spans = self._vectorized_spans(query, windows)
         features = QueryPlanFeatures(
             num_cell_ranges=len(spans),
             points_scanned=sum(stop - start for start, stop, _ in spans),

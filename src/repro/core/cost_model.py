@@ -28,17 +28,13 @@ import numpy as np
 class QueryPlanFeatures:
     """The cost-model features of one query plan.
 
-    ``points_scanned`` and ``bytes_scanned`` match the field names of
-    :class:`repro.storage.scan.ScanStats`.  ``bytes_scanned`` is optional
-    (``0`` when a planner cannot estimate it): it exposes the narrow-dtype
-    storage win to the model without changing the paper's two-term formula,
-    whose weights the ``scan_work`` term keeps.
+    ``points_scanned`` matches the field name of
+    :class:`repro.storage.scan.ScanStats`.
     """
 
     num_cell_ranges: int
     points_scanned: int
     num_filtered_dimensions: int
-    bytes_scanned: int = 0
 
     @property
     def scan_work(self) -> int:
@@ -48,24 +44,14 @@ class QueryPlanFeatures:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Linear cost model with weights ``w0`` (per cell range) and ``w1`` (per value).
-
-    ``w_bytes`` weighs ``QueryPlanFeatures.bytes_scanned`` and defaults to
-    ``0.0``, preserving the paper's model exactly; setting it lets a
-    calibration distinguish narrow-dtype scans from int64 scans.
-    """
+    """Linear cost model with weights ``w0`` (per cell range) and ``w1`` (per value)."""
 
     w0: float = 50.0
     w1: float = 1.0
-    w_bytes: float = 0.0
 
     def predict(self, features: QueryPlanFeatures) -> float:
         """Predicted cost of a single query plan."""
-        return (
-            self.w0 * features.num_cell_ranges
-            + self.w1 * features.scan_work
-            + self.w_bytes * features.bytes_scanned
-        )
+        return self.w0 * features.num_cell_ranges + self.w1 * features.scan_work
 
     def predict_average(self, features: Sequence[QueryPlanFeatures]) -> float:
         """Predicted average cost over a workload's query plans."""

@@ -188,19 +188,14 @@ class IncrementalReoptimizer:
             except OptimizationError:
                 continue
             # Rebuild the grid with the index's serving configuration so a
-            # re-optimized region keeps the vectorized planner and its plan
-            # cache (a fresh, empty cache: the old spans address rows that
-            # this pass is about to move).
+            # re-optimized region keeps its plan cache (a fresh, empty cache:
+            # the old spans address rows that this pass is about to move).
             plan_cache = (
                 PlanCache(self.index.config.plan_cache_entries)
                 if self.index.config.plan_cache_entries > 0
                 else None
             )
-            grid = AugmentedGrid(
-                result.config,
-                planner=self.index.config.planner,
-                plan_cache=plan_cache,
-            )
+            grid = AugmentedGrid(result.config, plan_cache=plan_cache)
             relative_permutation = grid.fit(region_table)
             permutation[row_ids] = row_ids[relative_permutation]
             region.grid = grid

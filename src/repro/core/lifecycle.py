@@ -89,7 +89,9 @@ class LifecycleEvent:
     """One maintenance action (or detection) taken by the loop."""
 
     kind: str  # "drift" | "merge" | "reoptimize" | "maintenance_error"
-    at_query: int  # queries served when the event fired
+    #: Observed-query offset of the event: the end of the window that fired
+    #: it, or the queries observed so far for events outside a window.
+    at_query: int
     seconds: float
     details: dict
 
@@ -178,6 +180,8 @@ class LifecycleManager:
         )
         self._report = LifecycleReport()
         self._window: list[Query] = []
+        self._observed = 0  # queries handed to drift observation so far
+        self._stamp = 0  # observed-query offset new events are stamped with
         self._listeners: list[Callable[[LifecycleEvent], None]] = []
         self._detector = detector if detector is not None else self._fit_detector()
 
@@ -311,13 +315,18 @@ class LifecycleManager:
         return True
 
     def _observe(self, queries: Sequence[Query]) -> None:
-        if self._detector is None:
-            return
-        self._window.extend(queries)
-        while len(self._window) >= self.config.observe_window:
-            window = self._window[: self.config.observe_window]
-            del self._window[: self.config.observe_window]
-            self._evaluate_window(window)
+        self._observed += len(queries)
+        if self._detector is not None:
+            self._window.extend(queries)
+            size = self.config.observe_window
+            while len(self._window) >= size:
+                window = self._window[:size]
+                del self._window[:size]
+                # One batch may complete several windows: each window's events
+                # carry its own end offset, not the batch's.
+                self._stamp = self._observed - len(self._window)
+                self._evaluate_window(window)
+        self._stamp = self._observed
 
     def _evaluate_window(self, window: list[Query]) -> None:
         assert self._detector is not None
@@ -390,7 +399,7 @@ class LifecycleManager:
     def _record(self, kind: str, seconds: float, details: dict) -> None:
         event = LifecycleEvent(
             kind=kind,
-            at_query=self._report.queries_served,
+            at_query=self._stamp,
             seconds=seconds,
             details=details,
         )

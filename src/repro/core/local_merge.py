@@ -284,9 +284,7 @@ def local_merge(
             if grid is None:
                 # Local split (or a region without a reusable fitted grid):
                 # refit from scratch over the merged region rows.
-                grid = AugmentedGrid(
-                    config, planner=index.config.planner, plan_cache=plan_cache
-                )
+                grid = AugmentedGrid(config, plan_cache=plan_cache)
                 region_subset = merged_table.subset(
                     np.arange(start, stop),
                     name=f"{merged_table.name}_r{region.node.region_id}",

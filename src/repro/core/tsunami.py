@@ -49,16 +49,13 @@ class TsunamiConfig:
     ``use_augmented_strategies=False`` yields the Grid-Tree-only variant
     (a Flood-style independent grid inside each region).
 
-    ``planner`` selects the Augmented Grid planning implementation
-    (``"vectorized"`` or ``"reference"``, see
-    :mod:`repro.core.augmented_grid`); ``plan_cache_entries`` sizes the
-    per-region plan cache (0 disables caching).
+    ``plan_cache_entries`` sizes the per-region plan cache (0 disables
+    caching).
     """
 
     grid_tree: GridTreeConfig = field(default_factory=GridTreeConfig)
     use_grid_tree: bool = True
     use_augmented_strategies: bool = True
-    planner: str = "vectorized"
     plan_cache_entries: int = 4096
     cost_model: CostModel = field(default_factory=CostModel)
     optimizer_iterations: int = 4
@@ -228,9 +225,7 @@ class TsunamiIndex(ClusteredIndex):
                     if self.config.plan_cache_entries > 0
                     else None
                 )
-                grid = AugmentedGrid(
-                    config, planner=self.config.planner, plan_cache=plan_cache
-                )
+                grid = AugmentedGrid(config, plan_cache=plan_cache)
                 relative_permutation = grid.fit(region_table)
                 chunks.append(row_ids[relative_permutation])
             else:

@@ -116,11 +116,22 @@ class TestRunSubcommand:
         assert main(["run", str(config)]) == 1
         assert "FAILURE:" in capsys.readouterr().err
 
-    def test_run_tracker_in_smoke_mode(self, capsys):
-        path = REPO_CONFIGS / "tracker_planning.json"
-        assert main(["run", str(path), "--mode", "smoke"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["mode"] == "smoke"
+    def test_run_figure_config(self, tmp_path, capsys):
+        config = tmp_path / "figure.json"
+        raw = {
+            "kind": "figure",
+            "name": "cli-table3",
+            "experiment": "table3",
+            "num_rows": 2_000,
+            "queries_per_type": 3,
+        }
+        config.write_text(json.dumps(raw))
+        output = tmp_path / "report.json"
+        assert main(["run", str(config), "--output", str(output)]) == 0
+        report = json.loads(output.read_text())
+        assert report["kind"] == "figure"
+        assert report["ok"] is True
+        assert "Table 3" in capsys.readouterr().out
 
 
 class TestSmokeSubcommand:

@@ -22,7 +22,6 @@ from repro.bench.runner import run_scenario, validate_report
 from repro.bench.scenario import (
     FigureConfig,
     ScenarioConfig,
-    TrackerConfig,
     load_config,
     parse_config,
     validate_directory,
@@ -88,7 +87,7 @@ class TestConfigSchema:
         config = parse_config(raw)
         assert config.workload.writes is not None
 
-    def test_faults_require_all_sharded_and_no_verify(self):
+    def test_faults_require_all_sharded_and_no_writes(self):
         raw = scenario_raw(
             faults={"error_probability": 0.1},
             indexes=[{"kind": "kdtree"}],
@@ -97,13 +96,15 @@ class TestConfigSchema:
             parse_config(raw)
         sharded = scenario_raw(
             faults={"error_probability": 0.1},
-            indexes=[{"kind": "kdtree", "variant": "sharded"}],
-            thresholds={"require_correct": False},
+            indexes=[{"kind": "kdtree", "variant": "sharded", "updatable_shards": True}],
         )
-        with pytest.raises(ConfigError, match="verify"):
+        sharded["workload"]["writes"] = {"write_fraction": 0.1}
+        with pytest.raises(ConfigError, match="writes"):
             parse_config(sharded)
-        sharded["verify"] = False
-        assert parse_config(sharded).faults is not None
+        del sharded["workload"]["writes"]
+        # Baseline and recovered passes are oracle-checked: verify stays on.
+        config = parse_config(sharded)
+        assert config.faults is not None and config.verify
 
     def test_duplicate_index_labels_rejected(self):
         with pytest.raises(ConfigError, match="label"):
@@ -116,15 +117,39 @@ class TestConfigSchema:
         config = parse_config(raw)
         assert config.dataset.dimension_sweep() == (3, 5)
 
-    def test_tracker_requires_both_scales(self):
-        raw = {
-            "kind": "tracker",
-            "name": "t",
-            "tracker": "faults",
-            "output": "BENCH_x.json",
-            "scales": {"smoke": {"num_rows": 1}},
-        }
-        with pytest.raises(ConfigError, match="full"):
+    def test_row_sweep_hotspot_and_batch_size_round_trip(self):
+        raw = scenario_raw(
+            dataset={"source": "correlated_xyz", "num_rows": [1_000, 2_000]},
+            indexes=[{"kind": "tsunami", "variant": "delta", "batch_size": 8}],
+        )
+        raw["workload"]["placement"] = "localized"
+        raw["workload"]["writes"] = {"write_fraction": 0.2, "hotspot": [100, 900]}
+        config = parse_config(raw)
+        assert config.dataset.row_sweep() == (1_000, 2_000)
+        assert config.workload.writes.hotspot == (100, 900)
+        assert config.indexes[0].batch_size == 8
+        assert parse_config(config.to_dict()) == config
+
+    def test_xz_placement_and_hotspot_need_correlated_xyz(self):
+        raw = scenario_raw(dataset={"source": "uniform", "num_rows": 1_000})
+        raw["workload"]["placement"] = "narrow"
+        with pytest.raises(ConfigError, match="placement"):
+            parse_config(raw)
+        raw = scenario_raw(
+            dataset={"source": "uniform", "num_rows": 1_000},
+            indexes=[{"kind": "kdtree", "variant": "delta"}],
+        )
+        raw["workload"]["writes"] = {"write_fraction": 0.1, "hotspot": [0, 10]}
+        with pytest.raises(ConfigError, match="hotspot"):
+            parse_config(raw)
+
+    def test_gates_need_their_axes(self):
+        with pytest.raises(ConfigError, match="faults"):
+            parse_config(scenario_raw(thresholds={"min_recovery_ratio": 0.5}))
+        raw = scenario_raw(indexes=[{"kind": "kdtree", "variant": "delta"}])
+        raw["workload"]["writes"] = {"write_fraction": 0.1}
+        raw["thresholds"] = {"max_update_rate_degradation": 2.0}
+        with pytest.raises(ConfigError, match="num_rows sweep"):
             parse_config(raw)
 
     def test_figure_rejects_unknown_experiment(self):
@@ -144,21 +169,35 @@ class TestShippedConfigs:
         configs = validate_directory(CONFIG_DIR)
         assert len(configs) >= 15
         kinds = {type(config).__name__ for _, config in configs}
-        assert kinds == {"ScenarioConfig", "TrackerConfig", "FigureConfig"}
+        assert kinds == {"ScenarioConfig", "FigureConfig"}
 
-    def test_tracker_configs_cover_all_five_bench_outputs(self):
-        outputs = {
-            config.output
+    def test_serving_perf_gates_are_smoke_scenarios(self):
+        """Every serving perf gate runs in the smoke matrix at its bound."""
+        scenarios = [
+            config
             for _, config in validate_directory(CONFIG_DIR)
-            if isinstance(config, TrackerConfig)
-        }
-        assert outputs == {
-            "BENCH_throughput.json",
-            "BENCH_updates.json",
-            "BENCH_shards.json",
-            "BENCH_serving.json",
-            "BENCH_faults.json",
-        }
+            if isinstance(config, ScenarioConfig) and config.smoke
+        ]
+
+        def speedup_gates(of_variant, over_variant, over_batch_size):
+            found = []
+            for s in scenarios:
+                t = s.thresholds
+                by_name = {ix.name: ix for ix in s.indexes}
+                if t.speedup_of is None or t.min_speedup != 1.0:
+                    continue
+                of, over = by_name[t.speedup_of], by_name[t.speedup_over]
+                if (of.variant, over.variant, over.batch_size) == (
+                    of_variant, over_variant, over_batch_size
+                ):
+                    found.append(s)
+            return found
+
+        assert speedup_gates("delta", "delta", 1)  # batched vs per-query delta
+        assert speedup_gates("sharded", "plain", 256)  # 8-way fan-out vs one index
+        assert speedup_gates("served", "plain", 1)  # front-end vs serialized
+        assert any(s.thresholds.max_update_rate_degradation == 2.0 for s in scenarios)
+        assert any(s.thresholds.min_recovery_ratio == 0.6 for s in scenarios)
 
     def test_scenario_axes_are_all_covered(self):
         scenarios = [
@@ -278,6 +317,40 @@ class TestWorkloadAxes:
         assert all(len(w.rows) == 8 for w in data.writes)
         assert all(0 < w.position <= 100 for w in data.writes)
 
+    @pytest.mark.parametrize(
+        "placement, x_low_max, width, z_high",
+        [
+            ("narrow", 90_000, (500, 5_000), (500, 4_000)),
+            ("localized", 94_000, (1_000, 5_000), (1_000, 4_500)),
+        ],
+    )
+    def test_xz_placements_draw_x_windows_with_z_prefixes(
+        self, placement, x_low_max, width, z_high
+    ):
+        raw = scenario_raw(dataset={"source": "correlated_xyz", "num_rows": 1_000, "domain": 100_000})
+        raw["workload"]["placement"] = placement
+        data = build_scenario_data(parse_config(raw), 3)
+        assert len(data.build_workload) == 8
+        assert set(data.stream) <= set(data.build_workload)
+        for query in data.build_workload:
+            filters = query.filters()
+            assert set(filters) == {"x", "z"}
+            (x_low, x_high), (z_low, z_top) = filters["x"], filters["z"]
+            assert 0 <= x_low < x_low_max
+            assert width[0] <= x_high - x_low < width[1]
+            assert z_low == 0 and z_high[0] <= z_top < z_high[1]
+
+    def test_hotspot_writes_follow_the_data_law(self):
+        raw = scenario_raw(indexes=[{"kind": "kdtree", "variant": "delta"}])
+        raw["workload"]["writes"] = {"write_fraction": 0.25, "rows_per_write": 50, "hotspot": [88_000, 94_000]}
+        data = build_scenario_data(parse_config(raw), 3)
+        rows = [row for event in data.writes for row in event.rows]
+        assert len(rows) == 50 * len(data.writes) > 0
+        for row in rows:
+            assert 88_000 <= row["x"] < 94_000
+            assert abs(row["y"] - 3 * row["x"]) <= 500
+            assert 0 <= row["z"] < 5_000
+
 
 class TestScenarioRunner:
     def test_report_passes_schema_validation(self):
@@ -321,6 +394,70 @@ class TestScenarioRunner:
         report = run_scenario(parse_config(raw))
         assert [cell["num_dimensions"] for cell in report["results"]] == [3, 4]
         assert report["ok"] is True
+
+    def test_row_sweep_produces_one_cell_per_table_size(self):
+        raw = scenario_raw(dataset={"source": "correlated_xyz", "num_rows": [1_000, 3_000]})
+        report = run_scenario(parse_config(raw))
+        assert [cell["num_rows"] for cell in report["results"]] == [1_000, 3_000]
+        assert report["ok"] is True
+
+    def test_batch_size_changes_batching_not_answers(self):
+        raw = scenario_raw(
+            indexes=[
+                {"kind": "tsunami", "optimizer_iterations": 1, "label": "whole"},
+                {"kind": "tsunami", "optimizer_iterations": 1, "label": "by-7", "batch_size": 7},
+                {"kind": "tsunami", "optimizer_iterations": 1, "label": "single", "batch_size": 1},
+            ]
+        )
+        report = run_scenario(parse_config(raw))
+        assert report["ok"] is True, report["violations"]
+        entries = report["results"][0]["indexes"]
+        assert len({entry["avg_points_scanned"] for entry in entries}) == 1
+
+    def test_repetitions_report_median_timings(self):
+        report = run_scenario(parse_config(scenario_raw(repetitions=3)))
+        (entry,) = report["results"][0]["indexes"]
+        samples = entry["repetitions"]["queries_per_second"]
+        assert entry["repetitions"]["count"] == len(samples) == 3
+        assert entry["queries_per_second"] == round(sorted(samples)[1], 3)
+
+    def test_faulted_scenario_serves_three_oracle_checked_passes(self):
+        raw = scenario_raw(
+            faults={"error_probability": 0.3},
+            indexes=[{"kind": "kdtree", "variant": "sharded", "num_shards": 4, "batch_size": 16}],
+            thresholds={"min_recovery_ratio": 1e9},
+        )
+        report = run_scenario(parse_config(raw))
+        (entry,) = report["results"][0]["indexes"]
+        phases = entry["fault_phases"]
+        assert list(phases) == ["baseline", "faulted", "recovered"]
+        assert entry["injected_faults"] > 0
+        # Baseline and recovered answers match the oracle; only the faulted
+        # pass may serve degraded partial answers.
+        assert entry["correct"] is True
+        assert phases["baseline"]["partial_serves"] == 0
+        assert phases["recovered"]["shard_failures"] == 0
+        assert entry["num_queries"] == 64  # no query dropped under faults
+        assert entry["recovery_ratio"] > 0
+        assert report["violations"]
+        assert all("recovered to" in v for v in report["violations"])
+
+    def test_update_rate_degradation_gates_local_merges_only(self):
+        raw = scenario_raw(
+            dataset={"source": "correlated_xyz", "num_rows": [1_000, 2_000]},
+            indexes=[
+                {"kind": "tsunami", "variant": "delta", "label": "local",
+                 "optimizer_iterations": 1, "merge_threshold": 100},
+                {"kind": "tsunami", "variant": "delta", "label": "rebuild",
+                 "optimizer_iterations": 1, "merge_threshold": 100, "merge_strategy": "rebuild"},
+            ],
+            thresholds={"max_update_rate_degradation": 1e-9},
+        )
+        raw["workload"]["num_queries"] = 32
+        raw["workload"]["writes"] = {"write_fraction": 0.25, "rows_per_write": 25}
+        report = run_scenario(parse_config(raw))
+        assert len(report["violations"]) == 1
+        assert "local's sustained insert rate degrades" in report["violations"][0]
 
 
 class TestCategoricalDifferential:

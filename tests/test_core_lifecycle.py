@@ -141,6 +141,18 @@ class TestDriftLoop:
         assert report.drifts_detected == 1
         assert report.reoptimizations == 0
 
+    def test_events_are_stamped_with_their_window_end(self, fresh_table, fresh_workload):
+        """One batch spanning many windows stamps each drift at its own window."""
+        index = build_delta(fresh_table, fresh_workload)
+        manager = LifecycleManager(
+            index, LifecycleConfig(observe_window=128, reoptimize_on_drift=False)
+        )
+        manager.run_batch(novel_queries(1024))
+        stamps = [event.at_query for event in manager.report().events if event.kind == "drift"]
+        assert len(stamps) >= 2
+        assert len(set(stamps)) == len(stamps)
+        assert all(stamp % 128 == 0 and 0 < stamp <= 1024 for stamp in stamps)
+
     def test_non_tsunami_base_records_drift_only(self, fresh_table, fresh_workload):
         index = build_delta(
             fresh_table, fresh_workload, factory=lambda: KdTreeIndex(page_size=512)

@@ -1,16 +1,19 @@
 """Differential tests: the vectorized planner vs the reference recursive planner.
 
-The vectorized planner (the default) must be indistinguishable from the
-original per-cell recursive enumeration: identical spans, identical order,
-identical ``exact`` flags, on every skeleton shape (independent / mapped /
-conditional dimensions), partition vector, and query — including degenerate
-queries with empty or inverted windows.
+The production planner must be indistinguishable from the original per-cell
+recursive enumeration (``reference_planner.py``): identical spans, identical
+order, identical ``exact`` flags, on every skeleton shape (independent /
+mapped / conditional dimensions), partition vector, and query — including
+degenerate queries with empty or inverted windows.  It must also stay faster
+than the enumeration it replaced.
 """
 
+import time
+
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference_planner import reference_spans
 
 from repro.core.augmented_grid import AugmentedGrid, AugmentedGridConfig
 from repro.core.query_types import PlanCache
@@ -90,17 +93,13 @@ class TestDifferentialPlanning:
     def test_vectorized_planner_matches_reference(self, case):
         skeleton, partitions, num_rows, table_seed, queries = case
         table = make_table(num_rows, table_seed)
-        config = AugmentedGridConfig(skeleton=skeleton, partitions=partitions)
-        model_cache: dict = {}
-        vectorized = AugmentedGrid(config, planner="vectorized")
-        reference = AugmentedGrid(config, planner="reference")
-        vectorized.fit(table, model_cache=model_cache)
-        reference.fit(table, model_cache=model_cache)
+        grid = AugmentedGrid(AugmentedGridConfig(skeleton=skeleton, partitions=partitions))
+        grid.fit(table)
         for query in queries:
-            spans_v, features_v = vectorized.plan(query)
-            spans_r, features_r = reference.plan(query)
-            assert spans_v == spans_r
-            assert features_v == features_r
+            spans, features = grid.plan(query)
+            assert spans == reference_spans(grid, query)
+            assert features.num_cell_ranges == len(spans)
+            assert features.points_scanned == sum(stop - start for start, stop, _ in spans)
 
     @settings(
         max_examples=15,
@@ -113,26 +112,15 @@ class TestDifferentialPlanning:
         skeleton, partitions, num_rows, table_seed, queries = case
         table = make_table(num_rows, table_seed)
         config = AugmentedGridConfig(skeleton=skeleton, partitions=partitions)
-        model_cache: dict = {}
         cached = AugmentedGrid(config, plan_cache=PlanCache())
-        reference = AugmentedGrid(config, planner="reference")
-        cached.fit(table, model_cache=model_cache)
-        reference.fit(table, model_cache=model_cache)
+        cached.fit(table)
         for query in queries * 2:  # second pass is all cache hits
             spans_c, _ = cached.plan(query)
-            spans_r, _ = reference.plan(query)
-            assert spans_c == spans_r
+            assert spans_c == reference_spans(cached, query)
         assert cached.plan_cache.stats.hits >= len(queries)
 
 
 class TestPlannerConfiguration:
-    def test_unknown_planner_rejected(self):
-        config = AugmentedGridConfig(
-            skeleton=Skeleton.all_independent(["a"]), partitions={"a": 2}
-        )
-        with pytest.raises(ValueError):
-            AugmentedGrid(config, planner="quantum")
-
     def test_fit_clears_plan_cache(self):
         table = make_table(400, seed=3)
         config = AugmentedGridConfig(
@@ -177,3 +165,50 @@ class TestPlannerConfiguration:
                 grid.ranges_for_query(query), query.filters(), query.aggregate
             )
             assert value == expected
+
+
+class TestPlanningSpeed:
+    def test_vectorized_planner_outplans_reference(self):
+        """Plans/s on a 64x64x16 grid: the production planner vs the oracle.
+
+        The only timing assertion in the tier-1 suite: the vectorized planner
+        runs ~30x the reference's plans/s, so a 1.0x floor cannot flake.
+        """
+        rng = np.random.default_rng(11)
+        table = Table.from_arrays(
+            "plan_bench", {dim: rng.integers(0, 1_000_000, 40_000) for dim in "xyz"}
+        )
+        grid = AugmentedGrid(
+            AugmentedGridConfig(
+                skeleton=Skeleton.all_independent(["x", "y", "z"]),
+                partitions={"x": 64, "y": 64, "z": 16},
+            )
+        )
+        grid.fit(table)
+        queries = []
+        for _ in range(60):
+            x_low = int(rng.integers(0, 800_000))
+            y_low = int(rng.integers(0, 600_000))
+            ranges = {
+                "x": (x_low, x_low + int(rng.integers(50_000, 300_000))),
+                "y": (y_low, y_low + int(rng.integers(100_000, 400_000))),
+            }
+            if rng.random() < 0.5:
+                z_low = int(rng.integers(0, 700_000))
+                ranges["z"] = (z_low, z_low + int(rng.integers(100_000, 300_000)))
+            queries.append(Query.from_ranges(ranges))
+
+        def best_seconds(plan) -> float:
+            for query in queries[:8]:  # warm-up
+                plan(query)
+            best = float("inf")
+            for _ in range(2):
+                start = time.perf_counter()
+                for query in queries:
+                    plan(query)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        reference = best_seconds(lambda query: reference_spans(grid, query))
+        vectorized = best_seconds(grid.plan)
+        assert reference / vectorized >= 1.0

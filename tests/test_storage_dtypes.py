@@ -18,6 +18,10 @@ from hypothesis import strategies as st
 from repro.baselines import KdTreeIndex
 from repro.common.validation import STORAGE_DTYPES, narrowest_dtype
 from repro.core.delta import DeltaBufferedIndex
+from repro.core.tsunami import TsunamiConfig, TsunamiIndex
+from repro.query.engine import QueryEngine
+from repro.query.query import Query
+from repro.query.workload import Workload
 from repro.storage.column import Column
 from repro.storage.persistence import load_index, load_table, save_index, save_table
 from repro.storage.table import Table
@@ -182,3 +186,46 @@ class TestIndexSnapshotRoundTrip:
                     assert np.array_equal(
                         loaded.buffer.column(name), index.buffer.column(name)
                     )
+
+
+class TestInt64Twin:
+    def test_narrow_table_matches_its_int64_twin(self):
+        """One index over a narrow table and over its ``narrow=False`` twin.
+
+        Answers and points scanned are identical; the narrow side never reads
+        more bytes (x fits int32 and z int16, so it reads strictly fewer).
+        """
+        rng = np.random.default_rng(13)
+        x = rng.integers(0, 100_000, 10_000)
+        columns = {
+            "x": x,
+            "y": x * 3 + rng.integers(-500, 501, x.size),
+            "z": rng.integers(0, 5_000, x.size),
+        }
+        templates = []
+        for _ in range(12):
+            low = int(rng.integers(0, 90_000))
+            templates.append(
+                Query.from_ranges(
+                    {
+                        "x": (low, low + int(rng.integers(500, 5_000))),
+                        "z": (0, int(rng.integers(500, 4_000))),
+                    }
+                )
+            )
+        stream = [templates[int(i)] for i in rng.integers(0, len(templates), 200)]
+        outcomes = {}
+        for narrow in (True, False):
+            table = Table.from_arrays(
+                "twin", {name: values.copy() for name, values in columns.items()}, narrow=narrow
+            )
+            index = TsunamiIndex(TsunamiConfig(optimizer_iterations=1))
+            index.build(table, Workload(templates))
+            outcomes[narrow] = QueryEngine(index=index).run_batch(stream)
+        narrow_side, int64_side = outcomes[True], outcomes[False]
+        assert [r.value for r in narrow_side] == [r.value for r in int64_side]
+        assert [r.stats.points_scanned for r in narrow_side] == [
+            r.stats.points_scanned for r in int64_side
+        ]
+        narrow_bytes = sum(r.stats.bytes_scanned for r in narrow_side)
+        assert 0 < narrow_bytes < sum(r.stats.bytes_scanned for r in int64_side)
