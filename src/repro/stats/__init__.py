@@ -12,6 +12,7 @@ These are the building blocks the learned indexes are made of:
 from repro.stats.histogram import EquiWidthHistogram, query_histogram
 from repro.stats.emd import earth_movers_distance, uniform_like
 from repro.stats.cdf import EmpiricalCDF, HistogramCDF, ConditionalCDF
+from repro.stats.rmi import RecursiveModelIndex
 from repro.stats.correlation import (
     BoundedLinearModel,
     monotonic_correlation,
@@ -28,6 +29,7 @@ __all__ = [
     "EmpiricalCDF",
     "HistogramCDF",
     "ConditionalCDF",
+    "RecursiveModelIndex",
     "BoundedLinearModel",
     "monotonic_correlation",
     "empty_cell_fraction",

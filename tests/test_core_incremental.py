@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_planner import reference_spans
 
 from repro.common.errors import IndexBuildError
 from repro.core.incremental import IncrementalReoptimizer, RegionShift
@@ -125,17 +126,25 @@ class TestReoptimization:
         assert any(shift.shift >= 0.05 for shift in report.shifts)
         assert index.typed_workload is baseline
 
-    def test_reoptimized_regions_keep_plan_cache(self, fresh_table, fresh_workload):
-        """A repaired region must not silently lose the serving fast path."""
+    def test_reoptimized_regions_keep_planner_and_plan_cache(self, fresh_table, fresh_workload):
+        """A repaired region must not silently lose the serving fast path.
+
+        Its rebuilt grid keeps a plan cache, and its planner still plans span
+        for span like the per-cell reference planner.
+        """
         index = build_index(fresh_table, fresh_workload)
         reoptimizer = IncrementalReoptimizer(index, shift_threshold=0.01, max_regions=4)
-        report = reoptimizer.reoptimize(shifted_workload())
+        workload = shifted_workload()
+        report = reoptimizer.reoptimize(workload)
         assert report.regions_reoptimized  # sanity: the pass did work
         for region in index._regions:
             if region.node.region_id in report.regions_reoptimized:
                 assert (region.grid.plan_cache is not None) == (
                     index.config.plan_cache_entries > 0
                 )
+                for query in list(workload)[::10]:
+                    spans, _ = region.grid.plan(query)
+                    assert spans == reference_spans(region.grid, query)
 
     def test_incremental_touches_fewer_rows_than_full_rebuild(self, fresh_table, fresh_workload):
         index = build_index(fresh_table, fresh_workload)

@@ -11,6 +11,7 @@ than the enumeration it replaced.
 import time
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference_planner import reference_spans
@@ -23,6 +24,7 @@ from repro.core.skeleton import (
     IndependentCDFStrategy,
     Skeleton,
 )
+from repro.core.tsunami import TsunamiConfig
 from repro.query.engine import execute_full_scan
 from repro.query.query import Query
 from repro.storage.table import Table
@@ -121,6 +123,21 @@ class TestDifferentialPlanning:
 
 
 class TestPlannerConfiguration:
+    def test_unknown_planner_rejected(self):
+        """The vectorized planner is the only one: no planner can be selected.
+
+        The per-cell planner lives on only as the test oracle, so a grid or a
+        Tsunami config asked for any planner fails instead of ignoring it.
+        """
+        config = AugmentedGridConfig(
+            skeleton=Skeleton.all_independent(["a"]), partitions={"a": 2}
+        )
+        for planner in ("quantum", "reference"):
+            with pytest.raises(TypeError):
+                AugmentedGrid(config, planner=planner)
+            with pytest.raises(TypeError):
+                TsunamiConfig(planner=planner)
+
     def test_fit_clears_plan_cache(self):
         table = make_table(400, seed=3)
         config = AugmentedGridConfig(
