@@ -10,7 +10,9 @@
    ``delta`` / ``sharded`` run through :class:`~repro.query.engine.QueryEngine`,
    ``lifecycle`` through :class:`~repro.core.lifecycle.LifecycleManager`, and
    ``served`` through concurrent clients on a
-   :class:`~repro.serve.frontend.ServingFrontend`.
+   :class:`~repro.serve.frontend.ServingFrontend`.  Read-only ``plain`` and
+   ``served`` indexes of one base config share one build per cell, so
+   serving modes compare on the same index.
    A faulted scenario serves the stream three times on one index: a
    fault-free baseline, under the seeded fault plan, and recovered after the
    plan is lifted.
@@ -68,7 +70,15 @@ from repro.storage.table import Table
 _SERVED_CLIENTS = 32
 
 #: Report keys that vary run to run; repetitions report their median.
-_TIMINGS = ("queries_per_second", "rows_inserted_per_second", "recovery_ratio")
+_TIMINGS = (
+    "build_seconds",
+    "seconds_total",
+    "queries_per_second",
+    "rows_scanned_per_sec",
+    "insert_seconds",
+    "rows_inserted_per_second",
+    "recovery_ratio",
+)
 
 
 def _rate(count: int, seconds: float) -> float:
@@ -109,55 +119,61 @@ def _degraded_fault_policy() -> FaultPolicy:
     )
 
 
-class _Serving:
-    """One built serving stack: how to run batches, insert, and tear down."""
+def _new_index(index_config: IndexConfig, faulted: bool, read_only: bool):
+    """The unbuilt index a serving stack wraps for ``index_config``."""
 
-    def __init__(self, index_config: IndexConfig, data: ScenarioData, faulted: bool):
+    def delta(num_shards: int = 1) -> DeltaBufferedIndex:
+        return DeltaBufferedIndex(
+            base_index_factory(index_config, num_shards),
+            merge_threshold=index_config.merge_threshold,
+            merge_strategy=index_config.merge_strategy,
+        )
+
+    variant = index_config.variant
+    if read_only:
+        return base_index_factory(index_config)()
+    if variant in ("delta", "lifecycle", "served"):
+        return delta()
+    if variant == "sharded":
+        num_shards = index_config.num_shards
+        return ShardedIndex(
+            partial(delta, num_shards)
+            if index_config.updatable_shards
+            else base_index_factory(index_config, num_shards),
+            num_shards=num_shards,
+            parallelism=index_config.parallelism,
+            fault_policy=_degraded_fault_policy() if faulted else None,
+        )
+    raise ConfigError(f"unknown variant {variant!r}")  # pragma: no cover - blocked by validation
+
+
+class _Serving:
+    """One built serving stack: how to run batches, insert, and tear down.
+
+    ``builds`` holds the cell's read-only builds: a ``plain`` or ``served``
+    index in a scenario without writes reuses the build of an earlier one
+    with the same base config instead of building its own.
+    """
+
+    def __init__(
+        self, index_config: IndexConfig, data: ScenarioData, faulted: bool, builds: dict
+    ):
         self.config = index_config
         self.lifecycle: LifecycleManager | None = None
         self.frontend: ServingFrontend | None = None
         self._pool: ThreadPoolExecutor | None = None
-        start = time.perf_counter()
-        writable = index_config.accepts_writes() or bool(data.writes)
-
-        def delta_factory():
-            return DeltaBufferedIndex(
-                base_index_factory(index_config),
-                merge_threshold=index_config.merge_threshold,
-                merge_strategy=index_config.merge_strategy,
-            )
-
         variant = index_config.variant
-        if variant == "plain":
-            index = base_index_factory(index_config)()
-        elif variant == "delta":
-            index = delta_factory()
-        elif variant == "sharded":
-            shard_factory = (
-                (
-                    lambda: DeltaBufferedIndex(
-                        base_index_factory(index_config, index_config.num_shards),
-                        merge_threshold=index_config.merge_threshold,
-                        merge_strategy=index_config.merge_strategy,
-                    )
-                )
-                if index_config.updatable_shards
-                else base_index_factory(index_config, index_config.num_shards)
-            )
-            index = ShardedIndex(
-                shard_factory,
-                num_shards=index_config.num_shards,
-                parallelism=index_config.parallelism,
-                fault_policy=_degraded_fault_policy() if faulted else None,
-            )
-        elif variant in ("lifecycle", "served"):
-            index = delta_factory() if writable or variant == "lifecycle" else (
-                base_index_factory(index_config)()
-            )
-        else:  # pragma: no cover - blocked by config validation
-            raise ConfigError(f"unknown variant {variant!r}")
-
-        index.build(data.table, data.build_workload)
+        read_only = variant in ("plain", "served") and not data.writes
+        key = (index_config.kind, index_config.optimizer_iterations, index_config.page_size)
+        if read_only and key in builds:
+            index, self.build_seconds = builds[key]
+        else:
+            start = time.perf_counter()
+            index = _new_index(index_config, faulted, read_only)
+            index.build(data.table, data.build_workload)
+            self.build_seconds = time.perf_counter() - start
+            if read_only:
+                builds[key] = (index, self.build_seconds)
         self.index = index
         if variant == "lifecycle":
             self.lifecycle = LifecycleManager(index, LifecycleConfig())
@@ -168,13 +184,12 @@ class _Serving:
             self.frontend = ServingFrontend(
                 self.backend,
                 ServingConfig(
-                    max_batch_size=index_config.batch_size or 64,
+                    max_batch_size=64,
                     max_queue_depth=8_192,
                     cache_entries=index_config.cache_entries,
                 ),
             )
             self._pool = ThreadPoolExecutor(_SERVED_CLIENTS)
-        self.build_seconds = time.perf_counter() - start
 
     def run_segment(self, queries: list[Query]) -> list:
         if self.frontend is not None:
@@ -345,9 +360,11 @@ class ScenarioRunner:
                 time.sleep(2 * _degraded_fault_policy().breaker_cooldown_seconds)
         return passes
 
-    def _measure_once(self, index_config: IndexConfig, data: ScenarioData) -> dict:
+    def _measure_once(
+        self, index_config: IndexConfig, data: ScenarioData, builds: dict
+    ) -> dict:
         faulted = self.config.faults is not None
-        serving = _Serving(index_config, data, faulted)
+        serving = _Serving(index_config, data, faulted, builds)
         try:
             # Warm the plan caches so every index measures steady state.
             serving.run_segment(data.stream[: min(64, len(data.stream))])
@@ -414,22 +431,34 @@ class ScenarioRunner:
             result.update(details)
         return result
 
-    def _measure(self, index_config: IndexConfig, data: ScenarioData) -> dict:
+    def _measure(self, index_config: IndexConfig, data: ScenarioData, builds: dict) -> dict:
         runs = [
-            self._measure_once(index_config, data)
+            self._measure_once(index_config, data, builds)
             for _ in range(self.config.repetitions)
         ]
         if len(runs) == 1:
             return runs[0]
         # Counters repeat exactly; timings do not: report their medians, and
-        # every repetition's value beside them.
+        # every repetition's value beside them.  ``recovery_ratio`` is the
+        # median of each repetition's own ratio, not a ratio of the median
+        # phases.
         result = dict(runs[0])
         samples = {}
         for key in _TIMINGS:
             values = [run[key] for run in runs if run.get(key) is not None]
             if values:
-                result[key] = round(statistics.median(values), 3)
+                result[key] = round(statistics.median(values), 4)
                 samples[key] = values
+        if "fault_phases" in result:
+            result["fault_phases"] = {
+                phase: {
+                    key: statistics.median(run["fault_phases"][phase][key] for run in runs)
+                    for key in summary
+                }
+                for phase, summary in runs[0]["fault_phases"].items()
+            }
+            result["injected_faults"] = result["fault_phases"]["faulted"]["injected_faults"]
+            samples["fault_phases"] = [run["fault_phases"] for run in runs]
         if self.config.verify:
             result["mismatches"] = sum(run["mismatches"] for run in runs)
             result["correct"] = result["mismatches"] == 0
@@ -464,6 +493,7 @@ class ScenarioRunner:
 
     def _run_cell(self, num_dimensions: int, num_rows: int) -> dict:
         data = build_scenario_data(self.config, num_dimensions, num_rows)
+        builds: dict = {}
         cell = {
             "num_dimensions": int(num_dimensions),
             "num_rows": data.table.num_rows,
@@ -474,7 +504,8 @@ class ScenarioRunner:
             # narrow-dtype compression ratio shows in every artifact.
             "table": data.table.describe(),
             "indexes": [
-                self._measure(index_config, data) for index_config in self.config.indexes
+                self._measure(index_config, data, builds)
+                for index_config in self.config.indexes
             ],
         }
         if data.categorical is not None:

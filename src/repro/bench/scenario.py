@@ -28,7 +28,8 @@ the whole registry in milliseconds in CI.
 All randomness in a scenario derives from the single ``seed`` field:
 dataset generation, template placement, stream order, write batches, and
 fault-plan schedules all use child generators spawned from it
-(:func:`repro.common.rng.spawn_rngs`), so two runs of the same config see
+(:func:`repro.common.rng.spawn_rngs`; the x/z placements seed their table
+and traffic from it directly), so two runs of the same config see
 byte-identical query streams.
 """
 
@@ -341,8 +342,8 @@ class IndexConfig:
     updatable_shards: bool = False
     cache_entries: int = 0
     #: Most queries one executor batch holds; 1 serves query by query
-    #: through ``run``.  None batches each stream segment whole.  For the
-    #: served variant it is the front-end's max batch size (default 64).
+    #: through ``run``.  None batches each stream segment whole.  The served
+    #: variant's front-end forms its own batches, so it takes none.
     batch_size: int | None = None
 
     def validate(self) -> None:
@@ -367,6 +368,10 @@ class IndexConfig:
         _require(
             self.batch_size is None or self.batch_size >= 1,
             "index.batch_size must be >= 1",
+        )
+        _require(
+            self.batch_size is None or self.variant != "served",
+            "index.batch_size does not apply to the served variant",
         )
 
     @property

@@ -10,8 +10,10 @@ generation logic.
 Everything is derived from the scenario's one ``seed`` through
 :func:`repro.common.rng.spawn_rngs`: child 0 generates the dataset, child 1
 places the template filters, child 2 orders the serving stream, child 3
-draws the write batches, and child 4 seeds the fault plan.  Two calls with
-the same config therefore produce byte-identical query streams (pinned by
+draws the write batches, and child 4 seeds the fault plan.  The x/z
+placements (``narrow``, ``localized``) seed their table and traffic
+directly instead — see :func:`_cell_rngs`.  Two calls with the same config
+therefore produce byte-identical query streams (pinned by
 ``tests/test_bench_scenario.py``).
 """
 
@@ -352,6 +354,22 @@ def _rows(columns: dict[str, np.ndarray]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+def _cell_rngs(config: ScenarioConfig) -> list[np.random.Generator]:
+    """The (dataset, template, stream, write, fault) generators of one cell.
+
+    The x/z placements draw the table from ``default_rng(seed)``, then the
+    template pool and the zipf stream from one ``default_rng(seed + 1)``.
+    That is the draw order the serving gates on these placements were first
+    measured with, so a config naming the same seed serves the same table
+    and stream.
+    """
+    rngs = spawn_rngs(config.seed, 5)
+    if config.workload.placement != "quantile":
+        traffic = np.random.default_rng(config.seed + 1)
+        rngs[:3] = [np.random.default_rng(config.seed), traffic, traffic]
+    return rngs
+
+
 def build_scenario_data(
     config: ScenarioConfig, num_dimensions: int, num_rows: int | None = None
 ) -> ScenarioData:
@@ -359,9 +377,7 @@ def build_scenario_data(
 
     ``num_rows`` picks the point of the table-size sweep (default: its first).
     """
-    dataset_rng, template_rng, stream_rng, write_rng, fault_rng = spawn_rngs(
-        config.seed, 5
-    )
+    dataset_rng, template_rng, stream_rng, write_rng, fault_rng = _cell_rngs(config)
     if num_rows is None:
         num_rows = config.dataset.row_sweep()[0]
     table = build_table(config, num_dimensions, num_rows, dataset_rng)

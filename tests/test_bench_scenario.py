@@ -14,11 +14,13 @@ Covers the three layers of ``repro.bench``'s scenario subsystem:
   schema validation.
 """
 
+import statistics
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.bench.runner import run_scenario, validate_report
+from repro.bench.runner import _Serving, run_scenario, validate_report
 from repro.bench.scenario import (
     FigureConfig,
     ScenarioConfig,
@@ -28,6 +30,7 @@ from repro.bench.scenario import (
 )
 from repro.bench.workloads import build_fault_plan, build_scenario_data
 from repro.common.errors import ConfigError
+from repro.core.delta import DeltaBufferedIndex
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "benchmarks" / "configs"
@@ -129,6 +132,11 @@ class TestConfigSchema:
         assert config.workload.writes.hotspot == (100, 900)
         assert config.indexes[0].batch_size == 8
         assert parse_config(config.to_dict()) == config
+
+    def test_served_variant_takes_no_batch_size(self):
+        raw = scenario_raw(indexes=[{"kind": "kdtree", "variant": "served", "batch_size": 8}])
+        with pytest.raises(ConfigError, match="batch_size"):
+            parse_config(raw)
 
     def test_xz_placement_and_hotspot_need_correlated_xyz(self):
         raw = scenario_raw(dataset={"source": "uniform", "num_rows": 1_000})
@@ -361,6 +369,26 @@ class TestWorkloadAxes:
             assert width[0] <= x_high - x_low < width[1]
             assert z_low == 0 and z_high[0] <= z_top < z_high[1]
 
+    def test_xz_placements_seed_table_and_traffic_directly(self):
+        """Table from default_rng(seed); pool, then zipf stream, from default_rng(seed + 1)."""
+        raw = scenario_raw(seed=33, dataset={"source": "correlated_xyz", "num_rows": 500})
+        raw["workload"]["placement"] = "localized"
+        data = build_scenario_data(parse_config(raw), 3)
+        rng = np.random.default_rng(33)
+        x = rng.integers(0, 100_000, 500)
+        assert (data.table.values("x") == x).all()
+        assert (data.table.values("y") == x * 3 + rng.integers(-500, 501, 500)).all()
+        assert (data.table.values("z") == rng.integers(0, 5_000, 500)).all()
+        rng = np.random.default_rng(34)
+        for query in data.build_workload:
+            x_low = int(rng.integers(0, 94_000))
+            x_high = x_low + int(rng.integers(1_000, 5_000))
+            z_high = int(rng.integers(1_000, 4_500))
+            assert query.filters() == {"x": (x_low, x_high), "z": (0, z_high)}
+        templates = list(data.build_workload)
+        draws = rng.zipf(1.2, size=64) - 1
+        assert data.stream == [templates[int(d) % 8] for d in draws]
+
     def test_hotspot_writes_follow_the_data_law(self):
         raw = scenario_raw(indexes=[{"kind": "kdtree", "variant": "delta"}])
         raw["workload"]["writes"] = {"write_fraction": 0.25, "rows_per_write": 50, "hotspot": [88_000, 94_000]}
@@ -435,15 +463,48 @@ class TestScenarioRunner:
         entries = report["results"][0]["indexes"]
         assert len({entry["avg_points_scanned"] for entry in entries}) == 1
 
+    def test_read_only_serving_modes_share_one_build(self):
+        raw = scenario_raw(
+            indexes=[
+                {"kind": "kdtree", "label": "per-query", "batch_size": 1},
+                {"kind": "kdtree", "variant": "served", "label": "served"},
+            ]
+        )
+        config = parse_config(raw)
+        data = build_scenario_data(config, 3)
+        builds: dict = {}
+        stacks = [_Serving(index, data, False, builds) for index in config.indexes]
+        try:
+            assert stacks[0].index is stacks[1].index
+            assert not isinstance(stacks[1].index, DeltaBufferedIndex)
+        finally:
+            for stack in stacks:
+                stack.close()
+
+    def test_served_variant_buffers_writes(self):
+        raw = scenario_raw(indexes=[{"kind": "kdtree", "variant": "served"}])
+        raw["workload"]["writes"] = {"write_fraction": 0.2, "rows_per_write": 4}
+        config = parse_config(raw)
+        builds: dict = {}
+        stack = _Serving(config.indexes[0], build_scenario_data(config, 3), False, builds)
+        try:
+            assert isinstance(stack.index, DeltaBufferedIndex)
+            assert not builds
+        finally:
+            stack.close()
+
     def test_repetitions_report_median_timings(self):
         report = run_scenario(parse_config(scenario_raw(repetitions=3)))
         (entry,) = report["results"][0]["indexes"]
-        samples = entry["repetitions"]["queries_per_second"]
-        assert entry["repetitions"]["count"] == len(samples) == 3
-        assert entry["queries_per_second"] == round(sorted(samples)[1], 3)
+        samples = entry["repetitions"]
+        assert samples["count"] == 3
+        for key in ("build_seconds", "seconds_total", "queries_per_second", "rows_scanned_per_sec"):
+            assert len(samples[key]) == 3
+            assert entry[key] == sorted(samples[key])[1]
 
     def test_faulted_scenario_serves_three_oracle_checked_passes(self):
         raw = scenario_raw(
+            repetitions=3,
             faults={"error_probability": 0.3},
             indexes=[{"kind": "kdtree", "variant": "sharded", "num_shards": 4, "batch_size": 16}],
             thresholds={"min_recovery_ratio": 1e9},
@@ -460,6 +521,13 @@ class TestScenarioRunner:
         assert phases["recovered"]["shard_failures"] == 0
         assert entry["num_queries"] == 64  # no query dropped under faults
         assert entry["recovery_ratio"] > 0
+        # Each phase reports its median over the repetitions.
+        runs = entry["repetitions"]["fault_phases"]
+        assert len(runs) == 3
+        for phase, summary in phases.items():
+            assert summary["queries_per_second"] == statistics.median(
+                run[phase]["queries_per_second"] for run in runs
+            )
         assert report["violations"]
         assert all("recovered to" in v for v in report["violations"])
 
