@@ -3,16 +3,18 @@ tables and figures.
 
 * :mod:`repro.bench.harness` — build/measure machinery shared by every experiment.
 * :mod:`repro.bench.report` — plain-text table and series formatting.
-* :mod:`repro.bench.experiments` — one driver per paper table/figure; the
-  ``benchmarks/`` directory calls straight into these.
+* :mod:`repro.bench.experiments` — one driver per paper table/figure, each
+  checking its result's paper shape into ``ExperimentResult.violations``.
+* :mod:`repro.bench.extensions` — the same for the §8 extensions and
+  design-choice ablations.
 * :mod:`repro.bench.scenario` — the declarative config schema behind
   ``benchmarks/configs/`` (scenario / figure kinds).
 * :mod:`repro.bench.workloads` — materializes a scenario's dataset, template
   pools, serving stream, and write schedule from its seed.
 * :mod:`repro.bench.runner` — :class:`ScenarioRunner`: drives every configured
   index through the serving stack and emits a schema-versioned report.
-* :mod:`repro.bench.cli` — ``python -m repro.bench.cli`` (experiments plus the
-  ``run`` / ``validate`` / ``smoke`` config subcommands).
+* :mod:`repro.bench.cli` — ``python -m repro.bench.cli run | validate |
+  smoke``: the one way to run a config, figure configs included.
 """
 
 from repro.bench.harness import (

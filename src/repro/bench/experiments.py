@@ -1,17 +1,15 @@
 """One driver per paper table/figure (§6).
 
 Every function here regenerates the rows or series of one evaluation artifact
-at a configurable (much smaller) scale.  The ``benchmarks/`` directory wraps
-these drivers with pytest-benchmark; the examples call them directly.
-
-Scale knobs default to laptop-friendly values and can be overridden with the
-environment variables ``REPRO_BENCH_ROWS`` and ``REPRO_BENCH_QUERIES`` (rows
-per dataset and queries per query type respectively).
+at the (much smaller) scale its caller passes, and checks that the result
+keeps the paper's shape.  A broken check is appended to
+:attr:`ExperimentResult.violations` with its bound; ``python -m
+repro.bench.cli run`` exits non-zero on any.  Each is bound to its scale by
+one figure config in ``benchmarks/configs/``.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -49,26 +47,46 @@ from repro.storage.scan import ScanExecutor
 ALL_DATASETS = ("tpch", "taxi", "perfmon", "stocks")
 
 
-def bench_rows(default: int = 60_000) -> int:
-    """Rows per dataset, overridable via ``REPRO_BENCH_ROWS``."""
-    return int(os.environ.get("REPRO_BENCH_ROWS", default))
-
-
-def bench_queries_per_type(default: int = 30) -> int:
-    """Queries per query type, overridable via ``REPRO_BENCH_QUERIES``."""
-    return int(os.environ.get("REPRO_BENCH_QUERIES", default))
-
-
 @dataclass
 class ExperimentResult:
-    """A generic experiment outcome: a report string plus the raw data behind it."""
+    """A generic experiment outcome: a report string, the raw data behind it,
+    and every paper-shape check the data broke."""
 
     name: str
     report: str
     data: dict = field(default_factory=dict)
+    violations: list[str] = field(default_factory=list)
 
     def __str__(self) -> str:
         return f"== {self.name} ==\n{self.report}"
+
+
+def _check(violations: list[str], holds: bool, message: str) -> None:
+    """Record ``message`` unless the check ``holds``."""
+    if not holds:
+        violations.append(message)
+
+
+def _check_correct(violations: list[str], label: str, measurements: list[IndexMeasurement]) -> None:
+    wrong = [m.index_name for m in measurements if not m.correct]
+    _check(violations, not wrong, f"{label}: {', '.join(wrong)} answered differently from a full scan")
+
+
+def _check_scans(
+    violations: list[str],
+    label: str,
+    measurements: list[IndexMeasurement],
+    baseline: str,
+    bound: float,
+) -> None:
+    """Tsunami must scan at most ``bound`` x ``baseline``'s points per query."""
+    scanned = {m.index_name: m.avg_points_scanned for m in measurements}
+    _check(
+        violations,
+        scanned["tsunami"] <= scanned[baseline] * bound,
+        f"{label}: tsunami scans {scanned['tsunami']:.1f} points/query, "
+        f"over {bound:.2f}x {baseline}'s {scanned[baseline]:.1f}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +95,12 @@ class ExperimentResult:
 
 
 def experiment_table3(
-    num_rows: int | None = None, queries_per_type: int | None = None, seed: int = 0
+    num_rows: int, queries_per_type: int, seed: int = 0
 ) -> ExperimentResult:
     """Regenerate Table 3: rows, query types, dimensions, and size per dataset."""
-    num_rows = num_rows or bench_rows()
-    queries_per_type = queries_per_type or bench_queries_per_type()
     rows = []
     data = {}
+    violations: list[str] = []
     for name in ALL_DATASETS:
         table, workload = load_dataset(
             name, num_rows=num_rows, queries_per_type=queries_per_type, seed=seed
@@ -101,7 +118,15 @@ def experiment_table3(
             }
         )
         data[name] = {"table": stats, "paper_rows": DATASETS[name].paper_rows}
-    return ExperimentResult("Table 3: dataset characteristics", format_table(rows), data)
+        _check(violations, stats.num_query_types >= 5, f"{name}: {stats.num_query_types} query types, under 5")
+        # The paper's workloads sit in the sub-5% selectivity band on average.
+        _check(
+            violations,
+            stats.avg_selectivity < 0.05,
+            f"{name}: average selectivity {stats.avg_selectivity:.2%}, not under 5%",
+        )
+    _check(violations, set(data) == set(ALL_DATASETS), f"datasets {sorted(data)}, not {sorted(ALL_DATASETS)}")
+    return ExperimentResult("Table 3: dataset characteristics", format_table(rows), data, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +135,15 @@ def experiment_table3(
 
 
 def experiment_table4(
-    num_rows: int | None = None,
-    queries_per_type: int | None = None,
+    num_rows: int,
+    queries_per_type: int,
     datasets: tuple[str, ...] = ALL_DATASETS,
     seed: int = 0,
 ) -> ExperimentResult:
     """Regenerate Table 4: Grid Tree shape, per-region statistics, and cell counts."""
-    num_rows = num_rows or bench_rows()
-    queries_per_type = queries_per_type or bench_queries_per_type()
     rows = []
     data = {}
+    violations: list[str] = []
     for name in datasets:
         table, workload = load_dataset(
             name, num_rows=num_rows, queries_per_type=queries_per_type, seed=seed
@@ -145,7 +169,20 @@ def experiment_table4(
             }
         )
         data[name] = {"tsunami": stats, "flood_cells": flood.num_cells}
-    return ExperimentResult("Table 4: index statistics after optimization", format_table(rows), data)
+        # The Grid Tree must stay lightweight (the paper reports depth <= 4
+        # and a few dozen regions).
+        depth, regions = stats["grid_tree_depth"], stats["num_leaf_regions"]
+        _check(violations, depth <= 6, f"{name}: Grid Tree depth {depth}, over 6")
+        _check(violations, 1 <= regions <= 96, f"{name}: {regions} regions, outside [1, 96]")
+        _check(
+            violations,
+            stats["min_points_per_region"] <= stats["max_points_per_region"],
+            f"{name}: min points per region over max",
+        )
+        _check(violations, flood.num_cells >= 1, f"{name}: flood has {flood.num_cells} cells")
+    return ExperimentResult(
+        "Table 4: index statistics after optimization", format_table(rows), data, violations
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +191,18 @@ def experiment_table4(
 
 
 def experiment_overall(
-    num_rows: int | None = None,
-    queries_per_type: int | None = None,
+    num_rows: int,
+    queries_per_type: int,
     datasets: tuple[str, ...] = ALL_DATASETS,
     include_nonlearned: bool = True,
     seed: int = 0,
 ) -> ExperimentResult:
     """Regenerate Fig. 7 (query throughput) and Fig. 8 (index size) in one pass."""
-    num_rows = num_rows or bench_rows()
-    queries_per_type = queries_per_type or bench_queries_per_type()
     factories = default_index_factories() if include_nonlearned else learned_index_factories()
     all_rows = []
     data: dict[str, list[IndexMeasurement]] = {}
+    violations: list[str] = []
+    scan_misses: list[str] = []
     for name in datasets:
         table, workload = load_dataset(
             name, num_rows=num_rows, queries_per_type=queries_per_type, seed=seed
@@ -173,7 +210,6 @@ def experiment_overall(
         measurements = run_comparison(table, workload, factories, dataset_name=name)
         data[name] = measurements
         throughput = {m.index_name: m.queries_per_second for m in measurements}
-        sizes = {m.index_name: float(m.index_size_bytes) for m in measurements}
         speedups = relative_factors(throughput, reference="flood") if "flood" in throughput else {}
         for measurement in measurements:
             row = measurement.as_row()
@@ -181,9 +217,34 @@ def experiment_overall(
                 f"{speedups.get(measurement.index_name, float('nan')):.2f}x" if speedups else "-"
             )
             all_rows.append(row)
-        _ = sizes
+
+        _check_correct(violations, name, measurements)
+        # Paper shape: Tsunami is the fastest learned index.
+        _check(
+            violations,
+            throughput["tsunami"] >= throughput["flood"],
+            f"{name}: tsunami serves {speedups['tsunami']:.2f}x flood's queries/s, under 1.00x",
+        )
+        _check_scans(scan_misses, name, measurements, "flood", 1.10)
+        # Fig. 8: both learned indexes stay a small fraction of the data
+        # (rows x 7 int64 columns).
+        by_name = {m.index_name: m for m in measurements}
+        data_bytes = by_name["tsunami"].num_rows * 8 * 7
+        for index_name in ("tsunami", "flood"):
+            size = by_name[index_name].index_size_bytes
+            _check(
+                violations,
+                size < 0.25 * data_bytes,
+                f"{name}: {index_name} index takes {size} B, not under 0.25 x {data_bytes} B",
+            )
+    # At reduced scale one dataset may scan more than Flood; more may not.
+    _check(
+        violations,
+        len(scan_misses) <= 1,
+        "tsunami over 1.10x flood's scan work on more than one dataset: " + "; ".join(scan_misses),
+    )
     return ExperimentResult(
-        "Fig. 7 / Fig. 8: overall throughput and index size", format_table(all_rows), data
+        "Fig. 7 / Fig. 8: overall throughput and index size", format_table(all_rows), data, violations
     )
 
 
@@ -193,13 +254,11 @@ def experiment_overall(
 
 
 def experiment_adaptability(
-    num_rows: int | None = None,
-    queries_per_type: int | None = None,
+    num_rows: int,
+    queries_per_type: int,
     seed: int = 0,
 ) -> ExperimentResult:
     """Regenerate Fig. 9a: throughput before the shift, after it, and after re-optimizing."""
-    num_rows = num_rows or bench_rows()
-    queries_per_type = queries_per_type or bench_queries_per_type()
     table = make_tpch_dataset(num_rows=num_rows, seed=seed)
     original = generate_workload(
         table, tpch_templates(queries_per_type), seed=1, name="tpch_original"
@@ -253,17 +312,27 @@ def experiment_adaptability(
         "reoptimize_seconds": reoptimize_seconds,
         "after": after,
     }
-    return ExperimentResult("Fig. 9a: adaptability to workload shift", format_table(rows), data)
+    violations: list[str] = []
+    _check(violations, before.correct, "original workload: wrong answers")
+    _check(violations, after.correct, "after re-optimization: wrong answers")
+    # Re-optimizing for the new workload must restore (or improve) the amount
+    # of work per query relative to the stale layout.
+    _check(
+        violations,
+        after.avg_points_scanned <= data["degraded_avg_scanned"] * 1.05,
+        f"re-optimized layout scans {after.avg_points_scanned:.1f} points/query, "
+        f"over 1.05x the stale layout's {data['degraded_avg_scanned']:.1f}",
+    )
+    _check(violations, reoptimize_seconds > 0, "re-optimization took no time")
+    return ExperimentResult("Fig. 9a: adaptability to workload shift", format_table(rows), data, violations)
 
 
 def experiment_creation_time(
-    num_rows: int | None = None,
-    queries_per_type: int | None = None,
+    num_rows: int,
+    queries_per_type: int,
     seed: int = 0,
 ) -> ExperimentResult:
     """Regenerate Fig. 9b: per-index build time split into sorting vs optimization."""
-    num_rows = num_rows or bench_rows()
-    queries_per_type = queries_per_type or bench_queries_per_type()
     table, workload = load_dataset(
         "tpch", num_rows=num_rows, queries_per_type=queries_per_type, seed=seed
     )
@@ -282,7 +351,17 @@ def experiment_creation_time(
             }
         )
         data[name] = index.build_report
-    return ExperimentResult("Fig. 9b: index creation time", format_table(rows), data)
+    violations: list[str] = []
+    # Non-learned indexes pay no optimization time; learned indexes do.
+    kd_tree, flood, tsunami = data["kd-tree"], data["flood"], data["tsunami"]
+    _check(
+        violations,
+        kd_tree.optimize_seconds < tsunami.optimize_seconds,
+        f"kd-tree optimize {kd_tree.optimize_seconds:.3f} s, not under tsunami's {tsunami.optimize_seconds:.3f} s",
+    )
+    _check(violations, flood.optimize_seconds > 0, "flood optimize took no time")
+    _check(violations, tsunami.total_seconds > 0, "tsunami build took no time")
+    return ExperimentResult("Fig. 9b: index creation time", format_table(rows), data, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +370,14 @@ def experiment_creation_time(
 
 
 def experiment_dimensions(
-    num_rows: int | None = None,
-    queries_per_type: int | None = None,
+    num_rows: int,
+    queries_per_type: int,
     dimension_counts: tuple[int, ...] = (4, 8, 12),
     correlated: bool = True,
     include_nonlearned: bool = True,
     seed: int = 0,
 ) -> ExperimentResult:
     """Regenerate one panel of Fig. 10: throughput vs number of dimensions."""
-    num_rows = num_rows or bench_rows()
-    queries_per_type = queries_per_type or bench_queries_per_type()
     factories = (
         {
             **learned_index_factories(),
@@ -312,6 +389,7 @@ def experiment_dimensions(
     )
     series: dict[str, list[float]] = {name: [] for name in factories}
     data = {}
+    violations: list[str] = []
     for dims in dimension_counts:
         if correlated:
             table = make_correlated_dataset(num_rows=num_rows, num_dimensions=dims, seed=seed)
@@ -324,9 +402,13 @@ def experiment_dimensions(
         data[dims] = measurements
         for measurement in measurements:
             series[measurement.index_name].append(measurement.queries_per_second)
+        _check_correct(violations, f"d={dims}", measurements)
+        if correlated:
+            # On correlated data Tsunami must not do more scan work than Flood.
+            _check_scans(violations, f"d={dims}", measurements, "flood", 1.10)
     kind = "correlated" if correlated else "uncorrelated"
     report = format_series("dimensions", list(dimension_counts), series)
-    return ExperimentResult(f"Fig. 10: throughput vs dimensionality ({kind})", report, data)
+    return ExperimentResult(f"Fig. 10: throughput vs dimensionality ({kind})", report, data, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -335,21 +417,18 @@ def experiment_dimensions(
 
 
 def experiment_dataset_size(
-    row_counts: tuple[int, ...] | None = None,
-    queries_per_type: int | None = None,
+    row_counts: tuple[int, ...],
+    queries_per_type: int,
     seed: int = 0,
 ) -> ExperimentResult:
     """Regenerate Fig. 11a: throughput vs dataset size on the TPC-H stand-in."""
-    queries_per_type = queries_per_type or bench_queries_per_type()
-    if row_counts is None:
-        base = bench_rows()
-        row_counts = (base // 4, base // 2, base)
     factories = {
         **learned_index_factories(),
         "kd-tree": lambda: KdTreeIndex(page_size=2048),
     }
     series: dict[str, list[float]] = {name: [] for name in factories}
     data = {}
+    violations: list[str] = []
     for rows in row_counts:
         table, workload = load_dataset(
             "tpch", num_rows=rows, queries_per_type=queries_per_type, seed=seed
@@ -358,19 +437,20 @@ def experiment_dataset_size(
         data[rows] = measurements
         for measurement in measurements:
             series[measurement.index_name].append(measurement.queries_per_second)
+        _check_correct(violations, f"{rows} rows", measurements)
+    # Tsunami's advantage over Flood in scan work must hold at the largest size.
+    _check_scans(violations, f"{row_counts[-1]} rows", data[row_counts[-1]], "flood", 1.10)
     report = format_series("rows", list(row_counts), series)
-    return ExperimentResult("Fig. 11a: throughput vs dataset size", report, data)
+    return ExperimentResult("Fig. 11a: throughput vs dataset size", report, data, violations)
 
 
 def experiment_selectivity(
-    num_rows: int | None = None,
-    queries_per_type: int | None = None,
+    num_rows: int,
+    queries_per_type: int,
     selectivity_factors: tuple[float, ...] = (0.25, 1.0, 4.0),
     seed: int = 0,
 ) -> ExperimentResult:
     """Regenerate Fig. 11b: throughput vs query selectivity on the correlated synthetic data."""
-    num_rows = num_rows or bench_rows()
-    queries_per_type = queries_per_type or bench_queries_per_type()
     table = make_correlated_dataset(num_rows=num_rows, num_dimensions=8, seed=seed)
     base_templates = synthetic_templates(
         num_dimensions=8, queries_per_type=queries_per_type
@@ -379,6 +459,7 @@ def experiment_selectivity(
     series: dict[str, list[float]] = {name: [] for name in factories}
     selectivities = []
     data = {}
+    violations: list[str] = []
     for factor in selectivity_factors:
         templates = scale_template_selectivities(base_templates, factor)
         workload = generate_workload(table, templates, seed=seed + 3, name=f"sel_{factor}")
@@ -388,8 +469,11 @@ def experiment_selectivity(
         data[factor] = {"measurements": measurements, "avg_selectivity": stats.avg_selectivity}
         for measurement in measurements:
             series[measurement.index_name].append(measurement.queries_per_second)
+        _check_correct(violations, f"factor {factor}", measurements)
+    averages = [info["avg_selectivity"] for info in data.values()]
+    _check(violations, averages == sorted(averages), f"average selectivities {averages} do not rise with the factor")
     report = format_series("avg selectivity", selectivities, series)
-    return ExperimentResult("Fig. 11b: throughput vs query selectivity", report, data)
+    return ExperimentResult("Fig. 11b: throughput vs query selectivity", report, data, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +482,12 @@ def experiment_selectivity(
 
 
 def experiment_components(
-    num_rows: int | None = None,
-    queries_per_type: int | None = None,
+    num_rows: int,
+    queries_per_type: int,
     datasets: tuple[str, ...] = ("tpch", "taxi"),
     seed: int = 0,
 ) -> ExperimentResult:
     """Regenerate Fig. 12a: Flood vs Augmented-Grid-only vs Grid-Tree-only vs Tsunami."""
-    num_rows = num_rows or bench_rows()
-    queries_per_type = queries_per_type or bench_queries_per_type()
     factories = {
         "flood": FloodIndex,
         "augmented-grid-only": AugmentedGridOnlyIndex,
@@ -414,12 +496,16 @@ def experiment_components(
     }
     rows = []
     data = {}
+    violations: list[str] = []
     for name in datasets:
         table, workload = load_dataset(
             name, num_rows=num_rows, queries_per_type=queries_per_type, seed=seed
         )
         measurements = run_comparison(table, workload, factories, dataset_name=name)
         data[name] = measurements
+        _check_correct(violations, name, measurements)
+        # The full composition must not do more scan work than plain Flood.
+        _check_scans(violations, name, measurements, "flood", 1.10)
         throughput = {m.index_name: m.queries_per_second for m in measurements}
         factors = relative_factors(throughput, reference="flood")
         for measurement in measurements:
@@ -433,7 +519,7 @@ def experiment_components(
                     "correct": measurement.correct,
                 }
             )
-    return ExperimentResult("Fig. 12a: component drill-down", format_table(rows), data)
+    return ExperimentResult("Fig. 12a: component drill-down", format_table(rows), data, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -442,17 +528,16 @@ def experiment_components(
 
 
 def experiment_optimizers(
-    num_rows: int | None = None,
-    queries_per_type: int | None = None,
+    num_rows: int,
+    queries_per_type: int,
     datasets: tuple[str, ...] = ("tpch",),
     blackbox_iterations: int = 10,
     seed: int = 0,
 ) -> ExperimentResult:
     """Regenerate Fig. 12b: AGD vs GD vs Black-Box vs AGD-NI, predicted vs actual cost."""
-    num_rows = num_rows or bench_rows()
-    queries_per_type = queries_per_type or bench_queries_per_type()
     rows = []
     data = {}
+    violations: list[str] = []
     for name in datasets:
         table, workload = load_dataset(
             name, num_rows=num_rows, queries_per_type=queries_per_type, seed=seed
@@ -509,4 +594,12 @@ def experiment_optimizers(
                 "calibrated": calibrated,
                 "model_error": model_error,
             }
-    return ExperimentResult("Fig. 12b: optimization method comparison", format_table(rows), data)
+            _check(violations, avg_actual > 0, f"{name}: {method_name} grid measured no query time")
+        _check(violations, len(data[name]) == 4, f"{name}: {len(data[name])} methods, not 4")
+        # AGD must find a configuration at least as good as plain GD
+        # (predicted cost is the optimization objective).
+        agd, gd = (data[name][method]["result"].predicted_cost for method in ("AGD", "GD"))
+        _check(violations, agd <= gd * 1.05, f"{name}: AGD predicted cost {agd:.1f}, over 1.05x GD's {gd:.1f}")
+    return ExperimentResult(
+        "Fig. 12b: optimization method comparison", format_table(rows), data, violations
+    )

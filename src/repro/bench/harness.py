@@ -93,12 +93,12 @@ def measure_index(
     workload: Workload,
     dataset_name: str = "dataset",
     expected: Sequence[float] | None = None,
-    verify: bool = True,
 ) -> IndexMeasurement:
-    """Build ``index`` over ``table`` and measure it on ``workload``."""
+    """Build ``index`` over ``table`` and measure it on ``workload``; every
+    answer is checked against ``expected`` (full-scan answers by default)."""
     index.build(table, workload)
 
-    if verify and expected is None:
+    if expected is None:
         expected = expected_answers(table, workload)
 
     total_seconds = 0.0
@@ -111,7 +111,7 @@ def measure_index(
         total_seconds += time.perf_counter() - start
         total_scanned += result.stats.points_scanned
         total_ranges += result.stats.cell_ranges
-        if verify and expected is not None and result.value != expected[position]:
+        if result.value != expected[position]:
             correct = False
 
     num_queries = max(len(workload), 1)
@@ -136,10 +136,9 @@ def run_comparison(
     workload: Workload,
     factories: Mapping[str, IndexFactory],
     dataset_name: str = "dataset",
-    verify: bool = True,
 ) -> list[IndexMeasurement]:
     """Measure every index produced by ``factories`` on the same data and workload."""
-    expected = expected_answers(table, workload) if verify else None
+    expected = expected_answers(table, workload)
     measurements = []
     for name, factory in factories.items():
         index = factory()
@@ -149,7 +148,6 @@ def run_comparison(
             workload,
             dataset_name=dataset_name,
             expected=expected,
-            verify=verify,
         )
         measurement.index_name = name
         measurements.append(measurement)

@@ -16,12 +16,12 @@
    A faulted scenario serves the stream three times on one index: a
    fault-free baseline, under the seeded fault plan, and recovered after the
    plan is lifted.
-3. Unless the scenario opts out (``verify: false``), **every** answer is
-   checked against the full-scan oracle — including mid-stream, after each
-   interleaved write batch; for faulted scenarios, the baseline and recovered
-   passes — and the report carries machine-independent work counters next to
-   the wall-clock numbers.  Every timed pass starts from a collected heap;
-   with ``repetitions`` > 1 the report carries the median of each timing.
+3. **Every** answer is checked against the full-scan oracle — including
+   mid-stream, after each interleaved write batch; for faulted scenarios,
+   the baseline and recovered passes — and the report carries
+   machine-independent work counters next to the wall-clock numbers.
+   Every timed pass starts from a collected heap; with ``repetitions`` > 1
+   the report carries the median of each timing.
 4. Smoke thresholds (correctness, throughput floors, index-vs-index speedup,
    update-rate degradation, fault recovery) are evaluated into
    ``violations``; CI fails a smoke config whose report has any.
@@ -383,9 +383,7 @@ class ScenarioRunner:
         elapsed = served["seconds"]
         insert_seconds = served["insert_seconds"]
         rows_inserted = sum(len(rows) for _, rows in served["insert_log"])
-        mismatches = (
-            sum(self._mismatches(run, data) for run in verified) if self.config.verify else None
-        )
+        mismatches = sum(self._mismatches(run, data) for run in verified)
         points = sum(outcome.stats.points_scanned for outcome in outcomes)
         ranges = sum(outcome.stats.cell_ranges for outcome in outcomes)
         values_scanned = sum(outcome.stats.values_scanned for outcome in outcomes)
@@ -416,7 +414,7 @@ class ScenarioRunner:
             "rows_inserted_per_second": (
                 _rate(rows_inserted, insert_seconds) if rows_inserted else None
             ),
-            "correct": mismatches == 0 if self.config.verify else None,
+            "correct": mismatches == 0,
             "mismatches": mismatches,
         }
         if faulted:
@@ -459,9 +457,8 @@ class ScenarioRunner:
             }
             result["injected_faults"] = result["fault_phases"]["faulted"]["injected_faults"]
             samples["fault_phases"] = [run["fault_phases"] for run in runs]
-        if self.config.verify:
-            result["mismatches"] = sum(run["mismatches"] for run in runs)
-            result["correct"] = result["mismatches"] == 0
+        result["mismatches"] = sum(run["mismatches"] for run in runs)
+        result["correct"] = result["mismatches"] == 0
         result["repetitions"] = {"count": len(runs), **samples}
         return result
 
@@ -519,7 +516,7 @@ class ScenarioRunner:
             label = f"d={cell['num_dimensions']} rows={cell['num_rows']}"
             by_name = {entry["index"]: entry for entry in cell["indexes"]}
             for entry in cell["indexes"]:
-                if thresholds.require_correct and entry["correct"] is False:
+                if not entry["correct"]:
                     violations.append(
                         f"{label}: {entry['index']} returned {entry['mismatches']} "
                         "answers differing from the full-scan oracle"

@@ -16,11 +16,15 @@ A config is one of two kinds:
   concurrent front-end).  Run by
   :class:`~repro.bench.runner.ScenarioRunner`, which verifies every answer
   against the full-scan oracle and emits a schema-versioned report.
-* ``"figure"`` — a paper table/figure regenerated through the experiment
-  drivers in :mod:`repro.bench.experiments`.
+* ``"figure"`` — a paper table/figure (or supplementary ablation)
+  regenerated by one experiment function in :mod:`repro.bench.experiments`
+  or :mod:`repro.bench.extensions`.  Its ``params`` are that function's
+  keyword arguments, scale included; its paper-shape checks become the
+  report's violations.
 
-Configs are validated eagerly and strictly: unknown keys, unknown index
-kinds, and inconsistent axis combinations raise a typed
+Configs are validated eagerly and strictly: unknown keys, figure params the
+experiment does not take, unknown index kinds, and inconsistent axis
+combinations raise a typed
 :class:`~repro.common.errors.ConfigError` *before* anything is built, so
 ``python -m repro.bench.cli validate benchmarks/configs`` can schema-check
 the whole registry in milliseconds in CI.
@@ -35,6 +39,7 @@ byte-identical query streams.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -46,7 +51,7 @@ from repro.common.errors import ConfigError
 SCHEMA_VERSION = 1
 
 #: Dataset sources the scenario kind understands.
-DATASET_SOURCES = ("correlated_xyz", "uniform", "correlated", "registry")
+DATASET_SOURCES = ("correlated_xyz", "uniform")
 
 #: Index kinds runnable under a scenario (the full baseline set + Tsunami).
 INDEX_KINDS = (
@@ -106,12 +111,10 @@ class DatasetConfig:
     source: str = "correlated_xyz"
     #: int, or a list for a table-size sweep.
     num_rows: int | tuple[int, ...] = 20_000
-    #: int, or a list for a dimensionality sweep (synthetic sources only).
+    #: int, or a list for a dimensionality sweep (uniform source only).
     num_dimensions: int | tuple[int, ...] = 3
     #: Storage domain of synthetic dimensions.
     domain: int = 100_000
-    #: Registry dataset name (source == "registry" only).
-    registry_name: str | None = None
     categorical: CategoricalDatasetConfig | None = None
 
     def validate(self) -> None:
@@ -125,15 +128,6 @@ class DatasetConfig:
         for count in self.dimension_sweep():
             _require(
                 count >= 2, f"dataset.num_dimensions entries must be >= 2, got {count}"
-            )
-        if self.source == "registry":
-            _require(
-                self.registry_name is not None,
-                "dataset.registry_name is required when source is 'registry'",
-            )
-            _require(
-                self.categorical is None,
-                "dataset.categorical only applies to synthetic sources",
             )
         if self.source == "correlated_xyz":
             _require(
@@ -271,11 +265,6 @@ class WorkloadConfig:
                 "workload.categorical_fraction/reorder_categorical require "
                 "dataset.categorical",
             )
-        if dataset.source == "registry":
-            _require(
-                self.point_lookup_fraction == 0 and self.categorical_fraction == 0,
-                "point-lookup and categorical axes apply to synthetic sources only",
-            )
         _require(
             self.placement in PLACEMENTS,
             f"workload.placement must be one of {PLACEMENTS}, got {self.placement!r}",
@@ -392,9 +381,9 @@ class IndexConfig:
 
 @dataclass(frozen=True)
 class ThresholdsConfig:
-    """Smoke gates evaluated by the runner; violations fail CI."""
+    """Smoke gates evaluated by the runner; violations fail CI.  A wrong
+    answer is always a violation."""
 
-    require_correct: bool = True
     min_queries_per_second: float | None = None
     #: Gate: results[speedup_over] must not be faster than results[speedup_of].
     speedup_of: str | None = None
@@ -460,7 +449,6 @@ class ScenarioConfig:
     smoke: bool = False
     seed: int = 0
     repetitions: int = 1
-    verify: bool = True
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     indexes: tuple[IndexConfig, ...] = ()
@@ -529,7 +517,6 @@ class ScenarioConfig:
                 "smoke",
                 "seed",
                 "repetitions",
-                "verify",
                 "dataset",
                 "workload",
                 "indexes",
@@ -549,7 +536,7 @@ class ScenarioConfig:
         _check_keys(
             "dataset",
             dataset_raw,
-            ["source", "num_rows", "num_dimensions", "domain", "registry_name", "categorical"],
+            ["source", "num_rows", "num_dimensions", "domain", "categorical"],
         )
         categorical_raw = dataset_raw.pop("categorical", None)
         if categorical_raw is not None:
@@ -634,7 +621,6 @@ class ScenarioConfig:
                 "thresholds",
                 thresholds_raw,
                 [
-                    "require_correct",
                     "min_queries_per_second",
                     "speedup_of",
                     "speedup_over",
@@ -655,7 +641,6 @@ class ScenarioConfig:
                 smoke=bool(raw.get("smoke", False)),
                 seed=int(raw.get("seed", 0)),
                 repetitions=int(raw.get("repetitions", 1)),
-                verify=bool(raw.get("verify", True)),
                 dataset=dataset,
                 workload=workload,
                 indexes=tuple(indexes),
@@ -692,14 +677,13 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class FigureConfig:
-    """A paper table/figure reproduced through repro.bench.experiments."""
+    """A paper table/figure reproduced by one experiment function: ``params``
+    are its keyword arguments, scale included."""
 
     name: str
     experiment: str
     description: str = ""
     smoke: bool = False
-    num_rows: int | None = None
-    queries_per_type: int | None = None
     params: Mapping = field(default_factory=dict)
 
     def validate(self) -> None:
@@ -714,6 +698,13 @@ class FigureConfig:
             f"unknown experiment {self.experiment!r}; "
             f"available: {sorted(EXPERIMENTS)}",
         )
+        signature = inspect.signature(EXPERIMENTS[self.experiment])
+        try:
+            signature.bind(**self.params)
+        except TypeError as exc:
+            raise ConfigError(
+                f"params do not fit {self.experiment}({', '.join(signature.parameters)}): {exc}"
+            ) from None
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "FigureConfig":
@@ -727,8 +718,6 @@ class FigureConfig:
                 "experiment",
                 "description",
                 "smoke",
-                "num_rows",
-                "queries_per_type",
                 "params",
             ],
         )
@@ -743,8 +732,6 @@ class FigureConfig:
             experiment=raw.get("experiment", ""),
             description=raw.get("description", ""),
             smoke=bool(raw.get("smoke", False)),
-            num_rows=raw.get("num_rows"),
-            queries_per_type=raw.get("queries_per_type"),
             params=dict(raw.get("params", {})),
         )
         config.validate()

@@ -28,8 +28,7 @@ from repro.common.errors import ConfigError
 from repro.common.faults import FaultPlan, FaultSpec
 from repro.common.rng import spawn_rngs
 from repro.core.categorical import CategoricalReordering
-from repro.datasets.registry import load_dataset
-from repro.datasets.synthetic import make_correlated_dataset, make_uniform_dataset
+from repro.datasets.synthetic import make_uniform_dataset
 from repro.datasets.workload_gen import (
     EqualitySpec,
     QueryTemplate,
@@ -112,12 +111,6 @@ def build_table(
         table = Table.from_arrays("scenario_xyz", _correlated_xyz(x, dataset.domain, rng))
     elif dataset.source == "uniform":
         table = make_uniform_dataset(num_rows, num_dimensions, seed=rng)
-    elif dataset.source == "correlated":
-        table = make_correlated_dataset(num_rows, num_dimensions, seed=rng)
-    elif dataset.source == "registry":
-        table, _ = load_dataset(
-            dataset.registry_name, num_rows=num_rows, queries_per_type=1, seed=rng
-        )
     else:  # pragma: no cover - blocked by ScenarioConfig.validate
         raise ConfigError(f"unknown dataset source {dataset.source!r}")
     if dataset.categorical is not None:

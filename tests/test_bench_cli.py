@@ -1,35 +1,31 @@
-"""Tests for the experiment CLI (python -m repro.bench.cli)."""
+"""Tests for the benchmark CLI (python -m repro.bench.cli)."""
 
 import json
 from pathlib import Path
 
-import pytest
-
-from repro.bench.cli import EXPERIMENTS, build_parser, main, run_experiment
+from repro.bench.cli import EXPERIMENTS, main
+from repro.bench.experiments import ExperimentResult
 
 REPO_CONFIGS = Path(__file__).resolve().parents[1] / "benchmarks" / "configs"
 
 
-class TestParser:
-    def test_defaults(self):
-        args = build_parser().parse_args([])
-        assert args.experiments == []
-        assert args.rows is None
-
-    def test_scale_flags(self):
-        args = build_parser().parse_args(["fig7", "--rows", "1000", "--queries", "5"])
-        assert args.experiments == ["fig7"]
-        assert args.rows == 1000 and args.queries == 5
+def _figure(tmp_path, experiment, **params) -> str:
+    path = tmp_path / f"{experiment}.json"
+    raw = {"kind": "figure", "name": f"cli-{experiment}", "experiment": experiment, "params": params}
+    path.write_text(json.dumps(raw))
+    return str(path)
 
 
 class TestRunExperiment:
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(SystemExit):
-            run_experiment("nope", None, None)
+    def test_unknown_experiment_rejected(self, tmp_path, capsys):
+        _figure(tmp_path, "nope")
+        assert main(["validate", str(tmp_path)]) == 1
+        assert "unknown experiment 'nope'" in capsys.readouterr().err
 
     def test_table3_runs_at_tiny_scale(self):
-        result = run_experiment("table3", rows=2_000, queries=3)
+        result = EXPERIMENTS["table3"](num_rows=2_000, queries_per_type=3)
         assert "dataset" in result.report
+        assert result.violations == []
 
     def test_registry_covers_every_table_and_figure(self):
         paper_artifacts = {
@@ -50,21 +46,6 @@ class TestRunExperiment:
         assert all(
             name.startswith("ext-") for name in set(EXPERIMENTS) - paper_artifacts
         )
-
-
-class TestMain:
-    def test_list_mode(self, capsys):
-        assert main(["--list"]) == 0
-        output = capsys.readouterr().out
-        assert "table3" in output and "fig12b" in output
-
-    def test_no_arguments_lists(self, capsys):
-        assert main([]) == 0
-        assert "Table 3" in capsys.readouterr().out
-
-    def test_single_experiment(self, capsys):
-        assert main(["table3", "--rows", "2000", "--queries", "3"]) == 0
-        assert "Table 3" in capsys.readouterr().out
 
 
 def _tiny_scenario(name="cli-tiny", **overrides):
@@ -117,21 +98,27 @@ class TestRunSubcommand:
         assert "FAILURE:" in capsys.readouterr().err
 
     def test_run_figure_config(self, tmp_path, capsys):
-        config = tmp_path / "figure.json"
-        raw = {
-            "kind": "figure",
-            "name": "cli-table3",
-            "experiment": "table3",
-            "num_rows": 2_000,
-            "queries_per_type": 3,
-        }
-        config.write_text(json.dumps(raw))
+        config = _figure(tmp_path, "table3", num_rows=2_000, queries_per_type=3)
         output = tmp_path / "report.json"
-        assert main(["run", str(config), "--output", str(output)]) == 0
+        assert main(["run", config, "--output", str(output)]) == 0
         report = json.loads(output.read_text())
         assert report["kind"] == "figure"
         assert report["ok"] is True
         assert "Table 3" in capsys.readouterr().out
+
+    def test_figure_report_carries_numbers(self, tmp_path):
+        output = tmp_path / "report.json"
+        main(["run", _figure(tmp_path, "fig9b", num_rows=2_000, queries_per_type=3), "--output", str(output)])
+        build = json.loads(output.read_text())["result"]["data"]["tsunami"]
+        assert isinstance(build["optimize_seconds"], float)
+
+    def test_figure_violation_exits_nonzero(self, tmp_path, monkeypatch, capsys):
+        def broken(num_rows):
+            return ExperimentResult("broken", "-", {}, ["stocks: tsunami serves 0.70x flood's queries/s"])
+
+        monkeypatch.setitem(EXPERIMENTS, "fig7", broken)
+        assert main(["run", _figure(tmp_path, "fig7", num_rows=10)]) == 1
+        assert "FAILURE: stocks: tsunami serves 0.70x" in capsys.readouterr().err
 
 
 class TestSmokeSubcommand:

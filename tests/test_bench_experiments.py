@@ -1,8 +1,8 @@
 """Smoke tests for the per-figure experiment drivers (tiny scales).
 
-The benchmarks directory runs these drivers at larger scale; here we only
-check that every driver runs end-to-end, produces a report, and returns
-correct measurements.
+The figure configs in ``benchmarks/configs/`` run these drivers at larger
+scale; here we only check that every driver runs end-to-end, produces a
+report, and returns correct measurements.
 """
 
 

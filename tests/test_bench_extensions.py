@@ -2,16 +2,19 @@
 
 These run the drivers at a deliberately tiny scale; the assertions are about
 structure and the qualitative ordering each driver exists to demonstrate, not
-about absolute numbers (the benchmarks in ``benchmarks/`` run the real scale).
+about absolute numbers (the figure configs in ``benchmarks/configs/`` run the
+real scale).
 """
 
 import pytest
 
 from repro.bench.experiments import ExperimentResult
 from repro.bench.extensions import (
+    experiment_cost_weights,
     experiment_extended_baselines,
     experiment_incremental_reopt,
     experiment_outlier_mappings,
+    experiment_region_budget,
 )
 
 
@@ -75,3 +78,19 @@ class TestIncrementalReopt:
             result.data["incremental"]["avg points scanned (shifted)"]
             <= result.data["none"]["avg points scanned (shifted)"] * 1.10
         )
+
+
+class TestDesignChoiceAblations:
+    """At this scale the shapes may not hold; each must be flagged iff it breaks."""
+
+    def test_cost_weights_sweep_w0(self):
+        result = experiment_cost_weights(num_rows=2_000, queries_per_type=3)
+        rows = result.data["rows"]
+        assert [row["w0"] for row in rows] == [5.0, 50.0, 500.0]
+        assert (rows[0]["grid cells"] >= rows[-1]["grid cells"]) == (result.violations == [])
+
+    def test_region_budget_sweeps_max_regions(self):
+        result = experiment_region_budget(num_rows=2_000, queries_per_type=3)
+        rows = result.data["rows"]
+        assert [row["max regions"] for row in rows] == [1, 8, 48]
+        assert (rows[0]["regions"] <= rows[-1]["regions"]) == (result.violations == [])

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bench.runner import _Serving, run_scenario, validate_report
+from repro.bench.cli import EXPERIMENTS
+from repro.bench.runner import ScenarioRunner, _Serving, run_scenario, validate_report
 from repro.bench.scenario import (
     FigureConfig,
     ScenarioConfig,
@@ -105,9 +106,8 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="writes"):
             parse_config(sharded)
         del sharded["workload"]["writes"]
-        # Baseline and recovered passes are oracle-checked: verify stays on.
         config = parse_config(sharded)
-        assert config.faults is not None and config.verify
+        assert config.faults is not None
 
     def test_duplicate_index_labels_rejected(self):
         with pytest.raises(ConfigError, match="label"):
@@ -163,6 +163,11 @@ class TestConfigSchema:
     def test_figure_rejects_unknown_experiment(self):
         raw = {"kind": "figure", "name": "f", "experiment": "fig99"}
         with pytest.raises(ConfigError, match="fig99"):
+            parse_config(raw)
+
+    def test_figure_rejects_params_the_experiment_does_not_take(self):
+        raw = {"kind": "figure", "name": "f", "experiment": "table3", "params": {"num_row": 2_000}}
+        with pytest.raises(ConfigError, match="num_row"):
             parse_config(raw)
 
     def test_load_config_reports_bad_json(self, tmp_path):
@@ -245,12 +250,13 @@ class TestShippedConfigs:
         assert {"flood", "kdtree", "rtree", "zorder", "gridfile", "octree"} <= kinds
 
     def test_figure_configs_map_paper_experiments(self):
+        """Every experiment has a shipped, valid figure config."""
         figures = {
             config.experiment
             for _, config in validate_directory(CONFIG_DIR)
             if isinstance(config, FigureConfig)
         }
-        assert {"fig7", "fig9a", "fig9b", "fig10"} <= figures
+        assert figures == set(EXPERIMENTS)
 
 
 class TestSeedThreading:
@@ -259,12 +265,10 @@ class TestSeedThreading:
     def _config(self, seed=42):
         raw = scenario_raw(
             seed=seed,
-            verify=False,
             indexes=[
                 {"kind": "kdtree", "variant": "sharded", "num_shards": 2}
             ],
             faults={"error_probability": 0.2},
-            thresholds={"require_correct": False},
         )
         return parse_config(raw)
 
@@ -421,6 +425,12 @@ class TestScenarioRunner:
         report = run_scenario(parse_config(raw))
         assert report["ok"] is False
         assert any("qps floor" in v for v in report["violations"])
+
+    def test_wrong_answers_always_violate(self, monkeypatch):
+        monkeypatch.setattr(ScenarioRunner, "_mismatches", staticmethod(lambda served, data: 1))
+        report = run_scenario(parse_config(scenario_raw()))
+        assert report["ok"] is False
+        assert any("full-scan oracle" in v for v in report["violations"])
 
     def test_relative_speedup_threshold(self):
         raw = scenario_raw(
