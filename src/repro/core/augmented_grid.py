@@ -11,22 +11,37 @@ partitioning strategies (see :mod:`repro.core.skeleton`):
 
 The grid owns the physical order of its rows: :meth:`AugmentedGrid.fit`
 computes a cell id per row and returns the permutation that clusters rows by
-cell.  Queries are planned by enumerating intersecting cells (respecting the
-conditional-CDF dependency structure), converted to contiguous cell ranges,
-and either executed against the table or returned as cost-model features —
-the optimizer (§5.3) uses the same planning code on a data sample.
+cell (:meth:`AugmentedGrid.fit_cells` stops before the permutation, for grids
+that are planned but never executed).  Queries are planned by enumerating
+intersecting cells (respecting the conditional-CDF dependency structure),
+converted to contiguous cell ranges, and either executed against the table or
+returned as cost-model features — the optimizer (§5.3) uses the same planning
+code on a data sample.
 
 The planner computes every per-dimension partition window once, expands the
 cross product of the *outer* dimensions with numpy stride arithmetic, and
 emits one coalesced span per outer-dimension prefix — cells consecutive in the
 innermost dimension occupy contiguous physical rows, so no per-cell Python
-work is needed.  ``tests/reference_planner.py`` keeps the per-cell recursive
-enumeration as the differential oracle.
+work is needed.  One expansion core plans a whole batch of queries at once,
+carrying a query id through the cross product and breaking coalesced spans at
+query boundaries.  It has two callers:
+
+* :meth:`AugmentedGrid.plan` serves one query.  Its windows come from the
+  per-query window table, which also keys the plan cache; a cache miss runs
+  the core as a batch of one and keeps the spans.
+* :meth:`AugmentedGrid.plan_counts` takes the optimizer's whole sample
+  workload.  Its windows are computed as arrays for every query at once, and
+  it returns only per-query ``(num_cell_ranges, points_scanned)``, equal to
+  what :meth:`~AugmentedGrid.plan` reports.
+
+``tests/reference_planner.py`` keeps the per-cell recursive enumeration as the
+differential oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -104,6 +119,24 @@ class AugmentedGridConfig:
         return total
 
 
+@dataclass
+class _BatchWindows:
+    """Partition windows of a batch of queries, as :meth:`AugmentedGrid._batch_windows` builds them.
+
+    ``firsts``/``lasts`` hold one inclusive window per (query, independent
+    grid dimension); ``conditional`` maps each conditional dimension to a
+    ``(queries, base partitions)`` pair of window tables indexed by absolute
+    base partition.  Empty windows are ``first > last``.  Grid dimensions
+    from ``depth`` on are unrestricted for every query: full windows and no
+    filter.
+    """
+
+    firsts: np.ndarray
+    lasts: np.ndarray
+    conditional: dict[str, tuple[np.ndarray, np.ndarray]]
+    depth: int
+
+
 class AugmentedGrid:
     """A fitted Augmented Grid over one region's rows.
 
@@ -134,6 +167,7 @@ class AugmentedGrid:
             if isinstance(self.skeleton.strategy_for(dim), ConditionalCDFStrategy)
         ]
         self.grid_dimensions: list[str] = independents + conditionals
+        self._num_independent = len(independents)
         # Independent dimensions some conditional dimension partitions against;
         # the planner tracks partition assignments only for these.
         self._base_dims: set[str] = {
@@ -160,6 +194,17 @@ class AugmentedGrid:
         ``model_cache`` lets the optimizer reuse per-dimension models across
         the many candidate configurations it evaluates on the *same* sample
         table; it must not be shared across different tables.
+        """
+        return np.argsort(self.fit_cells(table, model_cache), kind="stable")
+
+    def fit_cells(self, table: Table, model_cache: dict | None = None) -> np.ndarray:
+        """Fit all models and the cell lookup table; return every row's cell id.
+
+        This is :meth:`fit` without the clustering permutation.  Planning
+        needs only per-cell row counts, so a grid that is planned but never
+        executed (the optimizer's sample grids) stops here.  With a
+        ``model_cache`` the per-dimension partition ids are cached too,
+        keyed by the model and partition count that produced them.
         """
         if table.num_rows == 0:
             raise IndexBuildError("cannot fit an Augmented Grid over zero rows")
@@ -193,7 +238,12 @@ class AugmentedGrid:
                 model = EmpiricalCDF(table.values(dim), max_knots=knots)
                 cache[key] = model
             self._cdf_models[dim] = model
-            partition_ids[dim] = model.partitions_of(table.values(dim), count)
+            ids_key = key + (count,)
+            ids = cache.get(ids_key)
+            if ids is None:
+                ids = model.partitions_of(table.values(dim), count)
+                cache[ids_key] = ids
+            partition_ids[dim] = ids
 
         # Conditional dimensions: one CDF per base partition.
         for dim in self.grid_dimensions:
@@ -217,9 +267,12 @@ class AugmentedGrid:
                 )
                 cache[key] = model
             self._conditional_models[dim] = model
-            partition_ids[dim] = model.partitions_of(
-                table.values(dim), partition_ids[base], count
-            )
+            ids_key = key + (count,)
+            ids = cache.get(ids_key)
+            if ids is None:
+                ids = model.partitions_of(table.values(dim), partition_ids[base], count)
+                cache[ids_key] = ids
+            partition_ids[dim] = ids
 
         # Mapped dimensions: fit the bounded regression predicting the target.
         # With ``outlier_aware_mappings`` the §8 extension is used instead:
@@ -257,15 +310,13 @@ class AugmentedGrid:
         for dim in self.grid_dimensions:
             cell_ids += partition_ids[dim] * self._strides[dim]
 
-        permutation = np.argsort(cell_ids, kind="stable")
-        sorted_cells = cell_ids[permutation]
-        counts = np.bincount(sorted_cells, minlength=total_cells)
+        counts = np.bincount(cell_ids, minlength=total_cells)
         self._offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         self._fitted = True
         if self.plan_cache is not None:
             # Cached spans are offsets into the previous clustered order.
             self.plan_cache.clear()
-        return permutation
+        return cell_ids
 
     def absorb(
         self, appended: Table, plan_cache: PlanCache | None = None
@@ -455,107 +506,210 @@ class AugmentedGrid:
             tuple(signature),
         )
 
-    def _vectorized_spans(
-        self, query: Query, windows: dict
-    ) -> list[tuple[int, int, bool]]:
-        """Coalesced ``(start, stop, exact)`` spans, without per-cell work.
+    def _batch_windows(self, queries: Sequence[Query]) -> _BatchWindows:
+        """Every grid dimension's partition windows for a batch of queries.
 
-        The cross product of the outer dimensions' windows is expanded with
-        numpy broadcasting (ragged conditional windows via ``np.repeat``); the
-        innermost dimension's window then yields at most three spans per
-        prefix — the two boundary cells and the exact interior run — because
-        consecutive innermost cells are physically contiguous.  Output is
-        byte-identical to per-cell recursive enumeration.
+        The array form of :meth:`_window_table`: each independent
+        dimension's windows are computed for the whole batch with
+        :meth:`~repro.stats.cdf.EmpiricalCDF.partitions_of`, and each
+        conditional dimension's ``(queries, base partitions)`` table is
+        filled one base-partition model at a time.
+        """
+        bounds = [self._effective_bounds(query) for query in queries]
+        filtered = {dim for query in queries for dim in query.filtered_dimensions}
+        num_queries = len(queries)
+        independent = self.grid_dimensions[: self._num_independent]
+        firsts = np.zeros((num_queries, len(independent)), dtype=np.int64)
+        lasts = np.array([self.config.partitions[dim] - 1 for dim in independent], dtype=np.int64)
+        lasts = np.repeat(lasts[None, :], num_queries, axis=0)
+        windows = _BatchWindows(firsts, lasts, {}, 0)
+        for position, dim in enumerate(self.grid_dimensions):
+            count = self.config.partitions[dim]
+            strategy = self.skeleton.strategy_for(dim)
+            bounded = [row for row, query_bounds in enumerate(bounds) if dim in query_bounds]
+            if isinstance(strategy, ConditionalCDFStrategy):
+                shape = (num_queries, self.config.partitions[strategy.base])
+                dim_firsts = np.zeros(shape, dtype=np.int64)
+                dim_lasts = np.full(shape, count - 1, dtype=np.int64)
+                windows.conditional[dim] = (dim_firsts, dim_lasts)
+            else:
+                dim_firsts, dim_lasts = firsts[:, position], lasts[:, position]
+            if dim in filtered or (count > 1 and bounded):
+                windows.depth = position + 1
+            if count == 1 or not bounded:
+                continue
+            rows = np.array(bounded, dtype=np.int64)
+            lows = np.array([bounds[row][dim][0] for row in bounded], dtype=np.float64)
+            highs = np.array([bounds[row][dim][1] for row in bounded], dtype=np.float64)
+            if isinstance(strategy, ConditionalCDFStrategy):
+                base_position = self.grid_dimensions.index(strategy.base)
+                model = self._conditional_models[dim]
+                # Only base partitions inside some query's base window are read.
+                for base_partition in range(
+                    int(firsts[rows, base_position].min()),
+                    int(lasts[rows, base_position].max()) + 1,
+                ):
+                    cdf = model.model_for(base_partition)
+                    dim_firsts[rows, base_partition] = cdf.partitions_of(lows, count)
+                    dim_lasts[rows, base_partition] = cdf.partitions_of(highs, count)
+            else:
+                model = self._cdf_models[dim]
+                dim_firsts[rows] = model.partitions_of(lows, count)
+                dim_lasts[rows] = model.partitions_of(highs, count)
+            empty = rows[highs < lows]
+            dim_firsts[empty] = 1
+            dim_lasts[empty] = 0
+        return windows
+
+    def _batch_of_one(self, query: Query, windows: dict) -> _BatchWindows:
+        """One query's :meth:`_window_table` in :meth:`_batch_windows`' layout."""
+        dims = self.grid_dimensions
+        independent = dims[: self._num_independent]
+        pairs = np.array(
+            [[windows[dim][0] for dim in independent], [windows[dim][1] for dim in independent]],
+            dtype=np.int64,
+        )
+        batch = _BatchWindows(pairs[:1], pairs[1:], {}, 0)
+        filtered = query.filtered_dimensions
+        for position in range(len(dims) - 1, -1, -1):
+            dim = dims[position]
+            last = self.config.partitions[dim] - 1
+            dim_firsts, dim_lasts = windows[dim]
+            if position < self._num_independent:
+                full = dim_firsts == 0 and dim_lasts == last
+            else:
+                full = not any(dim_firsts.tolist()) and all(
+                    value == last for value in dim_lasts.tolist()
+                )
+            if dim in filtered or not full:
+                batch.depth = position + 1
+                break
+        for dim in dims[self._num_independent : batch.depth]:
+            base = self.skeleton.strategy_for(dim).base
+            base_first = int(windows[base][0])
+            dim_firsts, dim_lasts = windows[dim]
+            # Entries outside the base window are never read.
+            tables = np.zeros((2, self.config.partitions[base]), dtype=np.int64)
+            tables[0, base_first : base_first + dim_firsts.size] = dim_firsts
+            tables[1, base_first : base_first + dim_lasts.size] = dim_lasts
+            batch.conditional[dim] = (tables[:1], tables[1:])
+        return batch
+
+    def _expand_spans(
+        self, queries: Sequence[Query], windows: _BatchWindows
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Coalesced spans of a batch of queries, without per-cell work.
+
+        Returns four parallel arrays ``(query ids, starts, stops, exact)``,
+        grouped by query in input order.  Only the first ``windows.depth``
+        grid dimensions are expanded: below the last one any query
+        restricts, each prefix's cells are one contiguous block per
+        partition.  The outer independent dimensions' cross product is
+        enumerated per query in mixed radix (each prefix's digits are its
+        positions inside the query's windows), the outer conditional
+        dimensions are expanded with ``np.repeat`` over ragged per-prefix
+        windows, and the innermost expanded dimension yields at most three
+        spans per prefix — the two boundary blocks and the exact interior
+        run.  Spans coalesce across row-contiguous neighbours but never
+        across a query boundary, so each query's spans are byte-identical to
+        per-cell recursive enumeration.
         """
         assert self._offsets is not None
         offsets = self._offsets
         dims = self.grid_dimensions
-        filtered_dims = set(query.filtered_dimensions)
-        exactness_possible = filtered_dims.issubset(set(dims))
+        depth = windows.depth
+        filtered = [set(query.filtered_dimensions) for query in queries]
+        exact = np.array([f.issubset(dims) for f in filtered], dtype=bool)
+        num_queries = len(queries)
 
-        if not dims:
-            start, stop = int(offsets[0]), int(offsets[1])
-            if stop <= start:
-                return []
-            return [(start, stop, exactness_possible)]
+        def filter_mask(dim: str) -> np.ndarray | bool:
+            """Which prefixes' queries filter ``dim``, or a bool when all or none do."""
+            mask = [dim in f for f in filtered]
+            if all(mask) or not any(mask):
+                return bool(mask) and mask[0]
+            return np.array(mask, dtype=bool)[query_ids]
 
-        cell_base = np.zeros(1, dtype=np.int64)
-        exact = np.full(1, exactness_possible)
-        part_ids: dict[str, np.ndarray] = {}
+        def narrowed(exact: np.ndarray, dim: str, interior) -> np.ndarray:
+            """``exact`` after ``dim``: where a query filters ``dim``, only
+            partitions strictly inside its window (``interior()``) stay exact;
+            boundary partitions may straddle the filter edge."""
+            mask = filter_mask(dim)
+            if mask is False:
+                return exact
+            if mask is True:
+                return exact & interior()
+            return exact & (interior() | ~mask)
 
-        for dim in dims[:-1]:
-            stride = self._strides[dim]
-            query_filters_dim = dim in filtered_dims
-            strategy = self.skeleton.strategy_for(dim)
-            if isinstance(strategy, IndependentCDFStrategy):
-                first, last = windows[dim]
-                if first > last:
-                    return []
-                parts = np.arange(first, last + 1, dtype=np.int64)
-                width = parts.size
-                if query_filters_dim:
-                    interior = (parts > first) & (parts < last)
-                    exact = (exact[:, None] & interior[None, :]).reshape(-1)
-                else:
-                    exact = np.repeat(exact, width)
-                previous_size = cell_base.size
-                cell_base = (cell_base[:, None] + parts[None, :] * stride).reshape(-1)
-                part_ids = {d: np.repeat(a, width) for d, a in part_ids.items()}
-                if dim in self._base_dims:
-                    part_ids[dim] = np.tile(parts, previous_size)
-            else:
-                firsts_w, lasts_w = windows[dim]
-                base = strategy.base
-                base_first = int(windows[base][0])
-                index = part_ids[base] - base_first
-                firsts = firsts_w[index]
-                lasts = lasts_w[index]
-                lengths = np.maximum(lasts - firsts + 1, 0)
-                total = int(lengths.sum())
-                if total == 0:
-                    return []
-                repeats = np.repeat(np.arange(cell_base.size), lengths)
-                run_starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-                parts = np.arange(total) - run_starts[repeats] + firsts[repeats]
-                if query_filters_dim:
-                    exact = exact[repeats] & (parts > firsts[repeats]) & (parts < lasts[repeats])
-                else:
-                    exact = exact[repeats]
-                cell_base = cell_base[repeats] + parts * stride
-                part_ids = {d: a[repeats] for d, a in part_ids.items()}
+        if depth == 0:
+            # Nothing is restricted: each query's one span is every row.
+            query_ids = np.arange(num_queries if offsets[-1] > offsets[0] else 0)
+            size = query_ids.size
+            return query_ids, np.full(size, offsets[0]), np.full(size, offsets[-1]), exact[query_ids]
 
-        innermost = dims[-1]
-        strategy = self.skeleton.strategy_for(innermost)
-        if isinstance(strategy, IndependentCDFStrategy):
-            first, last = windows[innermost]
-            if first > last:
-                return []
-            firsts = np.full(cell_base.size, first, dtype=np.int64)
-            lasts = np.full(cell_base.size, last, dtype=np.int64)
+        # Outer independent dimensions: one prefix per mixed-radix number
+        # whose digits are the prefix's positions inside the query's windows.
+        outer = min(depth - 1, self._num_independent)
+        lengths = np.maximum(windows.lasts - windows.firsts + 1, 0)
+        counts = np.multiply.reduce(lengths[:, :outer], axis=1)
+        if num_queries == 1:
+            # A plan-cache miss: the one query's prefixes are numbered directly.
+            digits = np.arange(counts[0])
+            query_ids = np.zeros(digits.size, dtype=np.int64)
         else:
-            firsts_w, lasts_w = windows[innermost]
-            base = strategy.base
-            base_first = int(windows[base][0])
-            index = part_ids[base] - base_first
-            firsts = firsts_w[index]
-            lasts = lasts_w[index]
-            valid = lasts >= firsts
-            if not valid.all():
-                cell_base = cell_base[valid]
-                exact = exact[valid]
-                firsts = firsts[valid]
-                lasts = lasts[valid]
-        if cell_base.size == 0:
-            return []
+            query_ids = np.repeat(np.arange(num_queries), counts)
+            digits = np.arange(query_ids.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        strides = np.array([self._strides[dim] for dim in dims[:outer]], dtype=np.int64)
+        cell_base = (windows.firsts[:, :outer] @ strides)[query_ids]
+        exact = exact[query_ids]
+        part_ids: dict[str, np.ndarray] = {}
+        for position in range(outer - 1, -1, -1):
+            dim = dims[position]
+            length = lengths[:, position][query_ids]
+            digit = digits
+            if position:
+                digit = digits % length
+                digits = digits // length
+            cell_base += digit * strides[position]
+            exact = narrowed(exact, dim, lambda: (digit > 0) & (digit < length - 1))
+            if dim in self._base_dims:
+                part_ids[dim] = windows.firsts[:, position][query_ids] + digit
 
-        # The innermost stride is 1: cells [base+first, base+last] are one
+        def prefix_windows(position: int) -> tuple[np.ndarray, np.ndarray]:
+            if position < self._num_independent:
+                return windows.firsts[:, position][query_ids], windows.lasts[:, position][query_ids]
+            dim = dims[position]
+            table_firsts, table_lasts = windows.conditional[dim]
+            base_parts = part_ids[self.skeleton.strategy_for(dim).base]
+            return table_firsts[query_ids, base_parts], table_lasts[query_ids, base_parts]
+
+        # Outer conditional dimensions: ragged windows, one per prefix.
+        for position in range(outer, depth - 1):
+            dim = dims[position]
+            firsts, lasts = prefix_windows(position)
+            lengths = np.maximum(lasts - firsts + 1, 0)
+            repeats = np.repeat(np.arange(lengths.size), lengths)
+            parts = np.arange(repeats.size) + (firsts + lengths - np.cumsum(lengths))[repeats]
+            firsts, lasts = firsts[repeats], lasts[repeats]
+            query_ids = query_ids[repeats]
+            exact = narrowed(exact[repeats], dim, lambda: (parts > firsts) & (parts < lasts))
+            cell_base = cell_base[repeats] + parts * self._strides[dim]
+            part_ids = {d: a[repeats] for d, a in part_ids.items()}
+
+        innermost = dims[depth - 1]
+        firsts, lasts = prefix_windows(depth - 1)
+        valid = lasts >= firsts
+        if not valid.all():
+            query_ids, cell_base, exact = query_ids[valid], cell_base[valid], exact[valid]
+            firsts, lasts = firsts[valid], lasts[valid]
+
+        # Cells [base + first * block, base + (last + 1) * block) are one
         # contiguous physical run.  A prefix whose exactness survived emits
-        # its two boundary cells inexactly and the interior exactly; any
+        # its two boundary blocks inexactly and the interior exactly; any
         # other prefix is a single span.
-        query_filters_innermost = innermost in filtered_dims
-        low_cell = cell_base + firsts
-        high_cell = cell_base + lasts + 1
-        decomposed = exact & query_filters_innermost
+        block = self._strides[innermost]
+        low_cell = cell_base + firsts * block
+        high_cell = cell_base + (lasts + 1) * block
+        decomposed = exact & filter_mask(innermost)
         multi = decomposed & (lasts > firsts)
 
         num_prefixes = cell_base.size
@@ -563,60 +717,79 @@ class AugmentedGrid:
         span_hi = np.zeros((num_prefixes, 3), dtype=np.int64)
         span_exact = np.zeros((num_prefixes, 3), dtype=bool)
         span_lo[:, 0] = low_cell
-        span_hi[:, 0] = np.where(decomposed, low_cell + 1, high_cell)
-        span_exact[:, 0] = np.where(decomposed, False, exact)
-        span_lo[:, 1] = np.where(multi, low_cell + 1, 0)
-        span_hi[:, 1] = np.where(multi, high_cell - 1, 0)
+        span_hi[:, 0] = np.where(decomposed, low_cell + block, high_cell)
+        span_exact[:, 0] = exact & ~decomposed
+        span_lo[:, 1] = np.where(multi, low_cell + block, 0)
+        span_hi[:, 1] = np.where(multi, high_cell - block, 0)
         span_exact[:, 1] = multi
-        span_lo[:, 2] = np.where(multi, high_cell - 1, 0)
+        span_lo[:, 2] = np.where(multi, high_cell - block, 0)
         span_hi[:, 2] = np.where(multi, high_cell, 0)
 
-        cell_lo = span_lo.reshape(-1)
-        cell_hi = span_hi.reshape(-1)
-        flags = span_exact.reshape(-1)
-        keep = cell_lo < cell_hi
-        cell_lo, cell_hi, flags = cell_lo[keep], cell_hi[keep], flags[keep]
-
-        row_start = offsets[cell_lo]
-        row_stop = offsets[cell_hi]
+        row_start = offsets[span_lo.reshape(-1)]
+        row_stop = offsets[span_hi.reshape(-1)]
         keep = row_start < row_stop
-        row_start, row_stop, flags = row_start[keep], row_stop[keep], flags[keep]
+        query_ids = np.repeat(query_ids, 3)[keep]
+        row_start, row_stop = row_start[keep], row_stop[keep]
+        flags = span_exact.reshape(-1)[keep]
         if row_start.size == 0:
-            return []
+            return query_ids, row_start, row_stop, flags
 
-        # Coalesce row-contiguous spans agreeing on exactness (the candidates
-        # are already sorted and non-overlapping by construction).
+        # Coalesce row-contiguous spans of one query agreeing on exactness
+        # (each query's candidates are already sorted and non-overlapping).
         breaks = np.empty(row_start.size, dtype=bool)
         breaks[0] = True
         breaks[1:] = (row_start[1:] != row_stop[:-1]) | (flags[1:] != flags[:-1])
+        if num_queries > 1:
+            breaks[1:] |= query_ids[1:] != query_ids[:-1]
         first_index = np.flatnonzero(breaks)
         last_index = np.append(first_index[1:], row_start.size) - 1
-        return list(
-            zip(
-                row_start[first_index].tolist(),
-                row_stop[last_index].tolist(),
-                flags[first_index].tolist(),
-            )
+        return (
+            query_ids[first_index],
+            row_start[first_index],
+            row_stop[last_index],
+            flags[first_index],
         )
 
     def plan(self, query: Query) -> tuple[list[tuple[int, int, bool]], QueryPlanFeatures]:
-        """Plan ``query``: relative row ranges plus cost-model features."""
+        """Plan ``query``: relative row ranges plus cost-model features.
+
+        Windows come from the per-query :meth:`_window_table`, which also keys
+        the plan cache; a miss expands the spans as a batch of one.
+        """
         self._require_fitted()
         windows = self._window_table(query)
+        spans = None
         if self.plan_cache is not None:
             key = self._plan_key(query, windows)
             spans = self.plan_cache.get(key)
-            if spans is None:
-                spans = self._vectorized_spans(query, windows)
+        if spans is None:
+            _, starts, stops, flags = self._expand_spans(
+                (query,), self._batch_of_one(query, windows)
+            )
+            spans = list(zip(starts.tolist(), stops.tolist(), flags.tolist()))
+            if self.plan_cache is not None:
                 self.plan_cache.put(key, spans)
-        else:
-            spans = self._vectorized_spans(query, windows)
         features = QueryPlanFeatures(
             num_cell_ranges=len(spans),
             points_scanned=sum(stop - start for start, stop, _ in spans),
             num_filtered_dimensions=query.num_filtered_dimensions,
         )
         return spans, features
+
+    def plan_counts(self, queries: Sequence[Query]) -> tuple[np.ndarray, np.ndarray]:
+        """Per-query ``(num_cell_ranges, points_scanned)`` of a whole batch.
+
+        The numbers equal what :meth:`plan` reports for each query, but the
+        batch is planned in one pass: windows as arrays, one span expansion
+        for every query, no span tuples and no plan cache.  The optimizer
+        scores each candidate configuration with one call.
+        """
+        self._require_fitted()
+        query_ids, starts, stops, _ = self._expand_spans(queries, self._batch_windows(queries))
+        num_ranges = np.bincount(query_ids, minlength=len(queries))
+        ends = np.cumsum(num_ranges)
+        scanned = np.concatenate(([0], np.cumsum(stops - starts)))
+        return num_ranges, scanned[ends] - scanned[ends - num_ranges]
 
     def ranges_for_query(self, query: Query, offset: int = 0) -> list[RowRange]:
         """Physical row ranges for ``query``, shifted by the region's ``offset``."""

@@ -17,7 +17,15 @@ time over a sample workload.  Four optimizers are provided:
 All of them evaluate candidate configurations by fitting an Augmented Grid on
 a row *sample* and planning the sample workload's queries through it, exactly
 as §5.3.1 prescribes ("the number of scanned points is estimated using q,
-(S, P), and a sample of D").
+(S, P), and a sample of D").  :class:`ConfigurationEvaluator` plans the whole
+sample workload in one batched
+:meth:`~repro.core.augmented_grid.AugmentedGrid.plan_counts` call per
+candidate, on a grid fitted without its clustering permutation and with the
+per-dimension models and partition ids shared across candidates.  The
+features equal per-query planning's (``tests/reference_evaluator.py`` keeps
+that loop as the oracle), so every optimizer decision is the same; the
+optimizer only runs faster.  Its callers are every Tsunami build (each
+shard's too), incremental re-optimization and local-merge splits.
 """
 
 from __future__ import annotations
@@ -99,8 +107,9 @@ class ConfigurationEvaluator:
         }
         self.evaluations = 0
         self._cache: dict[tuple, float] = {}
-        # Per-dimension models depend only on the sample, not on (S, P); reuse
-        # them across the many candidate configurations evaluated below.
+        # Per-dimension models (and the partition ids they assign) depend only
+        # on the sample, not on (S, P); reuse them across the many candidate
+        # configurations evaluated below.
         self._model_cache: dict = {}
 
     def _cache_key(self, skeleton: Skeleton, partitions: dict[str, int]) -> tuple:
@@ -109,23 +118,27 @@ class ConfigurationEvaluator:
     def features_for(
         self, skeleton: Skeleton, partitions: dict[str, int]
     ) -> list[QueryPlanFeatures]:
-        """Plan every workload query on a sample grid and scale the features."""
+        """Plan the whole sample workload on a sample grid and scale the features.
+
+        The grid is fitted without a clustering permutation (planning reads
+        only per-cell row counts) and plans every query in one batched
+        :meth:`~repro.core.augmented_grid.AugmentedGrid.plan_counts` call;
+        the counts equal per-query :meth:`AugmentedGrid.plan`'s.
+        """
         config = AugmentedGridConfig(
             skeleton=skeleton, partitions=dict(partitions), max_cells=self.max_cells
         )
         grid = AugmentedGrid(config)
-        grid.fit(self.sample, model_cache=self._model_cache)
-        features = []
-        for query in self.queries:
-            _, raw = grid.plan(query)
-            features.append(
-                QueryPlanFeatures(
-                    num_cell_ranges=raw.num_cell_ranges,
-                    points_scanned=int(round(raw.points_scanned * self.scale)),
-                    num_filtered_dimensions=raw.num_filtered_dimensions,
-                )
+        grid.fit_cells(self.sample, model_cache=self._model_cache)
+        num_ranges, points = grid.plan_counts(self.queries)
+        return [
+            QueryPlanFeatures(
+                num_cell_ranges=ranges,
+                points_scanned=int(round(scanned * self.scale)),
+                num_filtered_dimensions=query.num_filtered_dimensions,
             )
-        return features
+            for query, ranges, scanned in zip(self.queries, num_ranges.tolist(), points.tolist())
+        ]
 
     def evaluate(self, skeleton: Skeleton, partitions: dict[str, int]) -> float:
         """Predicted average query cost of a configuration (``inf`` if infeasible)."""

@@ -1,5 +1,7 @@
 """Tests for the baseline indexes (§6.1): correctness and per-index behaviour."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,17 @@ class TestCommonContract:
         assert isinstance(report, BuildReport)
         assert report.optimize_seconds > 0
         assert report.total_seconds >= report.sort_seconds
+
+    def test_sort_seconds_cover_layout_permutation(self, fresh_table):
+        """Computing the layout (a grid fit, a tree build) is sort time, not untimed."""
+
+        class SlowLayoutIndex(FullScanIndex):
+            def _layout_permutation(self, table):
+                time.sleep(0.05)
+                return super()._layout_permutation(table)
+
+        index = SlowLayoutIndex().build(fresh_table, None)
+        assert index.build_report.sort_seconds >= 0.05
 
     def test_describe_contains_name_and_size(self, fresh_table, fresh_workload):
         index = ZOrderIndex(page_size=256)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_evaluator import reference_features
 
 from repro.common.errors import OptimizationError
 from repro.core.augmented_grid import AugmentedGrid
@@ -213,3 +214,31 @@ class TestOptimizers:
         second = AdaptiveGradientDescent(max_iterations=2, seed=11).optimize(table, workload)
         assert first.config.skeleton == second.config.skeleton
         assert first.config.partitions == second.config.partitions
+
+
+class TestBatchedEvaluation:
+    """Batched candidate planning changes no optimizer decision.
+
+    Every optimizer runs twice on the same fixtures: once with the production
+    evaluator, once with the per-query planning loop it replaced
+    (``reference_evaluator.py``) patched in.  The results must be equal:
+    configuration, predicted cost, cost history and evaluation count.
+    """
+
+    @pytest.mark.parametrize(
+        "make_optimizer",
+        [
+            AdaptiveGradientDescent,
+            GradientDescentOnly,
+            lambda: AdaptiveGradientDescent(naive_init=True),
+            lambda: BlackBoxOptimizer(iterations=1),
+        ],
+        ids=["agd", "gd", "agd-ni", "blackbox"],
+    )
+    def test_optimizer_result_matches_per_query_oracle(
+        self, table, workload, make_optimizer, monkeypatch
+    ):
+        batched = make_optimizer().optimize(table, workload)
+        monkeypatch.setattr(ConfigurationEvaluator, "features_for", reference_features)
+        oracle = make_optimizer().optimize(table, workload)
+        assert batched == oracle
