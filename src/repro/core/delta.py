@@ -21,13 +21,14 @@ one level up, wrapping *any* clustered index in the repository:
     :class:`~repro.core.tsunami.TsunamiIndex`, the merge routes buffered rows
     to their owning Grid Tree regions and reorganizes *only the touched
     regions* (see :mod:`repro.core.local_merge`) — regions whose pending-row
-    fraction stays at or under ``split_threshold`` absorb the rows with an
-    in-place re-sort of just their row range, overflowing (or previously
-    empty) regions get a locally re-optimized grid.  Untouched regions keep
-    their rows, grids, and plan caches, so sustained-insert cost scales with
-    the rows that moved, not with the table.  Any other wrapped index falls
-    back to the global rebuild below (recorded as ``strategy="rebuild"`` in
-    the :class:`MergeReport`).
+    fraction stays at or under
+    :data:`~repro.core.local_merge.DEFAULT_SPLIT_THRESHOLD` absorb the rows
+    with an in-place re-sort of just their row range, overflowing (or
+    previously empty) regions get a locally re-optimized grid.  Untouched
+    regions keep their rows, grids, and plan caches, so sustained-insert cost
+    scales with the rows that moved, not with the table.  Any other wrapped
+    index falls back to the global rebuild below (recorded as
+    ``strategy="rebuild"`` in the :class:`MergeReport`).
   * ``"rebuild"``: the original global path — concatenate the buffer onto
     the table and rebuild the whole wrapped index from scratch.  Kept as an
     escape hatch and as the differential-testing oracle: query results after
@@ -68,11 +69,7 @@ from repro.baselines.base import (
 )
 from repro.common import faults
 from repro.common.errors import IndexBuildError, QueryError, SchemaError
-from repro.core.local_merge import (
-    DEFAULT_SPLIT_THRESHOLD,
-    local_merge,
-    supports_local_merge,
-)
+from repro.core.local_merge import local_merge, supports_local_merge
 from repro.query.query import Query
 from repro.query.workload import Workload
 from repro.storage.column import Column
@@ -310,10 +307,6 @@ class DeltaBufferedIndex:
         global rebuild otherwise; ``"rebuild"`` always rebuilds the whole
         wrapped index (the pre-localized behavior, kept as an escape hatch
         and differential-testing oracle).
-    split_threshold:
-        Pending-row fraction above which a local merge re-optimizes a
-        region's grid (a "local split") instead of absorbing the rows into
-        its fitted grid.  Ignored by the rebuild strategy.
     """
 
     name = "delta-buffered"
@@ -324,7 +317,6 @@ class DeltaBufferedIndex:
         merge_threshold: int = 10_000,
         *,
         merge_strategy: str = "local",
-        split_threshold: float = DEFAULT_SPLIT_THRESHOLD,
     ) -> None:
         if merge_threshold < 0:
             raise ValueError(f"merge_threshold must be >= 0, got {merge_threshold}")
@@ -333,14 +325,9 @@ class DeltaBufferedIndex:
                 f"merge_strategy must be one of {MERGE_STRATEGIES}, "
                 f"got {merge_strategy!r}"
             )
-        if not 0 <= split_threshold:
-            raise ValueError(
-                f"split_threshold must be >= 0, got {split_threshold}"
-            )
         self._index_factory = index_factory
         self.merge_threshold = merge_threshold
         self.merge_strategy = merge_strategy
-        self.split_threshold = split_threshold
         self._index: ClusteredIndex | None = None
         self._workload: Workload | None = None
         self._buffer: DeltaBuffer | None = None
@@ -501,9 +488,7 @@ class DeltaBufferedIndex:
                 name: self._buffer.column(name)
                 for name in index.table.column_names
             }
-            outcome = local_merge(
-                index, buffer_columns, split_threshold=self.split_threshold
-            )
+            outcome = local_merge(index, buffer_columns)
             report = MergeReport(
                 rows_merged=pending,
                 rebuild_seconds=time.perf_counter() - start,
@@ -670,7 +655,6 @@ class DeltaBufferedIndex:
             "pending_inserts": self.num_pending,
             "merge_threshold": self.merge_threshold,
             "merge_strategy": self.merge_strategy,
-            "split_threshold": self.split_threshold,
             "num_merges": len(self._merges),
             "total_rows": self.num_rows,
             "base_index": self._require_built().describe(),

@@ -64,10 +64,6 @@ class GridTreeNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def child_index_for_value(self, value: float) -> int:
-        """Which child a point with ``value`` in the split dimension belongs to."""
-        return int(np.searchsorted(np.asarray(self.split_values), value, side="right"))
-
 
 class GridTree:
     """A fitted Grid Tree over a table and a typed query workload."""

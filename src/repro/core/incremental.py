@@ -15,6 +15,13 @@ physical rows, the data re-organization is confined to those ranges: rows
 outside the re-optimized regions are never touched, which is what makes the
 incremental path cheaper than a full :meth:`TsunamiIndex.reoptimize`.
 
+A region is repaired with the index's own steps
+(:meth:`~repro.core.tsunami.TsunamiIndex.region_queries`,
+:meth:`~repro.core.tsunami.TsunamiIndex.optimize_region` and
+:meth:`~repro.core.tsunami.TsunamiIndex.fit_region`), the ones its build
+uses.  A pass computes every repaired region before it installs any, so a
+pass that raises part-way leaves the index serving its old layout.
+
 The Grid Tree itself is deliberately left unchanged — revising the region
 boundaries requires moving rows across regions and is exactly the full
 re-optimization this extension avoids.  When the drift detector
@@ -29,9 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.common.errors import IndexBuildError, OptimizationError
-from repro.core.augmented_grid import AugmentedGrid
-from repro.core.query_types import PlanCache, cluster_query_types
+from repro.common.errors import IndexBuildError
+from repro.core.query_types import cluster_query_types
 from repro.core.tsunami import TsunamiIndex
 from repro.query.workload import Workload
 
@@ -101,21 +107,19 @@ class IncrementalReoptimizer:
 
     # -- shift scoring -----------------------------------------------------------
 
-    def _region_fractions(self, workload: Workload) -> dict[int, float]:
+    def _workload_shares(self, workload: Workload) -> dict[int, float]:
         """Fraction of ``workload`` queries intersecting each leaf region."""
-        fractions: dict[int, float] = {}
         total = max(len(workload), 1)
-        for region in self.index._regions:
-            bounds = self.index._int_bounds(region.node)
-            hits = sum(1 for query in workload if query.intersects_box(bounds))
-            fractions[region.node.region_id] = hits / total
-        return fractions
+        return {
+            region.node.region_id: len(self.index.region_queries(region.node.bounds, workload)) / total
+            for region in self.index._regions
+        }
 
     def region_shifts(self, new_workload: Workload) -> list[RegionShift]:
         """Per-region workload-share shift, sorted by decreasing shift."""
         old_workload = self.index.typed_workload or Workload([], name="empty")
-        old_fractions = self._region_fractions(old_workload)
-        new_fractions = self._region_fractions(new_workload)
+        old_fractions = self._workload_shares(old_workload)
+        new_fractions = self._workload_shares(new_workload)
         shifts = [
             RegionShift(
                 region_id=region_id,
@@ -140,80 +144,56 @@ class IncrementalReoptimizer:
         """Re-optimize the grids of the most-shifted regions for ``new_workload``.
 
         Rows inside a re-optimized region are re-clustered by the new grid's
-        cell order; all other rows keep their physical position.  The index's
+        cell order; all other rows keep their physical position.  Every
+        selected region is optimized and fitted before any is installed, so
+        a pass that raises leaves the index's layout untouched.  The index's
         recorded workload is updated so subsequent passes compare against the
         workload it is now optimized for.
         """
         start = time.perf_counter()
-        table = self.index.table
+        index = self.index
+        table = index.table
         typed = new_workload
         if len(new_workload) > 0 and any(q.query_type is None for q in new_workload):
             typed = cluster_query_types(
                 table,
                 new_workload,
-                eps=self.index.config.query_type_eps,
-                min_samples=self.index.config.query_type_min_samples,
-                seed=self.index.config.seed,
+                eps=index.config.query_type_eps,
+                min_samples=index.config.query_type_min_samples,
+                seed=index.config.seed,
             )
 
         shifts = self.region_shifts(typed)
         selected = set(self._select_regions(shifts))
-        if not selected:
-            return IncrementalReport(
-                seconds=time.perf_counter() - start,
-                regions_considered=len(shifts),
-                regions_reoptimized=(),
-                shifts=tuple(shifts),
+        repairs = []
+        for region in index._regions:
+            if region.node.region_id not in selected or region.num_rows == 0:
+                continue
+            queries = index.region_queries(region.node.bounds, typed)
+            if not queries:
+                continue
+            stop = region.row_offset + region.num_rows
+            rows = table.subset(
+                np.arange(region.row_offset, stop),
+                name=f"{table.name}_r{region.node.region_id}",
             )
+            config = index.optimize_region(rows, queries)
+            if config is None:
+                continue
+            repairs.append((region, *index.fit_region(config, rows)))
 
-        optimizer = self.index._make_optimizer()
-        permutation = np.arange(table.num_rows)
-        reoptimized: list[int] = []
-        for region in self.index._regions:
-            region_id = region.node.region_id
-            if region_id not in selected or region.num_rows == 0:
-                continue
-            row_ids = np.arange(region.row_offset, region.row_offset + region.num_rows)
-            bounds = self.index._int_bounds(region.node)
-            region_queries = [q for q in typed if q.intersects_box(bounds)]
-            if not region_queries:
-                continue
-            region_table = table.subset(row_ids, name=f"{table.name}_r{region_id}")
-            try:
-                result = optimizer.optimize(
-                    region_table,
-                    Workload(region_queries, name=f"region{region_id}"),
-                    dimensions=list(table.column_names),
-                )
-            except OptimizationError:
-                continue
-            # Rebuild the grid with the index's serving configuration so a
-            # re-optimized region keeps its plan cache (a fresh, empty cache:
-            # the old spans address rows that this pass is about to move).
-            plan_cache = (
-                PlanCache(self.index.config.plan_cache_entries)
-                if self.index.config.plan_cache_entries > 0
-                else None
-            )
-            grid = AugmentedGrid(result.config, plan_cache=plan_cache)
-            relative_permutation = grid.fit(region_table)
-            permutation[row_ids] = row_ids[relative_permutation]
+        for region, grid, permutation in repairs:
+            table.reorder_rows(permutation, region.row_offset, region.row_offset + region.num_rows)
             region.grid = grid
-            region.optimizer_result = result
-            self.index._region_configs[region_id] = result.config
-            self.index._region_results[region_id] = result
-            reoptimized.append(region_id)
-
-        if reoptimized:
-            table.reorder(permutation)
+        if repairs:
             # Advance the comparison baseline only when re-optimization work
             # was actually performed.  Advancing it on a no-op pass would let
             # repeated sub-threshold shifts each reset the baseline and never
             # accumulate into a trigger.
-            self.index.typed_workload = typed
+            index.typed_workload = typed
         return IncrementalReport(
             seconds=time.perf_counter() - start,
             regions_considered=len(shifts),
-            regions_reoptimized=tuple(reoptimized),
+            regions_reoptimized=tuple(region.node.region_id for region, _, _ in repairs),
             shifts=tuple(shifts),
         )

@@ -50,8 +50,6 @@ from repro.core.tsunami import TsunamiIndex
 from repro.query.query import Query
 from repro.query.workload import Workload
 
-ReoptimizerFactory = Callable[[TsunamiIndex], IncrementalReoptimizer]
-
 
 @dataclass(frozen=True)
 class LifecycleConfig:
@@ -158,10 +156,10 @@ class LifecycleManager:
         A fitted :class:`WorkloadDriftDetector`; by default one is fitted on
         the base index's recorded workload (drift detection is disabled when
         no workload is available to fit on).
-    reoptimizer_factory:
-        Builds the :class:`IncrementalReoptimizer` used after drift.  A
-        factory rather than an instance because every merge rebuilds the base
-        index, so the re-optimizer must bind to the *current* base index.
+
+    After drift, an :class:`IncrementalReoptimizer` with its default
+    thresholds repairs the base index the delta index serves at that moment
+    (a rebuild merge replaces it).
     """
 
     def __init__(
@@ -169,15 +167,11 @@ class LifecycleManager:
         index: DeltaBufferedIndex,
         config: LifecycleConfig | None = None,
         detector: WorkloadDriftDetector | None = None,
-        reoptimizer_factory: ReoptimizerFactory | None = None,
     ) -> None:
         if not index.is_built:
             raise IndexBuildError("LifecycleManager requires a built DeltaBufferedIndex")
         self.index = index
         self.config = config or LifecycleConfig()
-        self._reoptimizer_factory = reoptimizer_factory or (
-            lambda base: IncrementalReoptimizer(base)
-        )
         self._report = LifecycleReport()
         self._window: list[Query] = []
         self._observed = 0  # queries handed to drift observation so far
@@ -353,7 +347,7 @@ class LifecycleManager:
         start = time.perf_counter()
         try:
             faults.trigger("lifecycle.reoptimize")
-            report = self._reoptimizer_factory(base).reoptimize(observed)
+            report = IncrementalReoptimizer(base).reoptimize(observed)
         except Exception as exc:
             self._maintenance_failed(
                 "reoptimize", "drift", exc, time.perf_counter() - start

@@ -20,8 +20,9 @@ The merge runs in two phases:
    that overflows a narrow column widens exactly that column — matching the
    rebuild path bit for bit), and every touched region is locally re-sorted:
 
-   * Regions whose pending-row fraction stays at or under ``split_threshold``
-     *absorb* the rows — the region's fitted grid folds them in via
+   * Regions whose pending-row fraction stays at or under
+     :data:`DEFAULT_SPLIT_THRESHOLD` *absorb* the rows — the region's fitted
+     grid folds them in via
      :meth:`~repro.core.augmented_grid.AugmentedGrid.absorb` (only the new
      rows are assigned to cells; existing rows keep their cells under the
      carried-over CDF models, and functional mappings get bound-widened
@@ -30,10 +31,13 @@ The merge runs in two phases:
    * Regions that overflow the threshold (including previously *empty*
      regions, whose pending fraction is infinite) get a **local split**: the
      region's grid configuration is re-optimized from scratch over the merged
-     region rows, reusing the same region-repair machinery as
-     :class:`~repro.core.incremental.IncrementalReoptimizer`.  A region with
-     no intersecting queries (or a failed optimization) falls back to
-     absorbing with its old configuration, or stays unindexed.
+     region rows with the index's own repair steps
+     (:meth:`~repro.core.tsunami.TsunamiIndex.region_queries`,
+     :meth:`~repro.core.tsunami.TsunamiIndex.optimize_region` and
+     :meth:`~repro.core.tsunami.TsunamiIndex.fit_region`), the ones its build
+     and :class:`~repro.core.incremental.IncrementalReoptimizer` use.  A
+     region with no intersecting queries (or a failed optimization) is
+     refitted with its current configuration, or stays unindexed.
 
    Regions that received no rows are not rewritten and keep their fitted
    grids *and their plan caches* — Augmented Grid plans are region-relative
@@ -58,10 +62,8 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.common.errors import IndexBuildError, OptimizationError
+from repro.common.errors import IndexBuildError
 from repro.common.validation import narrowest_dtype
-from repro.core.augmented_grid import AugmentedGrid
-from repro.core.query_types import PlanCache
 from repro.core.tsunami import TsunamiIndex
 from repro.query.workload import Workload
 from repro.storage.column import Column, StorageMeta
@@ -174,10 +176,7 @@ def _widened_bounds(
 
 
 def local_merge(
-    index: TsunamiIndex,
-    buffer_columns: Mapping[str, np.ndarray],
-    *,
-    split_threshold: float = DEFAULT_SPLIT_THRESHOLD,
+    index: TsunamiIndex, buffer_columns: Mapping[str, np.ndarray]
 ) -> LocalMergeResult:
     """Fold buffered rows into ``index`` by reorganizing only touched regions.
 
@@ -211,7 +210,6 @@ def local_merge(
     merged_table = Table(old_table.name, _merged_columns(old_table, buffer_columns, region_slices))
 
     typed = index.typed_workload or Workload([], name="empty")
-    optimizer = None
     updates: list[dict] = []
     regions_split = 0
     for position, region in enumerate(index._regions):
@@ -222,78 +220,52 @@ def local_merge(
         stop = start + region.num_rows + len(new_rows)
         bounds = _widened_bounds(region.node.bounds, pending, new_rows)
         update: dict = {"position": position, "bounds": bounds}
+        name = f"{merged_table.name}_r{region.node.region_id}"
 
-        config = index._region_configs.get(region.node.region_id)
+        # Either way the region gets a fresh grid object (the serving one is
+        # never touched before phase 2) with a fresh, empty plan cache: the
+        # old cached spans address the row order this merge is about to
+        # rewrite.
+        config = region.grid.config if region.grid is not None else None
+        grid = None
         overflow = (
             math.inf
             if region.num_rows == 0
             else len(new_rows) / region.num_rows
-        ) > split_threshold
-        result = None
+        ) > DEFAULT_SPLIT_THRESHOLD
         if overflow:
-            int_bounds = {
-                dim: (int(math.floor(low)), int(math.ceil(high)) - 1)
-                for dim, (low, high) in bounds.items()
-            }
-            region_queries = [q for q in typed if q.intersects_box(int_bounds)]
-            if region_queries:
-                if optimizer is None:
-                    optimizer = index._make_optimizer()
-                region_subset = merged_table.subset(
-                    np.arange(start, stop),
-                    name=f"{merged_table.name}_r{region.node.region_id}",
+            queries = index.region_queries(bounds, typed)
+            if queries:
+                split = index.optimize_region(
+                    merged_table.subset(np.arange(start, stop), name=name), queries
                 )
-                try:
-                    result = optimizer.optimize(
-                        region_subset,
-                        Workload(region_queries, name=f"region{region.node.region_id}"),
-                        dimensions=list(merged_table.column_names),
-                    )
-                    config = result.config
+                if split is not None:
+                    config = split
                     regions_split += 1
-                except OptimizationError:
-                    result = None
-
-        if config is not None:
-            # Either way the region gets a fresh grid object (the serving one
-            # is never touched before phase 2) with a fresh, empty plan
-            # cache: the old cached spans address the row order this merge is
-            # about to rewrite.
-            plan_cache = (
-                PlanCache(index.config.plan_cache_entries)
-                if index.config.plan_cache_entries > 0
-                else None
+        elif region.grid is not None:
+            # Absorb: the region keeps its configuration, so the fitted grid
+            # folds the appended rows in without re-assigning the old ones
+            # (cells and CDF models carry over) — the size-proportional model
+            # sweeps a full refit pays are what would otherwise make merge
+            # cost grow with the table.
+            appended = merged_table.subset(
+                np.arange(start + region.num_rows, stop), name=f"{name}_new"
             )
-            grid = None
-            if not overflow and region.grid is not None:
-                # Absorb: the region keeps its configuration, so the fitted
-                # grid folds the appended rows in without re-assigning the
-                # old ones (cells and CDF models carry over) — the
-                # size-proportional model sweeps a full refit pays are what
-                # would otherwise make merge cost grow with the table.
-                appended = merged_table.subset(
-                    np.arange(start + region.num_rows, stop),
-                    name=f"{merged_table.name}_r{region.node.region_id}_new",
+            try:
+                grid, relative_permutation = region.grid.absorb(
+                    appended, plan_cache=index.new_plan_cache()
                 )
-                try:
-                    grid, relative_permutation = region.grid.absorb(
-                        appended, plan_cache=plan_cache
-                    )
-                except IndexBuildError:
-                    grid = None
-            if grid is None:
-                # Local split (or a region without a reusable fitted grid):
-                # refit from scratch over the merged region rows.
-                grid = AugmentedGrid(config, plan_cache=plan_cache)
-                region_subset = merged_table.subset(
-                    np.arange(start, stop),
-                    name=f"{merged_table.name}_r{region.node.region_id}",
-                )
-                relative_permutation = grid.fit(region_subset)
+            except IndexBuildError:
+                grid = None
+        if grid is None and config is not None:
+            # Local split (or a grid that could not absorb): refit from
+            # scratch over the merged region rows.
+            grid, relative_permutation = index.fit_region(
+                config, merged_table.subset(np.arange(start, stop), name=name)
+            )
+        if grid is not None:
             merged_table.reorder_rows(relative_permutation, start, stop)
             update["grid"] = grid
-            update["config"] = config
-            update["result"] = result
         updates.append(update)
 
     # -- phase 2: install (plain assignments; nothing here can fail) -------
@@ -302,19 +274,11 @@ def local_merge(
         region.node.bounds = update["bounds"]
         if "grid" in update:
             region.grid = update["grid"]
-            index._region_configs[region.node.region_id] = update["config"]
-            if update["result"] is not None:
-                region.optimizer_result = update["result"]
-                index._region_results[region.node.region_id] = update["result"]
     for position, region in enumerate(index._regions):
         added = len(region_slices[position][2])
         region.row_offset = new_offsets[position]
         region.num_rows += added
         region.node.num_points += added
-    index._region_ids = np.repeat(
-        [region.node.region_id for region in index._regions],
-        [region.num_rows for region in index._regions],
-    )
     index._table = merged_table
     index._executor = ScanExecutor(merged_table)
     return LocalMergeResult(

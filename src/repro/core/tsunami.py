@@ -13,12 +13,23 @@ Tsunami composes the two structures introduced by the paper:
 
 The index is clustered: rows are physically ordered by (region, cell), so
 every query resolves to a small number of contiguous row ranges.
+
+Each region is one :class:`_RegionIndex` record: its Grid Tree leaf, its
+contiguous row range, and its fitted grid, which carries its configuration.
+Build, drift re-optimization (:mod:`repro.core.incremental`) and local merges
+(:mod:`repro.core.local_merge`) repair a region through the same steps:
+:meth:`TsunamiIndex.region_queries` picks the queries that intersect it,
+:meth:`TsunamiIndex.optimize_region` runs AGD over its rows, and
+:meth:`TsunamiIndex.fit_region` fits its grid with a fresh plan cache.  Each
+caller keeps only its own policy: which regions to repair and what to do
+when AGD fails.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -27,11 +38,7 @@ from repro.common.errors import IndexBuildError, OptimizationError
 from repro.core.augmented_grid import DEFAULT_MAX_CELLS, AugmentedGrid, AugmentedGridConfig
 from repro.core.cost_model import CostModel
 from repro.core.grid_tree import GridTree, GridTreeConfig, GridTreeNode
-from repro.core.optimizer import (
-    AdaptiveGradientDescent,
-    OptimizerResult,
-    initialize_partitions,
-)
+from repro.core.optimizer import AdaptiveGradientDescent, initialize_partitions
 from repro.core.query_types import PlanCache, PlanCacheStats, cluster_query_types
 from repro.core.skeleton import Skeleton
 from repro.query.query import Query
@@ -67,15 +74,27 @@ class TsunamiConfig:
     seed: int = 43
 
 
+def _int_box(bounds: Mapping[str, tuple[float, float]]) -> dict[str, tuple[int, int]]:
+    """The inclusive integer box of half-open float region ``bounds``."""
+    return {
+        dim: (int(np.floor(low)), int(np.ceil(high)) - 1)
+        for dim, (low, high) in bounds.items()
+    }
+
+
 @dataclass
 class _RegionIndex:
-    """Bookkeeping for one Grid Tree leaf region inside the built index."""
+    """One Grid Tree leaf region inside the built index.
+
+    The region owns rows ``[row_offset, row_offset + num_rows)`` of the
+    clustered table.  ``grid`` covers exactly those rows, or is ``None`` for a
+    region no query intersected (it is scanned whole).
+    """
 
     node: GridTreeNode
     row_offset: int
     num_rows: int
     grid: AugmentedGrid | None
-    optimizer_result: OptimizerResult | None
 
 
 class TsunamiIndex(ClusteredIndex):
@@ -88,15 +107,30 @@ class TsunamiIndex(ClusteredIndex):
         self.config = config or TsunamiConfig()
         self.grid_tree: GridTree | None = None
         self.typed_workload: Workload | None = None
-        self._region_ids: np.ndarray | None = None
-        self._region_configs: dict[int, AugmentedGridConfig | None] = {}
-        self._region_results: dict[int, OptimizerResult | None] = {}
         self._regions: list[_RegionIndex] = []
+        # Each region's (leaf, row ids, configuration), handed from _optimize
+        # to _layout_permutation; empty outside a build.
+        self._layout_plan: list[
+            tuple[GridTreeNode, np.ndarray, AugmentedGridConfig | None]
+        ] = []
 
-    # -- optimization (offline, §3) ----------------------------------------------
+    # -- region repair (build, incremental re-optimization, local merges) ----------
 
-    def _make_optimizer(self) -> AdaptiveGradientDescent:
-        return AdaptiveGradientDescent(
+    def region_queries(
+        self, bounds: Mapping[str, tuple[float, float]], workload: Workload
+    ) -> list[Query]:
+        """The queries of ``workload`` that intersect a region's half-open ``bounds``."""
+        box = _int_box(bounds)
+        return [query for query in workload if query.intersects_box(box)]
+
+    def optimize_region(
+        self, rows: Table, queries: Sequence[Query]
+    ) -> AugmentedGridConfig | None:
+        """AGD's configuration for a region's ``rows`` and ``queries``.
+
+        Returns ``None`` when AGD fails; the caller picks the fallback.
+        """
+        optimizer = AdaptiveGradientDescent(
             cost_model=self.config.cost_model,
             max_iterations=self.config.optimizer_iterations,
             naive_init=not self.config.use_augmented_strategies,
@@ -106,9 +140,34 @@ class TsunamiIndex(ClusteredIndex):
             max_cells=self.config.max_cells_per_region,
             seed=self.config.seed,
         )
+        try:
+            return optimizer.optimize(rows, Workload(list(queries), name=rows.name)).config
+        except OptimizationError:
+            return None
+
+    def new_plan_cache(self) -> PlanCache | None:
+        """A fresh plan cache for a region whose rows are re-sorted.
+
+        Cached spans address the old row order, so every refitted grid starts
+        empty.  ``None`` when ``plan_cache_entries`` is 0.
+        """
+        entries = self.config.plan_cache_entries
+        return PlanCache(entries) if entries > 0 else None
+
+    def fit_region(
+        self, config: AugmentedGridConfig, rows: Table
+    ) -> tuple[AugmentedGrid, np.ndarray]:
+        """A grid fitted over a region's ``rows``, with a fresh plan cache.
+
+        Also returns the permutation that orders ``rows`` by cell.
+        """
+        grid = AugmentedGrid(config, plan_cache=self.new_plan_cache())
+        return grid, grid.fit(rows)
+
+    # -- optimization (offline, §3) ----------------------------------------------
 
     def _default_config(self, table: Table, workload: Workload) -> AugmentedGridConfig:
-        """Fallback configuration when a region has no queries to optimize for."""
+        """Build's fallback configuration for a region whose AGD run failed."""
         skeleton = Skeleton.all_independent(list(table.column_names))
         partitions = initialize_partitions(
             skeleton,
@@ -140,47 +199,27 @@ class TsunamiIndex(ClusteredIndex):
         # Step 1: optimize the Grid Tree over the full dataset and workload.
         if self.config.use_grid_tree and len(self.typed_workload) > 0:
             self.grid_tree = GridTree(self.config.grid_tree).fit(table, self.typed_workload)
-            self._region_ids = self.grid_tree.assign_regions(table)
-            regions = self.grid_tree.leaves
+            region_ids = self.grid_tree.assign_regions(table)
+            nodes = self.grid_tree.leaves
         else:
             self.grid_tree = None
-            self._region_ids = np.zeros(table.num_rows, dtype=np.int64)
-            regions = [self._whole_space_node(table)]
+            region_ids = np.zeros(table.num_rows, dtype=np.int64)
+            nodes = [self._whole_space_node(table)]
 
-        # Step 2: optimize an Augmented Grid per region over the points and
-        # queries that intersect it.
-        self._region_configs = {}
-        self._region_results = {}
-        optimizer = self._make_optimizer()
-        for node in regions:
-            region_id = node.region_id
-            row_ids = np.flatnonzero(self._region_ids == region_id)
-            if len(row_ids) == 0:
-                self._region_configs[region_id] = None
-                self._region_results[region_id] = None
-                continue
-            region_queries = [
-                q for q in self.typed_workload if q.intersects_box(self._int_bounds(node))
-            ]
-            region_table = table.subset(row_ids, name=f"{table.name}_region{region_id}")
-            if not region_queries:
-                # §3: regions no query intersects are not given an Augmented Grid.
-                self._region_configs[region_id] = None
-                self._region_results[region_id] = None
-                continue
-            try:
-                result = optimizer.optimize(
-                    region_table,
-                    Workload(region_queries, name=f"region{region_id}"),
-                    dimensions=list(table.column_names),
-                )
-                self._region_configs[region_id] = result.config
-                self._region_results[region_id] = result
-            except OptimizationError:
-                self._region_configs[region_id] = self._default_config(
-                    region_table, Workload(region_queries)
-                )
-                self._region_results[region_id] = None
+        # Step 2: configure an Augmented Grid per region over the points and
+        # queries that intersect it.  §3: a region no query intersects is not
+        # given one.
+        self._layout_plan = []
+        for node in nodes:
+            row_ids = np.flatnonzero(region_ids == node.region_id)
+            config = None
+            queries = self.region_queries(node.bounds, self.typed_workload)
+            if len(row_ids) and queries:
+                rows = table.subset(row_ids, name=f"{table.name}_region{node.region_id}")
+                config = self.optimize_region(rows, queries)
+                if config is None:
+                    config = self._default_config(rows, Workload(queries))
+            self._layout_plan.append((node, row_ids, config))
 
     @staticmethod
     def _whole_space_node(table: Table) -> GridTreeNode:
@@ -194,51 +233,21 @@ class TsunamiIndex(ClusteredIndex):
         node.region_id = 0
         return node
 
-    @staticmethod
-    def _int_bounds(node: GridTreeNode) -> dict[str, tuple[int, int]]:
-        return {
-            dim: (int(np.floor(low)), int(np.ceil(high)) - 1)
-            for dim, (low, high) in node.bounds.items()
-        }
-
     # -- layout (clustered reorganization) -----------------------------------------
 
     def _layout_permutation(self, table: Table) -> np.ndarray | None:
-        assert self._region_ids is not None
-        if self.grid_tree is not None:
-            regions = self.grid_tree.leaves
-        else:
-            regions = [self._whole_space_node(table)]
-
+        plan, self._layout_plan = self._layout_plan, []
         self._regions = []
         chunks: list[np.ndarray] = []
         offset = 0
-        for node in regions:
-            region_id = node.region_id
-            row_ids = np.flatnonzero(self._region_ids == region_id)
-            config = self._region_configs.get(region_id)
+        for node, row_ids, config in plan:
             grid: AugmentedGrid | None = None
-            if len(row_ids) > 0 and config is not None:
-                region_table = table.subset(row_ids, name=f"{table.name}_r{region_id}")
-                plan_cache = (
-                    PlanCache(self.config.plan_cache_entries)
-                    if self.config.plan_cache_entries > 0
-                    else None
-                )
-                grid = AugmentedGrid(config, plan_cache=plan_cache)
-                relative_permutation = grid.fit(region_table)
-                chunks.append(row_ids[relative_permutation])
-            else:
-                chunks.append(row_ids)
-            self._regions.append(
-                _RegionIndex(
-                    node=node,
-                    row_offset=offset,
-                    num_rows=len(row_ids),
-                    grid=grid,
-                    optimizer_result=self._region_results.get(region_id),
-                )
-            )
+            if config is not None:
+                rows = table.subset(row_ids, name=f"{table.name}_r{node.region_id}")
+                grid, permutation = self.fit_region(config, rows)
+                row_ids = row_ids[permutation]
+            chunks.append(row_ids)
+            self._regions.append(_RegionIndex(node, offset, len(row_ids), grid))
             offset += len(row_ids)
         if not chunks:
             return None
@@ -256,7 +265,7 @@ class TsunamiIndex(ClusteredIndex):
             if region.num_rows == 0:
                 continue
             if region.grid is None:
-                exact = containment_exactness(self._int_bounds(region.node), query)
+                exact = containment_exactness(_int_box(region.node.bounds), query)
                 ranges.append(
                     RowRange(
                         region.row_offset,

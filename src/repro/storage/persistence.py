@@ -257,7 +257,6 @@ def _save_delta_index(index, path: Path) -> Path:
         "kind": "delta",
         "merge_threshold": index.merge_threshold,
         "merge_strategy": index.merge_strategy,
-        "split_threshold": index.split_threshold,
         "pending_rows": index.num_pending,
     }
     with open(path / _DELTA_MANIFEST, "w", encoding="utf-8") as handle:
@@ -267,7 +266,7 @@ def _save_delta_index(index, path: Path) -> Path:
 
 
 def _load_delta_index(path: Path, mmap_mode: str | None):
-    from repro.core.delta import DEFAULT_SPLIT_THRESHOLD, DeltaBuffer, DeltaBufferedIndex
+    from repro.core.delta import DeltaBuffer, DeltaBufferedIndex
 
     manifest = _read_manifest(path, _DELTA_MANIFEST)
     wrapped = load_index(path / _DELTA_MAIN_DIR, mmap_mode=mmap_mode)
@@ -278,9 +277,6 @@ def _load_delta_index(path: Path, mmap_mode: str | None):
         # Older snapshots predate the merge-strategy knob; they were written
         # by the global-rebuild implementation, so that is what they resume.
         merge_strategy=str(manifest.get("merge_strategy", "rebuild")),
-        split_threshold=float(
-            manifest.get("split_threshold", DEFAULT_SPLIT_THRESHOLD)
-        ),
     )
     index._index = wrapped
     workload_path = path / _WORKLOAD_PICKLE

@@ -5,6 +5,7 @@ import pytest
 from reference_planner import reference_spans
 
 from repro.common.errors import IndexBuildError
+from repro.core.augmented_grid import AugmentedGrid
 from repro.core.incremental import IncrementalReoptimizer, RegionShift
 from repro.core.tsunami import TsunamiConfig, TsunamiIndex
 from repro.query.engine import execute_full_scan
@@ -125,6 +126,33 @@ class TestReoptimization:
         # The pass really did select regions (the bug path, not the early return).
         assert any(shift.shift >= 0.05 for shift in report.shifts)
         assert index.typed_workload is baseline
+
+    def test_failed_pass_leaves_the_old_layout_serving(self, fresh_table, fresh_workload, monkeypatch):
+        """A pass that raises part-way must install none of its regions.
+
+        The second region's fit raises; the first region's new grid must not
+        be installed over rows that were never re-sorted into its cell order.
+        """
+        index = build_index(fresh_table, fresh_workload)
+        grids = [region.grid for region in index._regions]
+        fit = AugmentedGrid.fit
+        calls = []
+
+        def failing_fit(grid, table, model_cache=None):
+            calls.append(table.num_rows)
+            if len(calls) == 2:
+                raise RuntimeError("injected fit failure")
+            return fit(grid, table, model_cache)
+
+        monkeypatch.setattr(AugmentedGrid, "fit", failing_fit)
+        reoptimizer = IncrementalReoptimizer(index, shift_threshold=0.01, max_regions=4)
+        with pytest.raises(RuntimeError, match="injected"):
+            reoptimizer.reoptimize(shifted_workload())
+        monkeypatch.undo()
+        assert all(region.grid is grid for region, grid in zip(index._regions, grids))
+        for query in list(shifted_workload()) + list(fresh_workload):
+            expected, _ = execute_full_scan(index.table, query)
+            assert index.execute(query).value == expected
 
     def test_reoptimized_regions_keep_planner_and_plan_cache(self, fresh_table, fresh_workload):
         """A repaired region must not silently lose the serving fast path.

@@ -8,6 +8,8 @@ that equivalence on fixed streams, on hypothesis-generated interleavings
 persistence round trip.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from repro.baselines import KdTreeIndex
 from repro.common.errors import SchemaError
 from repro.core.delta import DeltaBufferedIndex
+from repro.core.incremental import IncrementalReoptimizer
 from repro.core.local_merge import (
     DEFAULT_SPLIT_THRESHOLD,
     local_merge,
@@ -177,8 +180,6 @@ class TestLocalMerge:
     def test_invalid_strategy_rejected(self):
         with pytest.raises(ValueError):
             DeltaBufferedIndex(tsunami_factory, merge_strategy="eager")
-        with pytest.raises(ValueError):
-            DeltaBufferedIndex(tsunami_factory, split_threshold=-0.5)
 
     def test_local_merge_matches_rebuild_on_fixed_stream(self):
         local, rebuild = build_pair()
@@ -297,7 +298,7 @@ class TestLocalMerge:
             "y": (xs * 3).astype(np.int64),
             "z": rng.integers(0, 120, count).astype(np.int64),
         }
-        outcome = local_merge(index, buffer_columns, split_threshold=DEFAULT_SPLIT_THRESHOLD)
+        outcome = local_merge(index, buffer_columns)
         assert outcome.rows_merged == count
         assert outcome.regions_split >= 1
         assert outcome.regions_touched <= outcome.regions_total
@@ -305,7 +306,6 @@ class TestLocalMerge:
     def test_explain_and_describe_report_strategy(self):
         local, _ = build_pair()
         assert local.describe()["merge_strategy"] == "local"
-        assert local.describe()["split_threshold"] == DEFAULT_SPLIT_THRESHOLD
         local.insert_many(make_rows(64, 61))
         local.merge()
         plan = local.explain(probe_queries()[0])
@@ -423,7 +423,6 @@ class TestPersistenceAfterLocalMerge:
 
         loaded = load_index(tmp_path, mmap_mode="r")
         assert loaded.merge_strategy == "local"
-        assert loaded.split_threshold == DEFAULT_SPLIT_THRESHOLD
         for name in local.base_index.table.column_names:
             np.testing.assert_array_equal(
                 loaded.base_index.table.values(name), local.base_index.table.values(name)
@@ -434,6 +433,22 @@ class TestPersistenceAfterLocalMerge:
             )
             assert loaded.base_index.table.column(name).is_memory_mapped
         assert_identical(loaded, rebuild)
+
+    def test_snapshot_with_retired_split_threshold_loads(self, tmp_path):
+        """Snapshots written while ``split_threshold`` was a knob still load."""
+        local, _ = build_pair()
+        local.insert_many(make_rows(40, 95))
+        save_index(local, tmp_path)
+        manifest_path = tmp_path / "delta.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert "split_threshold" not in manifest
+        manifest["split_threshold"] = 0.25
+        manifest_path.write_text(json.dumps(manifest))
+        loaded = load_index(tmp_path)
+        assert loaded.num_pending == 40
+        assert loaded.merge().strategy == "local"
+        for query in probe_queries():
+            assert loaded.execute(query).value == local.execute(query).value
 
     def test_loaded_index_keeps_merging_locally(self, tmp_path):
         local, rebuild = build_pair()
@@ -450,6 +465,95 @@ class TestPersistenceAfterLocalMerge:
         rebuild.merge()
         assert report.strategy == "local"
         assert_identical(loaded, rebuild)
+
+
+# ---------------------------------------------------------------------------
+# Region bookkeeping after every repair path
+# ---------------------------------------------------------------------------
+
+
+def assert_region_bookkeeping(index: TsunamiIndex) -> None:
+    """The per-region invariants every build and repair must keep.
+
+    Regions tile the clustered table in order, every row lies inside its
+    region's half-open bounds, each indexed region's grid covers exactly
+    its rows, and the index keeps no per-row array beside its table.
+    """
+    table = index.table
+    offset = 0
+    for region in index._regions:
+        assert region.row_offset == offset
+        stop = region.row_offset + region.num_rows
+        for dim, (low, high) in region.node.bounds.items():
+            values = np.asarray(table.values(dim)[region.row_offset : stop])
+            assert np.all(values >= low) and np.all(values < high)
+        if region.grid is not None:
+            assert region.grid.num_rows == region.num_rows
+        offset = stop
+    assert offset == table.num_rows
+    per_row = [
+        name
+        for name, value in vars(index).items()
+        if isinstance(value, np.ndarray) and value.shape[:1] == (table.num_rows,)
+    ]
+    assert per_row == []
+
+
+def buffer_of(rows: list[dict]) -> dict[str, np.ndarray]:
+    return {name: np.array([row[name] for row in rows], dtype=np.int64) for name in ("x", "y", "z")}
+
+
+def absorb_merge(index: TsunamiIndex, tmp_path) -> TsunamiIndex:
+    grids = [region.grid for region in index._regions]
+    outcome = local_merge(index, buffer_of(make_rows(30, 101)))
+    assert outcome.regions_split == 0
+    # Touched regions absorbed the rows into new grid objects.
+    assert any(
+        region.grid is not None and region.grid is not old
+        for region, old in zip(index._regions, grids)
+    )
+    return index
+
+
+def split_merge(index: TsunamiIndex, tmp_path) -> TsunamiIndex:
+    region = max(index._regions, key=lambda r: r.num_rows)
+    low, high = region.node.bounds["x"]
+    count = int(region.num_rows * DEFAULT_SPLIT_THRESHOLD) + 64
+    xs = np.random.default_rng(103).integers(max(int(low), 0), int(high), count)
+    rows = [{"x": int(x), "y": int(x) * 3, "z": 7} for x in xs]
+    rows.append({"x": 10**9, "y": 5, "z": 7})  # past the build-time domain
+    outcome = local_merge(index, buffer_of(rows))
+    assert outcome.regions_split >= 1
+    return index
+
+
+def incremental_pass(index: TsunamiIndex, tmp_path) -> TsunamiIndex:
+    queries = [Query.from_ranges({"y": (low, low + 3_000)}) for low in range(0, 27_000, 1_500)]
+    report = IncrementalReoptimizer(index, shift_threshold=0.0, max_regions=3).reoptimize(
+        Workload(queries, name="y-only")
+    )
+    assert report.regions_reoptimized
+    return index
+
+
+def round_trip(index: TsunamiIndex, tmp_path) -> TsunamiIndex:
+    save_index(index, tmp_path)
+    return load_index(tmp_path, mmap_mode="r")
+
+
+@pytest.mark.parametrize(
+    "step",
+    [None, absorb_merge, split_merge, incremental_pass, round_trip],
+    ids=["build", "absorb-merge", "split-merge", "incremental", "round-trip"],
+)
+def test_region_bookkeeping_holds_after_every_repair_path(step, tmp_path):
+    index = tsunami_factory().build(make_table(), make_workload())
+    if step is not None:
+        index = step(index, tmp_path)
+    assert_region_bookkeeping(index)
+    for query in probe_queries():
+        expected, _ = execute_full_scan(index.table, query)
+        assert index.execute(query).value == expected
 
 
 # ---------------------------------------------------------------------------
