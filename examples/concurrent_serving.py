@@ -9,9 +9,9 @@ the piece that turns concurrent clients into the batched calls the pipeline
 is built for.  A :class:`~repro.serve.frontend.ServingFrontend` wraps a
 :class:`~repro.core.lifecycle.LifecycleManager` over an updatable index, 16
 client threads push a zipf-skewed query stream through it, and the front-end
-coalesces their arrivals inside an adaptive micro-batching window (flush on
-batch-size, arrival pause, or deadline, whichever first) while an LRU result
-cache answers repeated templates without touching the engine.  Writes and
+coalesces their arrivals into micro-batches (collection goes on only while
+arrivals keep coming, up to the batch-size cap) while an LRU result cache
+answers repeated templates without touching the engine.  Writes and
 lifecycle maintenance (merge / re-optimize) invalidate the cache, so every
 answer matches the full-scan oracle even while the index is being modified.
 """
@@ -56,7 +56,7 @@ def main() -> None:
     draws = rng.zipf(1.3, size=2_000) - 1
     stream = [templates[int(d) % len(templates)] for d in draws]
 
-    config = ServingConfig(max_batch_size=128, max_delay_seconds=0.002)
+    config = ServingConfig(max_batch_size=128)
     with ServingFrontend(backend, config) as frontend:
         # 16 closed-loop clients hammer the front-end concurrently.
         with ThreadPoolExecutor(NUM_CLIENTS) as clients:

@@ -269,14 +269,13 @@ class ClusteredIndex(ABC):
         return QueryResult(value=value, stats=stats)
 
     def execute_batch(self, queries: Sequence[Query]) -> list[QueryResult]:
-        """Answer a batch of queries, sharing planning and scan work.
+        """Answer a batch of queries, sharing planning work.
 
         Results are returned in input order and are identical to calling
         :meth:`execute` per query.  Identical queries (skewed workloads repeat
         a small set of templates) are planned and scanned once per batch; the
         distinct remainder shares grid-tree routing (where the index overrides
-        :meth:`_ranges_for_queries`) and column gathers / filter masks inside
-        the executor.
+        :meth:`_ranges_for_queries`) and is then scanned query by query.
         """
         if self._executor is None:
             raise IndexBuildError(f"{self.name} has not been built yet")

@@ -590,10 +590,10 @@ class DeltaBufferedIndex:
     def execute_batch(self, queries: Sequence[Query]) -> list[QueryResult]:
         """Answer a batch of queries through the wrapped index's batched pipeline.
 
-        The batch is deduped into distinct templates; the main index plans and
-        scans the whole batch once (sharing grid-tree routing, plan-cache
-        lookups, column slices, and filter masks), the buffer is scanned once
-        per distinct template, and the results are recombined per aggregate.
+        The batch is deduped into distinct templates; the main index answers
+        them in one batch (sharing grid-tree routing and plan-cache lookups),
+        the buffer is scanned once per distinct template, and the results are
+        recombined per aggregate.
         Results are in input order and identical to per-query :meth:`execute`.
         """
         self._require_built()

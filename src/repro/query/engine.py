@@ -6,8 +6,9 @@ every index's answer to every query must equal the full-scan answer.
 
 :class:`QueryEngine` is the serving-path front door: it wraps a built index
 (or falls back to full scans) and exposes both single-query execution and the
-batched pipeline, which shares grid-tree routing, plan-cache lookups, column
-gathers, and filter masks across the queries of one batch.
+batched pipeline, which dedupes repeated queries and shares grid-tree routing
+and plan-cache lookups across the queries of one batch; each distinct query
+is then scanned on its own.
 
 The engine accepts anything implementing the serving contract — ``is_built``,
 ``table``, ``execute``, ``execute_batch``, and ``explain`` — which every
@@ -96,10 +97,10 @@ class QueryEngine:
     def run_batch(self, queries: Sequence[Query], batch_size: int | None = None):
         """Answer ``queries`` in batches, in input order.
 
-        ``batch_size`` bounds how many queries share one executor batch (and
-        therefore its slice/mask/result caches); ``None`` runs the whole
-        sequence as a single batch.  Results are identical to calling
-        :meth:`run` per query.
+        ``batch_size`` bounds how many queries share one index batch (and
+        therefore its dedup and routing); ``None`` runs the whole sequence
+        as a single batch.  Results are identical to calling :meth:`run` per
+        query.
         """
         queries = list(queries)
         if batch_size is not None and batch_size < 1:

@@ -2,7 +2,7 @@
 
 This package turns the single-threaded serving library into a server loop:
 :class:`ServingFrontend` accepts queries from many client threads, coalesces
-arrivals inside an adaptive micro-batching window
+arrivals into self-clocked micro-batches
 (:class:`~repro.serve.batcher.MicroBatcher`), answers repeated templates from
 an LRU :class:`~repro.serve.cache.ResultCache` (invalidated on writes and on
 lifecycle merge/reoptimize events), and sheds load beyond a bounded admission

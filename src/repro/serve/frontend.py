@@ -6,12 +6,12 @@ many concurrent clients into the batched calls the PR 2 pipeline is built
 for.  :class:`ServingFrontend` is that piece:
 
 * **Micro-batching.**  Client threads call :meth:`ServingFrontend.query`;
-  arrivals are coalesced by a :class:`~repro.serve.batcher.MicroBatcher`
-  (flush on batch-size, arrival pause, or deadline, whichever first — the
-  window adapts to the offered load) and a single dispatcher
-  thread drives them through the backend's ``run_batch`` — template dedup,
-  one grid-tree traversal per batch, shared scans.  Bursty skewed traffic
-  amortizes almost for free.
+  arrivals are coalesced by a :class:`~repro.serve.batcher.MicroBatcher`,
+  which keeps collecting only while arrivals keep coming (no timers, so a
+  lone query leaves at once and a closed-loop cohort leaves whole), and a
+  single dispatcher thread drives each batch through the backend's
+  ``run_batch`` — template dedup and one grid-tree traversal per batch.
+  Bursty skewed traffic amortizes almost for free.
 * **Result cache.**  A :class:`~repro.serve.cache.ResultCache` answers
   repeated templates without touching the engine.  It is invalidated on
   every write admitted through the front-end and on every ``merge`` /
@@ -75,22 +75,13 @@ class ServingConfig:
     Parameters
     ----------
     max_batch_size:
-        Flush the micro-batch window as soon as this many requests pend.
-    max_delay_seconds:
-        Flush no later than this long after the oldest pending arrival; this
-        is the worst-case latency a lone query pays for batching.
-    idle_gap_seconds:
-        Flush early when no new request arrives within this gap — the window
-        cannot grow while the stream is paused, so holding the batch open
-        only adds latency.  ``None`` always waits the full window.
+        Largest micro-batch handed to the backend; collection stops once
+        this many requests are queued.
     max_queue_depth:
         Bounded admission queue; requests beyond it are rejected with
         :class:`~repro.common.errors.ServerOverloadedError`.
     cache_entries:
         Capacity of the LRU result cache; ``0`` disables result caching.
-    close_backend:
-        Whether :meth:`ServingFrontend.close` also closes the backend (which
-        in turn shuts down e.g. a sharded index's thread pool).
     default_timeout_seconds:
         Deadline applied to :meth:`ServingFrontend.query` calls that pass no
         explicit ``timeout``; expiry raises
@@ -103,11 +94,8 @@ class ServingConfig:
     """
 
     max_batch_size: int = 256
-    max_delay_seconds: float = 0.002
-    idle_gap_seconds: float | None = 0.00025
     max_queue_depth: int = 2048
     cache_entries: int = 4096
-    close_backend: bool = True
     default_timeout_seconds: float | None = None
     quarantine_after: int = 2
 
@@ -128,7 +116,7 @@ class ServingConfig:
             raise ServingError(
                 f"quarantine_after must be >= 1, got {self.quarantine_after}"
             )
-        # Window/queue bounds are validated by MicroBatcher at construction.
+        # Batch/queue bounds are validated by MicroBatcher at construction.
 
 
 @dataclass
@@ -191,7 +179,7 @@ class ServingFrontend:
         gets its maintenance events wired into cache invalidation, and a
         backend with ``insert_many`` makes the front-end updatable.
     config:
-        Micro-batching window, admission bound, and cache capacity.
+        Batch and admission bounds, cache capacity, deadlines, quarantine.
     """
 
     def __init__(self, backend, config: ServingConfig | None = None) -> None:
@@ -205,9 +193,7 @@ class ServingFrontend:
         self.stats = ServingStats()
         self._batcher = MicroBatcher(
             max_batch_size=self.config.max_batch_size,
-            max_delay_seconds=self.config.max_delay_seconds,
             max_queue_depth=self.config.max_queue_depth,
-            idle_gap_seconds=self.config.idle_gap_seconds,
         )
         self._cache = (
             ResultCache(self.config.cache_entries)
@@ -263,7 +249,10 @@ class ServingFrontend:
             timeout = self.config.default_timeout_seconds
         self.stats.queries_submitted += 1
         if self._cache is not None:
-            cached = self._cache.get(query)
+            try:
+                cached = self._cache.get(query)
+            except Exception:
+                cached = None  # a failed lookup is a miss: the batcher serves it
             if cached is not None:
                 self.stats.cache_hits += 1
                 if self._backend_observe is not None:
@@ -543,8 +532,8 @@ class ServingFrontend:
 
         Queued queries are still served (their clients unblock normally);
         then the dispatcher exits, the lifecycle subscription is removed, and
-        — when ``config.close_backend`` — the backend's own ``close`` runs
-        (which shuts down e.g. a sharded index's worker pool).  Idempotent.
+        the backend's own ``close`` runs (which shuts down e.g. a sharded
+        index's worker pool).  Idempotent.
         """
         with self._state_lock:
             if self._closed:
@@ -559,10 +548,9 @@ class ServingFrontend:
         if self._subscribed and hasattr(self.backend, "unsubscribe"):
             self.backend.unsubscribe(self._on_lifecycle_event)
             self._subscribed = False
-        if self.config.close_backend:
-            close = getattr(self.backend, "close", None)
-            if close is not None:
-                close()
+        close = getattr(self.backend, "close", None)
+        if close is not None:
+            close()
 
     def __enter__(self) -> "ServingFrontend":
         return self

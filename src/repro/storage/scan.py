@@ -53,8 +53,7 @@ class ScanStats:
     columns per inexact range, plus the aggregate column when one is read);
     ``bytes_scanned`` weighs the same reads by each column's storage dtype, so
     an all-``int64`` table scans exactly ``8 * values_scanned`` bytes and any
-    smaller ratio is the narrow-dtype win.  Both are logical counters: batch
-    caches that share physical work do not reduce them.
+    smaller ratio is the narrow-dtype win.
     """
 
     points_scanned: int = 0
@@ -145,59 +144,14 @@ class ScanExecutor:
             self._itemsizes[dim] = size
         return size
 
-    def _slice(
-        self,
-        dim: str,
-        start: int,
-        stop: int,
-        slice_cache: dict | None = None,
-    ) -> np.ndarray:
-        """Column values in ``[start, stop)``, optionally cached across a batch."""
-        if slice_cache is None:
-            return self._table.column(dim).slice(start, stop)
-        key = (dim, start, stop)
-        values = slice_cache.get(key)
-        if values is None:
-            values = self._table.column(dim).slice(start, stop)
-            slice_cache[key] = values
-        return values
-
     def _filter_mask(
-        self,
-        start: int,
-        stop: int,
-        filters: Mapping[str, tuple[int, int]],
-        slice_cache: dict | None = None,
-        mask_cache: dict | None = None,
+        self, start: int, stop: int, filters: Mapping[str, tuple[int, int]]
     ) -> np.ndarray:
-        """Boolean mask of rows in ``[start, stop)`` matching every filter.
-
-        Inside a batch, queries of the same type scan the same merged ranges
-        with the same (or overlapping) predicates; the caches let those
-        queries reuse both the gathered column slices and the per-dimension
-        comparison masks instead of recomputing them.
-        """
-        key = None
-        if mask_cache is not None:
-            key = (start, stop, tuple(sorted(filters.items())))
-            cached = mask_cache.get(key)
-            if cached is not None:
-                return cached
+        """Boolean mask of rows in ``[start, stop)`` matching every filter."""
         mask = np.ones(stop - start, dtype=bool)
         for dim, (low, high) in filters.items():
-            dim_mask = None
-            dim_key = None
-            if mask_cache is not None:
-                dim_key = (start, stop, dim, low, high)
-                dim_mask = mask_cache.get(dim_key)
-            if dim_mask is None:
-                values = self._slice(dim, start, stop, slice_cache)
-                dim_mask = (values >= low) & (values <= high)
-                if mask_cache is not None:
-                    mask_cache[dim_key] = dim_mask
-            mask &= dim_mask
-        if mask_cache is not None:
-            mask_cache[key] = mask
+            values = self._table.column(dim).slice(start, stop)
+            mask &= (values >= low) & (values <= high)
         return mask
 
     def execute(
@@ -246,10 +200,8 @@ class ScanExecutor:
         filters: Mapping[str, tuple[int, int]],
         aggregate: str,
         aggregate_column: str | None,
-        slice_cache: dict | None = None,
-        mask_cache: dict | None = None,
     ) -> tuple[float, ScanStats]:
-        """Scan already-coalesced ranges; the caches are shared across a batch."""
+        """Scan already-coalesced ranges."""
         stats = ScanStats(dims_accessed=len(filters))
         stats.cell_ranges = len(merged)
         filter_bytes_per_row = sum(self._itemsize(dim) for dim in filters)
@@ -282,7 +234,7 @@ class ScanExecutor:
                 stats.points_scanned += length
                 stats.values_scanned += length * len(filters)
                 stats.bytes_scanned += length * filter_bytes_per_row
-                mask = self._filter_mask(start, stop, filters, slice_cache, mask_cache)
+                mask = self._filter_mask(start, stop, filters)
                 matched = fused_count(mask)
                 count += matched
                 stats.rows_matched += matched
@@ -291,7 +243,7 @@ class ScanExecutor:
 
             # Fused aggregation: reduce over the whole slice under the mask
             # instead of materializing ``values[mask]``.
-            values = self._slice(aggregate_column, start, stop, slice_cache)
+            values = self._table.column(aggregate_column).slice(start, stop)
             stats.values_scanned += length
             stats.bytes_scanned += length * aggregate_itemsize
             if aggregate in {"sum", "avg"}:
@@ -320,21 +272,10 @@ class ScanExecutor:
         aggregates: Sequence[str] | str = "count",
         aggregate_columns: Sequence[str | None] | str | None = None,
     ) -> list[tuple[float, ScanStats]]:
-        """Execute a batch of queries with shared physical work.
+        """Execute a batch of queries, one :meth:`execute` call per query.
 
-        Results are returned in input order and are identical to calling
-        :meth:`execute` per query.  The batch path shares three caches across
-        the queries:
-
-        * column slices gathered per merged range (one gather serves every
-          query that scans the range),
-        * per-dimension and conjunctive filter masks (skewed workloads repeat
-          predicates, so boundary-range filtering is paid once per distinct
-          predicate instead of once per query),
-        * whole results for queries whose merged ranges, filters, and
-          aggregation coincide (common-subexpression elimination across the
-          batch; duplicated queries still report their full logical
-          :class:`ScanStats`, only the physical work is shared).
+        Results are returned in input order, each with its own
+        :class:`ScanStats`.
         """
         if len(ranges_per_query) != len(filters_per_query):
             raise QueryError(
@@ -348,30 +289,9 @@ class ScanExecutor:
             aggregate_columns = [aggregate_columns] * num_queries
         if len(aggregates) != num_queries or len(aggregate_columns) != num_queries:
             raise QueryError("aggregate specs must match the number of queries")
-
-        slice_cache: dict = {}
-        mask_cache: dict = {}
-        result_cache: dict = {}
-        results: list[tuple[float, ScanStats]] = []
-        for ranges, filters, aggregate, aggregate_column in zip(
-            ranges_per_query, filters_per_query, aggregates, aggregate_columns
-        ):
-            self._validate_aggregate(aggregate, aggregate_column)
-            merged = coalesce_ranges(ranges)
-            key = (
-                tuple((r.start, r.stop, r.exact) for r in merged),
-                tuple(sorted(filters.items())),
-                aggregate,
-                aggregate_column,
+        return [
+            self.execute(ranges, filters, aggregate, aggregate_column)
+            for ranges, filters, aggregate, aggregate_column in zip(
+                ranges_per_query, filters_per_query, aggregates, aggregate_columns
             )
-            cached = result_cache.get(key)
-            if cached is not None:
-                value, stats = cached
-            else:
-                value, stats = self._execute_merged(
-                    merged, filters, aggregate, aggregate_column,
-                    slice_cache, mask_cache,
-                )
-                result_cache[key] = (value, stats)
-            results.append((value, stats.copy()))
-        return results
+        ]

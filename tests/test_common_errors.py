@@ -157,7 +157,7 @@ class TestFutureBoundary:
         )
         frontend = ServingFrontend(
             _ExplodingBackend(error),
-            ServingConfig(max_delay_seconds=0.001, cache_entries=0),
+            ServingConfig(cache_entries=0),
         )
         try:
             with pytest.raises(PartialResultError) as excinfo:

@@ -1,5 +1,6 @@
 """Tests for the serving result cache and the micro-batching admission queue."""
 
+import sys
 import threading
 import time
 
@@ -81,60 +82,67 @@ class TestResultCache:
         json.dumps(cache.stats.as_dict())  # must not raise
 
 
+def count_hand_offs(monkeypatch, arrivals=()) -> list:
+    """Replace ``time.sleep`` with a fake that records each hand-off.
+
+    Each call queues the next of ``arrivals`` (a callable), as a client
+    thread released during that hand-off would, then nothing once they run
+    out.
+    """
+    calls: list = []
+    pending = list(arrivals)
+
+    def fake_sleep(seconds):
+        calls.append(seconds)
+        if pending:
+            pending.pop(0)()
+
+    monkeypatch.setattr(time, "sleep", fake_sleep)
+    return calls
+
+
 class TestMicroBatcher:
     def test_rejects_bad_configuration(self):
         with pytest.raises(ServingError):
             MicroBatcher(max_batch_size=0)
         with pytest.raises(ServingError):
-            MicroBatcher(max_delay_seconds=-0.1)
-        with pytest.raises(ServingError):
             MicroBatcher(max_queue_depth=0)
-        with pytest.raises(ServingError):
-            MicroBatcher(idle_gap_seconds=0.0)
 
-    def test_flush_on_size_does_not_wait_for_deadline(self):
-        batcher = MicroBatcher(max_batch_size=3, max_delay_seconds=30.0)
+    def test_flush_on_size_does_not_wait_for_deadline(self, monkeypatch):
+        batcher = MicroBatcher(max_batch_size=3)
         for item in ("a", "b", "c"):
             batcher.put(item)
-        start = time.monotonic()
+        hand_offs = count_hand_offs(monkeypatch)
         assert batcher.take() == ["a", "b", "c"]
-        assert time.monotonic() - start < 1.0  # did not wait the 30s window
-        assert batcher.stats.flushes_on_size == 1
+        assert hand_offs == []  # a full batch leaves without a hand-off
+        assert batcher.stats.batches == 1
 
-    def test_flush_on_deadline_with_partial_batch(self):
-        batcher = MicroBatcher(max_batch_size=100, max_delay_seconds=0.01)
-        batcher.put("only")
-        assert batcher.take() == ["only"]
-        assert batcher.stats.flushes_on_deadline == 1
+    def test_flush_on_deadline_with_partial_batch(self, monkeypatch):
+        batcher = MicroBatcher(max_batch_size=2)
+        for item in ("a", "b", "c"):
+            batcher.put(item)
+        hand_offs = count_hand_offs(monkeypatch)
+        assert batcher.take() == ["a", "b"]  # capped at max_batch_size
+        assert batcher.take() == ["c"]  # the rest leaves in the next batch
+        assert hand_offs == [0]
+        assert batcher.stats.batches == 2
+        assert batcher.stats.largest_batch == 2
 
-    def test_idle_gap_flushes_before_deadline(self):
-        batcher = MicroBatcher(
-            max_batch_size=100, max_delay_seconds=30.0, idle_gap_seconds=0.005
-        )
+    def test_idle_gap_flushes_before_deadline(self, monkeypatch):
+        batcher = MicroBatcher(max_batch_size=100)
         batcher.put("lonely")
-        start = time.monotonic()
+        hand_offs = count_hand_offs(monkeypatch)
         assert batcher.take() == ["lonely"]
-        assert time.monotonic() - start < 1.0  # did not wait the 30s window
-        assert batcher.stats.flushes_on_idle == 1
-        assert batcher.stats.flushes_on_deadline == 0
+        assert hand_offs == [0]  # exactly one hand-off, no timed wait
 
-    def test_idle_gap_keeps_collecting_while_arrivals_continue(self):
-        batcher = MicroBatcher(
-            max_batch_size=3, max_delay_seconds=30.0, idle_gap_seconds=0.2
-        )
-
-        def trickle():
-            time.sleep(0.02)
-            batcher.put("b")
-            time.sleep(0.02)
-            batcher.put("c")
-
+    def test_idle_gap_keeps_collecting_while_arrivals_continue(self, monkeypatch):
+        batcher = MicroBatcher(max_batch_size=100)
         batcher.put("a")
-        thread = threading.Thread(target=trickle)
-        thread.start()
-        assert batcher.take() == ["a", "b", "c"]  # gap never elapsed dry
-        thread.join()
-        assert batcher.stats.flushes_on_size == 1
+        hand_offs = count_hand_offs(
+            monkeypatch, [lambda: batcher.put("b"), lambda: batcher.put("c")]
+        )
+        assert batcher.take() == ["a", "b", "c"]  # stopped when arrivals did
+        assert hand_offs == [0, 0, 0]
 
     def test_overload_rejection_is_typed(self):
         batcher = MicroBatcher(max_batch_size=4, max_queue_depth=2)
@@ -146,7 +154,7 @@ class TestMicroBatcher:
         assert batcher.stats.items_admitted == 2
 
     def test_close_drains_then_returns_none(self):
-        batcher = MicroBatcher(max_batch_size=2, max_delay_seconds=30.0)
+        batcher = MicroBatcher(max_batch_size=2)
         for item in ("a", "b", "c"):
             batcher.put(item)
         batcher.close()
@@ -173,7 +181,7 @@ class TestMicroBatcher:
         assert seen == [None]
 
     def test_concurrent_producers_all_admitted(self):
-        batcher = MicroBatcher(max_batch_size=64, max_delay_seconds=0.005)
+        batcher = MicroBatcher(max_batch_size=64)
         total = 200
 
         def produce(offset: int):
@@ -195,3 +203,41 @@ class TestMicroBatcher:
         assert len(drained) == total
         assert batcher.stats.items_admitted == total
         assert batcher.stats.largest_batch <= 64
+
+    def test_take_while_producing_hands_out_every_item_once(self):
+        """Puts racing take()'s hand-offs lose and duplicate nothing."""
+        batcher = MicroBatcher(max_batch_size=8, max_queue_depth=10_000)
+        producers, per_producer = 4, 300
+        batches: list = []
+
+        def produce(offset: int):
+            for i in range(per_producer):
+                batcher.put(offset * 1000 + i)
+
+        def consume():
+            while (batch := batcher.take()) is not None:
+                batches.append(batch)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            taker = threading.Thread(target=consume)
+            taker.start()
+            threads = [threading.Thread(target=produce, args=(t,)) for t in range(producers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            batcher.close()
+            taker.join(timeout=30.0)
+            assert not taker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        taken = [item for batch in batches for item in batch]
+        for offset in range(producers):  # each producer's items, once, in order
+            mine = [item for item in taken if item // 1000 == offset]
+            assert mine == [offset * 1000 + i for i in range(per_producer)]
+        assert len(taken) == producers * per_producer
+        assert all(1 <= len(batch) <= 8 for batch in batches)
+        assert batcher.stats.batches == len(batches)

@@ -37,7 +37,7 @@ def tsunami_factory():
 
 
 def small_config(**overrides) -> ServingConfig:
-    defaults = dict(max_batch_size=16, max_delay_seconds=0.002, max_queue_depth=512)
+    defaults = dict(max_batch_size=16, max_queue_depth=512)
     defaults.update(overrides)
     return ServingConfig(**defaults)
 
@@ -245,7 +245,6 @@ class TestBackpressureAndShutdown:
             backend,
             ServingConfig(
                 max_batch_size=1,
-                max_delay_seconds=0.0,
                 max_queue_depth=2,
                 cache_entries=0,
             ),

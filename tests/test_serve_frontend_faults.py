@@ -28,13 +28,13 @@ from repro.storage.scan import ScanStats
 
 INNOCENT = Query.from_ranges({"x": (0, 100)})
 OTHER = Query.from_ranges({"x": (200, 300)})
+HOLD = Query.from_ranges({"x": (400, 500)})
 POISON = Query.from_ranges({"x": (666, 777)})
 
 
 def small_config(**overrides) -> ServingConfig:
     defaults = dict(
         max_batch_size=16,
-        max_delay_seconds=0.002,
         max_queue_depth=512,
         cache_entries=0,
     )
@@ -46,18 +46,45 @@ class ScriptedBackend:
     """Returns value 1.0 per query; raises whenever a poison query is present.
 
     ``healed`` switches the poison off, so tests can assert recovery and
-    un-quarantining.
+    un-quarantining.  Clearing ``release`` holds every call until it is set
+    again; ``entered`` is set once a call has started.
     """
 
     def __init__(self) -> None:
         self.healed = False
         self.batches: list[int] = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.release.set()
 
     def run_batch(self, queries):
         self.batches.append(len(queries))
+        self.entered.set()
+        self.release.wait(30.0)
         if not self.healed and any(q == POISON for q in queries):
             raise ValueError("poison query crashed the batch")
         return [QueryResult(value=1.0, stats=ScanStats()) for _ in queries]
+
+
+def submit_cohort(frontend, backend, pool, queries):
+    """Queue ``queries`` behind a held batch so the dispatcher takes them together.
+
+    A HOLD query occupies the dispatcher inside ``run_batch`` while
+    ``queries`` queue up; releasing it lets the next ``take()`` collect them
+    as one batch.  Returns the futures of ``queries``.
+    """
+    backend.release.clear()
+    backend.entered.clear()
+    held = pool.submit(frontend.query, HOLD, 10.0)
+    assert backend.entered.wait(10.0)
+    futures = [pool.submit(frontend.query, query, 10.0) for query in queries]
+    deadline = time.monotonic() + 10.0
+    while frontend.batcher.depth < len(queries):
+        assert time.monotonic() < deadline, "cohort never queued"
+        time.sleep(0.001)
+    backend.release.set()
+    assert held.result(10.0).value == 1.0
+    return futures
 
 
 class BlockingBackend:
@@ -136,21 +163,18 @@ class TestBatchFailureIsolation:
     def test_poison_query_fails_alone_neighbours_survive(self):
         backend = ScriptedBackend()
         frontend = ServingFrontend(
-            backend,
-            small_config(
-                max_batch_size=2,
-                max_delay_seconds=0.2,
-                idle_gap_seconds=None,  # wait the full window: arrivals coalesce
-                quarantine_after=1,
-            ),
+            backend, small_config(max_batch_size=2, quarantine_after=1)
         )
         try:
-            with ThreadPoolExecutor(2) as pool:
-                innocent_future = pool.submit(frontend.query, INNOCENT, 10.0)
-                poison_future = pool.submit(frontend.query, POISON, 10.0)
+            with ThreadPoolExecutor(3) as pool:
+                innocent_future, poison_future = submit_cohort(
+                    frontend, backend, pool, [INNOCENT, POISON]
+                )
                 assert innocent_future.result(10.0).value == 1.0
                 with pytest.raises(ValueError, match="poison"):
                     poison_future.result(10.0)
+            # HOLD alone, the failed cohort of 2, then each member solo.
+            assert backend.batches == [1, 2, 1, 1]
             assert frontend.stats.solo_retries == 2
             assert frontend.stats.quarantined == 1
             assert POISON in frontend.quarantine
@@ -160,31 +184,35 @@ class TestBatchFailureIsolation:
     def test_quarantined_query_runs_solo_and_is_released_on_success(self):
         backend = ScriptedBackend()
         frontend = ServingFrontend(
-            backend,
-            small_config(
-                max_batch_size=2,
-                max_delay_seconds=0.2,
-                idle_gap_seconds=None,  # wait the full window: arrivals coalesce
-                quarantine_after=1,
-            ),
+            backend, small_config(max_batch_size=2, quarantine_after=1)
         )
         try:
-            with ThreadPoolExecutor(2) as pool:
-                pool.submit(frontend.query, INNOCENT, 10.0).result(10.0)
+            with ThreadPoolExecutor(3) as pool:
+                innocent_future, poison_future = submit_cohort(
+                    frontend, backend, pool, [INNOCENT, POISON]
+                )
+                assert innocent_future.result(10.0).value == 1.0
                 with pytest.raises(ValueError):
-                    pool.submit(frontend.query, POISON, 10.0).result(10.0)
+                    poison_future.result(10.0)
+                assert backend.batches == [1, 2, 1, 1]
                 # Cohort poisoning got POISON quarantined (solo failure).
                 with pytest.raises(ValueError):
                     frontend.query(POISON, timeout=10.0)
                 assert POISON in frontend.quarantine
                 failures_so_far = frontend.stats.batch_failures
-                # Quarantined: POISON runs alone, so a shared window with an
+                batches_so_far = frontend.batcher.stats.batches
+                # Quarantined: POISON runs alone, so a shared batch with an
                 # innocent query no longer fails any cohort.
-                innocent_future = pool.submit(frontend.query, OTHER, 10.0)
-                poison_future = pool.submit(frontend.query, POISON, 10.0)
+                innocent_future, poison_future = submit_cohort(
+                    frontend, backend, pool, [OTHER, POISON]
+                )
                 assert innocent_future.result(10.0).value == 1.0
                 with pytest.raises(ValueError):
                     poison_future.result(10.0)
+                # One batch for HOLD and one shared by OTHER and POISON,
+                # which the front-end split into a cohort of 1 and a solo run.
+                assert frontend.batcher.stats.batches == batches_so_far + 2
+                assert backend.batches[-3:] == [1, 1, 1]
                 assert frontend.stats.batch_failures == failures_so_far
                 # Backend heals: the next solo run succeeds and releases it.
                 backend.healed = True
@@ -202,6 +230,19 @@ class TestBatchFailureIsolation:
                 with pytest.raises(InjectedFault):
                     frontend.query(INNOCENT, timeout=5.0)
                 assert frontend.query(INNOCENT, timeout=5.0).value == 1.0
+        finally:
+            frontend.close()
+
+    def test_cache_read_failure_is_a_miss(self):
+        backend = ScriptedBackend()
+        frontend = ServingFrontend(backend, small_config(cache_entries=64))
+        plan = FaultPlan([FaultSpec(site="cache.get", max_triggers=1)])
+        try:
+            with faults.active(plan):
+                assert frontend.query(INNOCENT, timeout=5.0).value == 1.0
+            assert backend.batches == [1]  # the failed lookup went to the batcher
+            assert frontend.stats.cache_hits == 0
+            assert frontend.stats.dispatcher_crashes == 0
         finally:
             frontend.close()
 
@@ -240,7 +281,7 @@ class TestDispatcherCrash:
         """Requests queued behind the crashing batch unblock exceptionally."""
         backend = BlockingBackend()
         frontend = ServingFrontend(
-            backend, small_config(max_batch_size=1, max_delay_seconds=0.001)
+            backend, small_config(max_batch_size=1)
         )
         plan = FaultPlan(
             [FaultSpec(site="frontend.dispatcher", after_calls=1, max_triggers=1)]
