@@ -95,6 +95,17 @@ def avg_as_sum(query: Query) -> Query:
     )
 
 
+def partial_of(result: QueryResult) -> PartialAggregate:
+    """A partial execution's result as a recombinable partial.
+
+    The execution ran the :func:`avg_as_sum` rewrite, so for ``avg`` its
+    value is the partial sum and its ``rows_matched`` the denominator.
+    """
+    return PartialAggregate(
+        value=result.value, matched=result.stats.rows_matched, stats=result.stats
+    )
+
+
 def combine_partial_results(
     aggregate: str, partials: Sequence[PartialAggregate]
 ) -> QueryResult:
@@ -256,24 +267,17 @@ class ClusteredIndex(ABC):
         return self._table is not None and self._executor is not None
 
     def execute(self, query: Query) -> QueryResult:
-        """Answer ``query`` and return its aggregate value plus work counters."""
-        if self._executor is None:
-            raise IndexBuildError(f"{self.name} has not been built yet")
-        ranges = self._ranges_for_query(query)
-        value, stats = self._executor.execute(
-            ranges,
-            query.filters(),
-            aggregate=query.aggregate,
-            aggregate_column=query.aggregate_column,
-        )
-        return QueryResult(value=value, stats=stats)
+        """Answer ``query``: a batch of one through :meth:`execute_batch`."""
+        return self.execute_batch([query])[0]
 
     def execute_batch(self, queries: Sequence[Query]) -> list[QueryResult]:
         """Answer a batch of queries, sharing planning work.
 
-        Results are returned in input order and are identical to calling
-        :meth:`execute` per query.  Identical queries (skewed workloads repeat
-        a small set of templates) are planned and scanned once per batch; the
+        This is the one query path; :meth:`execute` is a batch of one.
+        Results are returned in input order, each with its aggregate value
+        and its own work counters, and do not depend on how queries are
+        grouped into batches.  Identical queries (skewed workloads repeat a
+        small set of templates) are planned and scanned once per batch; the
         distinct remainder shares grid-tree routing (where the index overrides
         :meth:`_ranges_for_queries`) and is then scanned query by query.
         """

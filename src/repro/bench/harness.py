@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
 
 from repro.baselines import (
     FloodIndex,
@@ -137,14 +138,19 @@ def run_comparison(
     factories: Mapping[str, IndexFactory],
     dataset_name: str = "dataset",
 ) -> list[IndexMeasurement]:
-    """Measure every index produced by ``factories`` on the same data and workload."""
+    """Measure every index produced by ``factories`` on the same data and workload.
+
+    Each index is built on its own copy of ``table``: a build re-clusters its
+    table in place, so a shared table would hand every optimizer the row
+    order the previous build left.  ``table`` keeps its row order.
+    """
     expected = expected_answers(table, workload)
     measurements = []
     for name, factory in factories.items():
         index = factory()
         measurement = measure_index(
             index,
-            table,
+            table.subset(np.arange(table.num_rows), name=table.name),
             workload,
             dataset_name=dataset_name,
             expected=expected,

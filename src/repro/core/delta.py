@@ -8,8 +8,10 @@ one level up, wrapping *any* clustered index in the repository:
 
 * Inserted rows land in a :class:`DeltaBuffer` — a columnar, amortized-growth
   set of ``int64`` arrays in the same storage domain the main index uses.
-  :meth:`DeltaBufferedIndex.insert_many` converts whole columns at once, so
-  bulk ingestion is vectorized end to end.
+  :meth:`DeltaBufferedIndex.insert_many` converts whole columns at once
+  through :meth:`~repro.storage.column.Column.to_storage_array`, so bulk
+  ingestion is vectorized end to end; :meth:`DeltaBufferedIndex.insert` is
+  an ``insert_many`` of one row.
 * Queries are answered by combining the main index's result with a single
   columnar scan of the buffer, so reads always see every insert immediately.
 * Once the buffer reaches ``merge_threshold`` rows (or on an explicit
@@ -43,10 +45,11 @@ The wrapper implements the full serving contract of
 pipeline at the same speed as a read-only index: a batch is deduped into
 distinct templates, routed through the wrapped index's batched pipeline once,
 the buffer is scanned once per distinct template, and the per-template results
-are recombined per aggregate.  ``avg`` is recombined in a single pass: the
-main index executes the corresponding ``sum`` query, whose scan already
-counts the matching rows (``ScanStats.rows_matched``), so no second
-count-query execution is needed and the reported scan work is conserved.
+are recombined per aggregate; ``execute`` is a batch of one.  ``avg`` is
+recombined in a single pass: the main index executes the corresponding
+``sum`` query, whose scan already counts the matching rows
+(``ScanStats.rows_matched``), so no second count-query execution is needed
+and the reported scan work is conserved.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from repro.baselines.base import (
     combine_partial_results,
     dedupe_queries,
     expand_deduped_results,
+    partial_of,
     serve_workload,
 )
 from repro.common import faults
@@ -187,20 +191,11 @@ class DeltaBuffer:
             self._data[name] = grown
         self._capacity = capacity
 
-    def append(self, row: Mapping[str, int]) -> None:
-        """Append one already-converted row of storage-domain integers."""
-        self._ensure_capacity(1)
-        position = self._size
-        for name in self._names:
-            self._data[name][position] = row[name]
-        self._size += 1
-
     def append_many(self, columns: Mapping[str, np.ndarray]) -> int:
         """Append equal-length storage-domain arrays, one per column.
 
-        This is the vectorized bulk path: a single slice assignment per
-        column, with capacity grown at most once.  Returns the number of rows
-        appended.
+        A single slice assignment per column, with capacity grown at most
+        once.  Returns the number of rows appended.
         """
         missing = [name for name in self._names if name not in columns]
         if missing:
@@ -392,44 +387,24 @@ class DeltaBufferedIndex:
         """Total rows visible to queries (main table plus pending inserts)."""
         return self._require_built().table.num_rows + self.num_pending
 
-    def _convert_value(self, column: Column, value: object) -> int:
-        try:
-            return int(column.to_storage(value))
-        except (KeyError, ValueError, TypeError, SchemaError) as exc:
-            raise SchemaError(
-                f"value {value!r} cannot be stored in column {column.name!r}: {exc}"
-            ) from exc
-
     def _maybe_merge(self) -> None:
         if self.num_pending and self.num_pending >= self.merge_threshold:
             self.merge()
 
     def insert(self, row: Mapping[str, object]) -> None:
-        """Insert one row given as ``{column: user-facing value}``.
-
-        Values are converted to the storage domain through each column's
-        existing encoding; a categorical value not present in the column's
-        dictionary is rejected (extending dictionaries online is out of scope
-        for this extension and the paper's).
-        """
-        index = self._require_built()
-        table = index.table
-        missing = [name for name in table.column_names if name not in row]
-        if missing:
-            raise SchemaError(f"insert is missing values for columns {missing}")
-        converted = {
-            name: self._convert_value(table.column(name), row[name])
-            for name in table.column_names
-        }
-        assert self._buffer is not None
-        self._buffer.append(converted)
-        self._maybe_merge()
+        """Insert one ``{column: user-facing value}`` row: an :meth:`insert_many` of one."""
+        self.insert_many([row])
 
     def insert_many(self, rows: Sequence[Mapping[str, object]]) -> None:
-        """Insert several rows at once via the vectorized columnar path.
+        """Insert rows given as ``{column: user-facing value}`` mappings.
 
         All rows are schema-checked and converted column-by-column (one numpy
-        conversion per column) before anything is buffered, then appended in
+        conversion per column, through each column's existing encoding)
+        before anything is buffered, so a bad value rejects the whole call
+        with :class:`~repro.common.errors.SchemaError` and buffers nothing.
+        A categorical value not present in the column's dictionary is
+        rejected (extending dictionaries online is out of scope for this
+        extension and the paper's).  Rows are then appended in
         merge-threshold-sized chunks so the automatic merge cadence matches a
         per-row insert loop.
         """
@@ -546,16 +521,6 @@ class DeltaBufferedIndex:
     # -- queries ----------------------------------------------------------------------
 
     @staticmethod
-    def _main_query(query: Query) -> Query:
-        """The query the main index executes in place of ``query``.
-
-        ``avg`` runs the corresponding ``sum`` query (see
-        :func:`~repro.baselines.base.avg_as_sum`) so the recombination gets
-        the sum and the matched-row count from one main-index pass.
-        """
-        return avg_as_sum(query)
-
-    @staticmethod
     def _buffer_partial(query: Query, scan: BufferScan) -> PartialAggregate:
         """The buffer scan's contribution as a recombinable partial."""
         if query.aggregate == "count":
@@ -570,41 +535,31 @@ class DeltaBufferedIndex:
 
     def _combine(self, query: Query, main: QueryResult, scan: BufferScan) -> QueryResult:
         """Recombine the main index's result with the buffer scan, per aggregate."""
-        # ``main`` executed the rewritten query (see _main_query), so for
-        # ``avg`` its value is the main-side sum and its rows_matched the count.
-        main_partial = PartialAggregate(
-            value=main.value, matched=main.stats.rows_matched, stats=main.stats
-        )
         return combine_partial_results(
-            query.aggregate, [main_partial, self._buffer_partial(query, scan)]
+            query.aggregate, [partial_of(main), self._buffer_partial(query, scan)]
         )
 
     def execute(self, query: Query) -> QueryResult:
-        """Answer ``query`` over the main index plus the delta buffer."""
-        index = self._require_built()
-        assert self._buffer is not None
-        scan = self._buffer.scan(query)
-        main = index.execute(self._main_query(query))
-        return self._combine(query, main, scan)
+        """Answer ``query`` over the main index plus the delta buffer: a batch of one."""
+        return self.execute_batch([query])[0]
 
     def execute_batch(self, queries: Sequence[Query]) -> list[QueryResult]:
         """Answer a batch of queries through the wrapped index's batched pipeline.
 
         The batch is deduped into distinct templates; the main index answers
         them in one batch (sharing grid-tree routing and plan-cache lookups),
-        the buffer is scanned once per distinct template, and the results are
-        recombined per aggregate.
-        Results are in input order and identical to per-query :meth:`execute`.
+        each running the :func:`~repro.baselines.base.avg_as_sum` rewrite so
+        ``avg`` gets its sum and matched-row count from one pass.  The buffer
+        is scanned once per distinct template, and the results are recombined
+        per aggregate, in input order.
         """
-        self._require_built()
+        index = self._require_built()
         assert self._buffer is not None
         queries = list(queries)
         if not queries:
             return []
         distinct, order = dedupe_queries(queries)
-        main_results = self._require_built().execute_batch(
-            [self._main_query(query) for query in distinct]
-        )
+        main_results = index.execute_batch([avg_as_sum(query) for query in distinct])
         combined = [
             self._combine(query, main, self._buffer.scan(query))
             for query, main in zip(distinct, main_results)

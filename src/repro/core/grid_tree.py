@@ -284,38 +284,13 @@ class GridTree:
         descend(root, np.arange(table.num_rows))
         return region_ids
 
-    def regions_for_query(self, query: Query) -> list[GridTreeNode]:
-        """All leaf regions whose extent intersects the query rectangle."""
-        root = self._require_fitted()
-        result: list[GridTreeNode] = []
-
-        def descend(node: GridTreeNode) -> None:
-            if node.is_leaf:
-                result.append(node)
-                return
-            predicate = query.predicate_for(node.split_dimension)
-            # Edge children are open-ended: assign_regions routes every value
-            # below the first split (or at/above the last) into the edge
-            # leaves, so after local merges absorb out-of-domain inserts the
-            # query side must reach those leaves too.
-            boundaries = [-np.inf, *node.split_values, np.inf]
-            for index, child in enumerate(node.children):
-                child_low, child_high = boundaries[index], boundaries[index + 1]
-                if predicate is None or (
-                    predicate.high >= child_low and predicate.low < child_high
-                ):
-                    descend(child)
-
-        descend(root)
-        return result
-
     def regions_for_queries(self, queries: Sequence[Query]) -> list[list[GridTreeNode]]:
         """Intersecting leaf regions for every query, in one tree traversal.
 
-        Equivalent to ``[self.regions_for_query(q) for q in queries]`` but the
-        tree is descended once with the whole batch: at each inner node the
-        batch is split among the children, so shared prefixes of the
-        traversal are paid once per batch instead of once per query.
+        Each query's regions come in leaf order.  The tree is descended once
+        with the whole batch: at each inner node the batch is split among the
+        children, so shared prefixes of the traversal are paid once per batch
+        instead of once per query.
         """
         root = self._require_fitted()
         result: list[list[GridTreeNode]] = [[] for _ in queries]
@@ -325,8 +300,10 @@ class GridTree:
                 for position in members:
                     result[position].append(node)
                 return
-            # Open-ended edge children, matching assign_regions (see
-            # regions_for_query).
+            # Edge children are open-ended: assign_regions routes every value
+            # below the first split (or at/above the last) into the edge
+            # leaves, so after local merges absorb out-of-domain inserts the
+            # query side must reach those leaves too.
             boundaries = [-np.inf, *node.split_values, np.inf]
             predicates = [
                 (position, queries[position].predicate_for(node.split_dimension))

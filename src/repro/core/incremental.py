@@ -155,13 +155,7 @@ class IncrementalReoptimizer:
         table = index.table
         typed = new_workload
         if len(new_workload) > 0 and any(q.query_type is None for q in new_workload):
-            typed = cluster_query_types(
-                table,
-                new_workload,
-                eps=index.config.query_type_eps,
-                min_samples=index.config.query_type_min_samples,
-                seed=index.config.seed,
-            )
+            typed = cluster_query_types(table, new_workload, seed=index.config.seed)
 
         shifts = self.region_shifts(typed)
         selected = set(self._select_regions(shifts))

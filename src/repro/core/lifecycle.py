@@ -224,10 +224,8 @@ class LifecycleManager:
             self._observe(queries)
 
     def insert(self, row) -> None:
-        """Insert one row, merging if buffer pressure demands it."""
-        self.index.insert(row)
-        self._report.rows_inserted += 1
-        self._check_pressure()
+        """Insert one row: an :meth:`insert_many` of one."""
+        self.insert_many([row])
 
     def insert_many(self, rows: Sequence) -> None:
         """Insert several rows, merging if buffer pressure demands it."""

@@ -69,6 +69,7 @@ from repro.baselines.base import (
     combine_partial_results,
     dedupe_queries,
     expand_deduped_results,
+    partial_of,
     serve_workload,
 )
 from repro.common import faults
@@ -491,12 +492,6 @@ class ShardedIndex:
 
     # -- queries ----------------------------------------------------------------------
 
-    @staticmethod
-    def _partial(result: QueryResult) -> PartialAggregate:
-        return PartialAggregate(
-            value=result.value, matched=result.stats.rows_matched, stats=result.stats
-        )
-
     def _ensure_pool(self) -> ThreadPoolExecutor:
         """The fan-out worker pool, created lazily and reused across batches.
 
@@ -660,7 +655,7 @@ class ShardedIndex:
                 reasons[position] = repr(outcome.error)
                 continue
             for i, result in zip(hit, outcome.results):
-                partials_per_query[i].append(self._partial(result))
+                partials_per_query[i].append(partial_of(result))
         report = {
             "shards_failed": failed,
             "shards_skipped_open": skipped,
@@ -710,17 +705,8 @@ class ShardedIndex:
         self.close()
 
     def execute(self, query: Query) -> QueryResult:
-        """Answer ``query`` over every non-pruned shard and recombine.
-
-        Under the fault policy's ``"strict"`` degradation (the default), a
-        shard failure raises :class:`~repro.common.errors.PartialResultError`
-        with the partial aggregate attached; ``"degraded"`` returns the
-        partial aggregate over the shards that answered.
-        """
-        self._require_built()
-        partials_per_query, report = self._fan_out([query])
-        combined = combine_partial_results(query.aggregate, partials_per_query[0])
-        return self._finish_fan_out([combined], report)[0]
+        """Answer ``query`` over every non-pruned shard: a batch of one."""
+        return self.execute_batch([query])[0]
 
     def execute_batch(self, queries: Sequence[Query]) -> list[QueryResult]:
         """Answer a batch of queries with per-shard fan-out.
@@ -729,10 +715,12 @@ class ShardedIndex:
         the templates intersecting its bounding box and serves them through
         its own batched pipeline (shard batches run concurrently when
         ``parallelism > 1``).  Per-shard partials are recombined in shard
-        order, so results are bit-identical to per-query :meth:`execute`, in
-        input order.  Shard failures follow the fault policy's degradation
-        mode, as in :meth:`execute` (strict mode attaches the full batch's
-        partial results to the :class:`PartialResultError`).
+        order, so results are bit-identical to a single index's, in input
+        order.  Under the fault policy's ``"strict"`` degradation (the
+        default), a shard failure raises
+        :class:`~repro.common.errors.PartialResultError` with the full
+        batch's partial results attached; ``"degraded"`` returns the partial
+        aggregates over the shards that answered.
         """
         self._require_built()
         queries = list(queries)

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.baselines.base import ClusteredIndex, containment_exactness
 from repro.common.errors import IndexBuildError, OptimizationError
-from repro.core.augmented_grid import DEFAULT_MAX_CELLS, AugmentedGrid, AugmentedGridConfig
+from repro.core.augmented_grid import AugmentedGrid, AugmentedGridConfig
 from repro.core.cost_model import CostModel
 from repro.core.grid_tree import GridTree, GridTreeConfig, GridTreeNode
 from repro.core.optimizer import AdaptiveGradientDescent, initialize_partitions
@@ -68,9 +68,6 @@ class TsunamiConfig:
     optimizer_iterations: int = 4
     optimizer_sample_rows: int = 10_000
     target_points_per_cell: int = 128
-    max_cells_per_region: int = DEFAULT_MAX_CELLS
-    query_type_eps: float = 0.2
-    query_type_min_samples: int = 4
     seed: int = 43
 
 
@@ -137,7 +134,6 @@ class TsunamiIndex(ClusteredIndex):
             search_skeleton=self.config.use_augmented_strategies,
             target_points_per_cell=self.config.target_points_per_cell,
             sample_rows=self.config.optimizer_sample_rows,
-            max_cells=self.config.max_cells_per_region,
             seed=self.config.seed,
         )
         try:
@@ -174,25 +170,14 @@ class TsunamiIndex(ClusteredIndex):
             table,
             workload,
             target_points_per_cell=self.config.target_points_per_cell,
-            max_cells=self.config.max_cells_per_region,
             seed=self.config.seed,
         )
-        return AugmentedGridConfig(
-            skeleton=skeleton,
-            partitions=partitions,
-            max_cells=self.config.max_cells_per_region,
-        )
+        return AugmentedGridConfig(skeleton=skeleton, partitions=partitions)
 
     def _optimize(self, table: Table, workload: Workload | None) -> None:
         workload = workload or Workload([], name="empty")
         if len(workload) > 0:
-            self.typed_workload = cluster_query_types(
-                table,
-                workload,
-                eps=self.config.query_type_eps,
-                min_samples=self.config.query_type_min_samples,
-                seed=self.config.seed,
-            )
+            self.typed_workload = cluster_query_types(table, workload, seed=self.config.seed)
         else:
             self.typed_workload = workload
 
@@ -280,17 +265,10 @@ class TsunamiIndex(ClusteredIndex):
         return ranges
 
     def _ranges_for_query(self, query: Query) -> list[RowRange]:
-        if not self._regions:
-            raise IndexBuildError("Tsunami index has not been built")
-        if self.grid_tree is not None:
-            nodes = self.grid_tree.regions_for_query(query)
-            regions = self._regions_by_id({node.region_id for node in nodes})
-        else:
-            regions = self._regions
-        return self._region_ranges(query, regions)
+        return self._ranges_for_queries([query])[0]
 
     def _ranges_for_queries(self, queries) -> list[list[RowRange]]:
-        """Batch planning: route every query through the Grid Tree in one pass."""
+        """Route every query through the Grid Tree in one pass, then plan it per region."""
         if not self._regions:
             raise IndexBuildError("Tsunami index has not been built")
         if self.grid_tree is None:

@@ -5,10 +5,11 @@ as the ground-truth oracle in tests and as the implicit "no index" baseline:
 every index's answer to every query must equal the full-scan answer.
 
 :class:`QueryEngine` is the serving-path front door: it wraps a built index
-(or falls back to full scans) and exposes both single-query execution and the
-batched pipeline, which dedupes repeated queries and shares grid-tree routing
-and plan-cache lookups across the queries of one batch; each distinct query
-is then scanned on its own.
+(or falls back to full scans) and exposes single-query and batched execution.
+Every index has one query path, the batched pipeline: it dedupes repeated
+queries and shares grid-tree routing and plan-cache lookups across the
+queries of one batch, then scans each distinct query on its own.  A single
+query is a batch of one.
 
 The engine accepts anything implementing the serving contract — ``is_built``,
 ``table``, ``execute``, ``execute_batch``, and ``explain`` — which every

@@ -196,7 +196,12 @@ class Column:
         return int(value)
 
     def to_storage_array(self, values: Sequence) -> np.ndarray:
-        """Vectorized :meth:`to_storage`: convert a whole sequence at once."""
+        """Vectorized :meth:`to_storage`: convert a whole sequence at once.
+
+        Every insert converts its values here.  A value the column cannot
+        store, including one outside the ``int64`` storage domain, raises
+        :class:`SchemaError`.
+        """
         if self.dictionary is not None:
             try:
                 return self.dictionary.encode([str(value) for value in values])
@@ -208,7 +213,7 @@ class Column:
             if self.scaler is not None:
                 return self.scaler.transform(np.asarray(values, dtype=np.float64))
             return np.asarray(values, dtype=np.int64)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError, SchemaError) as exc:
             raise SchemaError(
                 f"values cannot be stored in column {self.name!r}: {exc}"
             ) from exc

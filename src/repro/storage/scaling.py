@@ -17,6 +17,9 @@ from repro.common.errors import SchemaError
 
 _MAX_DECIMALS = 9
 
+#: 2**63: scaled values must lie in ``[-2**63, 2**63)`` to fit ``int64``.
+_INT64_LIMIT = float(2**63)
+
 
 def _required_decimals(values: np.ndarray, max_decimals: int) -> int:
     """Return the smallest number of decimal digits that makes ``values`` integral."""
@@ -54,9 +57,18 @@ class FixedPointScaler:
         return cls(decimals=_required_decimals(array, max_decimals))
 
     def transform(self, values: np.ndarray) -> np.ndarray:
-        """Scale raw float values to ``int64``."""
-        array = np.asarray(values, dtype=np.float64)
-        return np.rint(array * self.factor).astype(np.int64)
+        """Scale raw float values to ``int64``.
+
+        A non-finite value, or one whose scaled value falls outside ``int64``,
+        raises :class:`SchemaError` instead of wrapping in the cast.
+        """
+        scaled = np.rint(np.asarray(values, dtype=np.float64) * self.factor)
+        # NaN fails both comparisons, so it is rejected with the infinities.
+        if not np.all((scaled >= -_INT64_LIMIT) & (scaled < _INT64_LIMIT)):
+            raise SchemaError(
+                f"values scaled by {self.factor} must be finite and fit in int64"
+            )
+        return scaled.astype(np.int64)
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         """Map stored integers back to their original floating-point values."""

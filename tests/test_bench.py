@@ -1,5 +1,6 @@
 """Tests for the benchmark harness and report formatting."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import KdTreeIndex, SingleDimensionIndex
@@ -62,6 +63,13 @@ class TestRunComparison:
         measurements = run_comparison(fresh_table, fresh_workload, factories, dataset_name="toy")
         assert [m.index_name for m in measurements] == ["single-dim", "kd-tree"]
         assert all(m.correct for m in measurements)
+
+    def test_each_index_builds_on_its_own_copy(self, fresh_table, fresh_workload):
+        loaded = {name: fresh_table.values(name).copy() for name in fresh_table.column_names}
+        factories = {"kd-tree": lambda: KdTreeIndex(page_size=512), "single-dim": SingleDimensionIndex}
+        run_comparison(fresh_table, fresh_workload, factories, dataset_name="toy")
+        for name, values in loaded.items():
+            assert np.array_equal(fresh_table.values(name), values)
 
     def test_default_factories_cover_paper_suite(self):
         names = set(default_index_factories())

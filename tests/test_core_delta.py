@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.baselines import FloodIndex, KdTreeIndex
+from repro.baselines import FloodIndex, FullScanIndex, KdTreeIndex
 from repro.common.errors import IndexBuildError, QueryError, SchemaError
 from repro.core.delta import MIN_BUFFER_CAPACITY, DeltaBuffer, DeltaBufferedIndex
+from repro.core.sharding import ShardedIndex
 from repro.core.tsunami import TsunamiConfig, TsunamiIndex
 from repro.query.engine import QueryEngine, execute_full_scan
 from repro.query.query import Query
+from repro.storage.column import Column
+from repro.storage.scaling import FixedPointScaler
 from repro.storage.table import Table
 
 
@@ -139,8 +142,8 @@ class TestMerging:
 class TestDeltaBuffer:
     def test_append_and_views(self):
         buffer = DeltaBuffer(["a", "b"])
-        buffer.append({"a": 1, "b": 10})
-        buffer.append({"a": 2, "b": 20})
+        buffer.append_many({"a": [1], "b": [10]})
+        buffer.append_many({"a": [2], "b": [20]})
         assert len(buffer) == 2
         assert buffer.column("a").tolist() == [1, 2]
         assert buffer.column("b").tolist() == [10, 20]
@@ -242,6 +245,34 @@ class TestVectorizedInsertMany:
         with pytest.raises(SchemaError):
             index.insert_many(rows)
         assert index.num_pending == 0
+
+    @pytest.mark.parametrize("column", ["plain", "price"])
+    @pytest.mark.parametrize(
+        "value",
+        [2**70, -(2**70), float("inf"), float("-inf"), float("nan"), 1e30, -1e30],
+    )
+    def test_unstorable_value_rejected_with_nothing_buffered(self, column, value):
+        def mixed_table() -> Table:
+            rng = np.random.default_rng(3)
+            return Table(
+                "mixed",
+                [
+                    Column("plain", rng.integers(0, 1_000, 400)),
+                    Column("price", rng.integers(0, 100_000, 400), scaler=FixedPointScaler(2)),
+                ],
+            )
+
+        def delta_factory() -> DeltaBufferedIndex:
+            return DeltaBufferedIndex(FullScanIndex, merge_threshold=10_000)
+
+        sharded = ShardedIndex(delta_factory, num_shards=2, shard_dimension="plain")
+        bad = {"plain": 5, "price": 12.5, column: value}
+        for index in (delta_factory().build(mixed_table()), sharded.build(mixed_table())):
+            with pytest.raises(SchemaError):
+                index.insert(bad)
+            with pytest.raises(SchemaError):
+                index.insert_many([{"plain": 6, "price": 1.25}, bad])
+            assert index.num_pending == 0
 
     def test_empty_insert_many_is_noop(self, fresh_table, fresh_workload):
         index = DeltaBufferedIndex(tsunami_factory, merge_threshold=10_000)

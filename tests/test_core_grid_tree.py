@@ -146,19 +146,19 @@ class TestRegionsForQuery:
         table = sales_table(seed=17)
         tree = GridTree().fit(table, fig2_workload(seed=18))
         everything = Query.from_ranges({"year": (0, 1000), "sales": (0, 10_000)})
-        assert len(tree.regions_for_query(everything)) == tree.num_regions
+        assert len(tree.regions_for_queries([everything])[0]) == tree.num_regions
 
     def test_narrow_query_touches_few_regions(self):
         table = sales_table(seed=19)
         tree = GridTree().fit(table, fig2_workload(seed=20))
         narrow = Query.from_ranges({"year": (990, 995)})
-        assert len(tree.regions_for_query(narrow)) < tree.num_regions
+        assert len(tree.regions_for_queries([narrow])[0]) < tree.num_regions
 
     def test_returned_regions_actually_intersect(self):
         table = sales_table(seed=21)
         tree = GridTree().fit(table, fig2_workload(seed=22))
         query = Query.from_ranges({"year": (800, 900)})
-        for node in tree.regions_for_query(query):
+        for node in tree.regions_for_queries([query])[0]:
             low, high = node.bounds["year"]
             assert 800 < high and 900 >= low
 
@@ -172,7 +172,7 @@ class TestRegionsForQuery:
             & (table.values("year") <= 400)
             & (table.values("sales") <= 2_000)
         )
-        touched = {node.region_id for node in tree.regions_for_query(query)}
+        touched = {node.region_id for node in tree.regions_for_queries([query])[0]}
         assert set(np.unique(regions[matching])).issubset(touched)
 
 

@@ -7,6 +7,7 @@ cache warming on repeats and invalidating when the layout is re-organized.
 
 import numpy as np
 import pytest
+from reference_router import regions_for_query
 
 from repro.baselines import FloodIndex
 from repro.common.errors import QueryError
@@ -185,7 +186,7 @@ class TestGridTreeBatchRouting:
         queries = list(workload)
         routed = index.grid_tree.regions_for_queries(queries)
         for query, nodes in zip(queries, routed):
-            expected = index.grid_tree.regions_for_query(query)
+            expected = regions_for_query(index.grid_tree, query)
             assert [n.region_id for n in nodes] == [n.region_id for n in expected]
 
 
