@@ -6,23 +6,31 @@ keeps the paper's shape.  A broken check is appended to
 :attr:`ExperimentResult.violations` with its bound; ``python -m
 repro.bench.cli run`` exits non-zero on any.  Each is bound to its scale by
 one figure config in ``benchmarks/configs/``.
+
+Drivers that compare indexes measure each with the scenario runner's timed
+pass, oracle and counters (:func:`measure_suite`, :func:`measure_pass`):
+cold, one query at a time, on its own copy of the loaded table.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
-from repro.baselines import FloodIndex, KdTreeIndex, ZOrderIndex
-from repro.bench.harness import (
-    IndexMeasurement,
-    default_index_factories,
-    expected_answers,
-    learned_index_factories,
-    measure_index,
-    run_comparison,
+import numpy as np
+
+from repro.baselines import (
+    FloodIndex,
+    HyperOctreeIndex,
+    KdTreeIndex,
+    SingleDimensionIndex,
+    ZOrderIndex,
 )
+from repro.baselines.base import ClusteredIndex
 from repro.bench.report import format_series, format_table, relative_factors
+from repro.bench.runner import _mismatches, _pass_counters, _serve
+from repro.bench.workloads import ScenarioData
 from repro.core.augmented_grid import AugmentedGrid
 from repro.core.cost_model import CostModel
 from repro.core.optimizer import (
@@ -42,7 +50,12 @@ from repro.datasets import (
 )
 from repro.datasets.tpch import make_tpch_dataset, tpch_shifted_templates, tpch_templates
 from repro.datasets.workload_gen import generate_workload, scale_template_selectivities
+from repro.query.engine import QueryEngine
+from repro.query.workload import Workload
 from repro.storage.scan import ScanExecutor
+from repro.storage.table import Table
+
+IndexFactory = Callable[[], ClusteredIndex]
 
 ALL_DATASETS = ("tpch", "taxi", "perfmon", "stocks")
 
@@ -67,26 +80,121 @@ def _check(violations: list[str], holds: bool, message: str) -> None:
         violations.append(message)
 
 
-def _check_correct(violations: list[str], label: str, measurements: list[IndexMeasurement]) -> None:
-    wrong = [m.index_name for m in measurements if not m.correct]
+def _check_correct(violations: list[str], label: str, entries: list[dict]) -> None:
+    wrong = [entry["index"] for entry in entries if not entry["correct"]]
     _check(violations, not wrong, f"{label}: {', '.join(wrong)} answered differently from a full scan")
 
 
 def _check_scans(
     violations: list[str],
     label: str,
-    measurements: list[IndexMeasurement],
+    entries: list[dict],
     baseline: str,
     bound: float,
 ) -> None:
     """Tsunami must scan at most ``bound`` x ``baseline``'s points per query."""
-    scanned = {m.index_name: m.avg_points_scanned for m in measurements}
+    scanned = {entry["index"]: entry["avg_points_scanned"] for entry in entries}
     _check(
         violations,
         scanned["tsunami"] <= scanned[baseline] * bound,
         f"{label}: tsunami scans {scanned['tsunami']:.1f} points/query, "
         f"over {bound:.2f}x {baseline}'s {scanned[baseline]:.1f}",
     )
+
+
+# ---------------------------------------------------------------------------
+# Measuring an index: the scenario runner's timed pass, oracle and counters
+# ---------------------------------------------------------------------------
+
+
+class _ServedAlone:
+    """A figure's serving stack: each query alone, through ``QueryEngine.run``."""
+
+    def __init__(self, index: ClusteredIndex) -> None:
+        self.engine = QueryEngine(index)
+
+    def run_segment(self, queries: list) -> list:
+        return [self.engine.run(query) for query in queries]
+
+
+def measure_pass(name: str, index: ClusteredIndex, table: Table, workload: Workload) -> dict:
+    """One cold timed pass of ``workload`` over the built ``index``.
+
+    Each query is served alone, and every answer is checked against a full
+    scan of ``table``.  The entry has a scenario report's index keys, plus
+    the index's size, its build split and its ``describe()``.
+    """
+    data = ScenarioData(table=table, build_workload=workload, stream=list(workload))
+    served = _serve(_ServedAlone(index), data)
+    build = index.build_report
+    return {
+        "index": name,
+        "kind": index.name,
+        "variant": "plain",
+        "build_seconds": round(build.total_seconds, 4),
+        **_pass_counters(served, _mismatches(served, data)),
+        "index_size_bytes": index.index_size_bytes(),
+        "sort_seconds": round(build.sort_seconds, 4),
+        "optimize_seconds": round(build.optimize_seconds, 4),
+        "describe": index.describe(),
+    }
+
+
+def _own_copy(table: Table) -> Table:
+    """A copy of ``table`` for one index to build on.
+
+    A build re-clusters its table in place, so a shared table would hand
+    every optimizer the row order the previous build left.  ``table`` keeps
+    its order and stays the full-scan oracle's table.
+    """
+    return table.subset(np.arange(table.num_rows), name=table.name)
+
+
+def measure_suite(
+    table: Table, workload: Workload, factories: Mapping[str, IndexFactory]
+) -> list[dict]:
+    """Build every index of ``factories`` on its own copy of ``table`` and
+    measure it on ``workload``."""
+    return [
+        measure_pass(name, factory().build(_own_copy(table), workload), table, workload)
+        for name, factory in factories.items()
+    ]
+
+
+def _row(entry: dict, dataset: str, num_rows: int) -> dict:
+    """One index's line in a Fig. 7-style table."""
+    return {
+        "index": entry["index"],
+        "dataset": dataset,
+        "rows": num_rows,
+        "queries/s": entry["queries_per_second"],
+        "avg query (ms)": round(entry["seconds_total"] / max(entry["num_queries"], 1) * 1e3, 3),
+        "avg scanned": entry["avg_points_scanned"],
+        "avg cell ranges": entry["avg_cell_ranges"],
+        "index size (KiB)": round(entry["index_size_bytes"] / 1024, 1),
+        "build (s)": round(entry["build_seconds"], 2),
+        "optimize (s)": round(entry["optimize_seconds"], 2),
+        "correct": entry["correct"],
+    }
+
+
+def default_index_factories(page_size: int = 2048) -> dict[str, IndexFactory]:
+    """The standard index suite compared in Fig. 7 / Fig. 8."""
+    return {
+        "single-dim": SingleDimensionIndex,
+        "z-order": lambda: ZOrderIndex(page_size=page_size),
+        "hyperoctree": lambda: HyperOctreeIndex(page_size=page_size),
+        "kd-tree": lambda: KdTreeIndex(page_size=page_size),
+        **learned_index_factories(),
+    }
+
+
+def learned_index_factories() -> dict[str, IndexFactory]:
+    """Only the learned indexes (used by the scaling sweeps to keep runtime low)."""
+    return {
+        "flood": lambda: FloodIndex(target_points_per_cell=128),
+        "tsunami": TsunamiIndex,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -200,38 +308,38 @@ def experiment_overall(
     """Regenerate Fig. 7 (query throughput) and Fig. 8 (index size) in one pass."""
     factories = default_index_factories() if include_nonlearned else learned_index_factories()
     all_rows = []
-    data: dict[str, list[IndexMeasurement]] = {}
+    data: dict[str, list[dict]] = {}
     violations: list[str] = []
     scan_misses: list[str] = []
     for name in datasets:
         table, workload = load_dataset(
             name, num_rows=num_rows, queries_per_type=queries_per_type, seed=seed
         )
-        measurements = run_comparison(table, workload, factories, dataset_name=name)
-        data[name] = measurements
-        throughput = {m.index_name: m.queries_per_second for m in measurements}
+        entries = measure_suite(table, workload, factories)
+        data[name] = entries
+        throughput = {entry["index"]: entry["queries_per_second"] for entry in entries}
         speedups = relative_factors(throughput, reference="flood") if "flood" in throughput else {}
-        for measurement in measurements:
-            row = measurement.as_row()
+        for entry in entries:
+            row = _row(entry, name, table.num_rows)
             row["vs flood"] = (
-                f"{speedups.get(measurement.index_name, float('nan')):.2f}x" if speedups else "-"
+                f"{speedups.get(entry['index'], float('nan')):.2f}x" if speedups else "-"
             )
             all_rows.append(row)
 
-        _check_correct(violations, name, measurements)
+        _check_correct(violations, name, entries)
         # Paper shape: Tsunami is the fastest learned index.
         _check(
             violations,
             throughput["tsunami"] >= throughput["flood"],
             f"{name}: tsunami serves {speedups['tsunami']:.2f}x flood's queries/s, under 1.00x",
         )
-        _check_scans(scan_misses, name, measurements, "flood", 1.10)
+        _check_scans(scan_misses, name, entries, "flood", 1.10)
         # Fig. 8: both learned indexes stay a small fraction of the data
         # (rows x 7 int64 columns).
-        by_name = {m.index_name: m for m in measurements}
-        data_bytes = by_name["tsunami"].num_rows * 8 * 7
+        by_name = {entry["index"]: entry for entry in entries}
+        data_bytes = table.num_rows * 8 * 7
         for index_name in ("tsunami", "flood"):
-            size = by_name[index_name].index_size_bytes
+            size = by_name[index_name]["index_size_bytes"]
             _check(
                 violations,
                 size < 0.25 * data_bytes,
@@ -267,61 +375,44 @@ def experiment_adaptability(
         table, tpch_shifted_templates(queries_per_type), seed=2, name="tpch_shifted"
     )
 
-    tsunami = TsunamiIndex()
-    before = measure_index(tsunami, table, original, dataset_name="tpch")
-
-    # The workload changes "at midnight": the old layout now serves new queries.
-    expected_shifted = expected_answers(table, shifted)
-    degraded_seconds = 0.0
-    degraded_scanned = 0
-    correct = True
-    for position, query in enumerate(shifted):
-        start = time.perf_counter()
-        result = tsunami.execute(query)
-        degraded_seconds += time.perf_counter() - start
-        degraded_scanned += result.stats.points_scanned
-        correct &= result.value == expected_shifted[position]
-
+    # Three passes over one index: the optimized layout, the stale layout
+    # once the workload changes "at midnight", and the re-optimized layout.
+    tsunami = TsunamiIndex().build(_own_copy(table), original)
+    before = measure_pass("tsunami", tsunami, table, original)
+    degraded = measure_pass("tsunami", tsunami, table, shifted)
     reoptimize_seconds = tsunami.reoptimize(shifted)
-    after = measure_index(tsunami, table, shifted, dataset_name="tpch", expected=expected_shifted)
+    after = measure_pass("tsunami", tsunami, table, shifted)
 
+    phases = {
+        "original workload (optimized)": before,
+        "after shift (stale layout)": degraded,
+        f"after re-optimization ({reoptimize_seconds:.1f}s)": after,
+    }
     rows = [
         {
-            "phase": "original workload (optimized)",
-            "queries/s": round(before.queries_per_second, 1),
-            "avg scanned": round(before.avg_points_scanned, 1),
-            "correct": before.correct,
-        },
-        {
-            "phase": "after shift (stale layout)",
-            "queries/s": round(len(shifted) / degraded_seconds, 1) if degraded_seconds else float("inf"),
-            "avg scanned": round(degraded_scanned / max(len(shifted), 1), 1),
-            "correct": correct,
-        },
-        {
-            "phase": f"after re-optimization ({reoptimize_seconds:.1f}s)",
-            "queries/s": round(after.queries_per_second, 1),
-            "avg scanned": round(after.avg_points_scanned, 1),
-            "correct": after.correct,
-        },
+            "phase": phase,
+            "queries/s": entry["queries_per_second"],
+            "avg scanned": entry["avg_points_scanned"],
+            "correct": entry["correct"],
+        }
+        for phase, entry in phases.items()
     ]
     data = {
         "before": before,
-        "degraded_avg_scanned": degraded_scanned / max(len(shifted), 1),
-        "degraded_avg_seconds": degraded_seconds / max(len(shifted), 1),
+        "degraded": degraded,
         "reoptimize_seconds": reoptimize_seconds,
         "after": after,
     }
     violations: list[str] = []
-    _check(violations, before.correct, "original workload: wrong answers")
-    _check(violations, after.correct, "after re-optimization: wrong answers")
+    for phase, entry in phases.items():
+        _check(violations, entry["correct"], f"{phase}: wrong answers")
     # Re-optimizing for the new workload must restore (or improve) the amount
     # of work per query relative to the stale layout.
     _check(
         violations,
-        after.avg_points_scanned <= data["degraded_avg_scanned"] * 1.05,
-        f"re-optimized layout scans {after.avg_points_scanned:.1f} points/query, "
-        f"over 1.05x the stale layout's {data['degraded_avg_scanned']:.1f}",
+        after["avg_points_scanned"] <= degraded["avg_points_scanned"] * 1.05,
+        f"re-optimized layout scans {after['avg_points_scanned']:.1f} points/query, "
+        f"over 1.05x the stale layout's {degraded['avg_points_scanned']:.1f}",
     )
     _check(violations, reoptimize_seconds > 0, "re-optimization took no time")
     return ExperimentResult("Fig. 9a: adaptability to workload shift", format_table(rows), data, violations)
@@ -398,14 +489,14 @@ def experiment_dimensions(
         workload = synthetic_scaling_workload(
             table, queries_per_type=queries_per_type, seed=seed + 1
         )
-        measurements = run_comparison(table, workload, factories, dataset_name=table.name)
-        data[dims] = measurements
-        for measurement in measurements:
-            series[measurement.index_name].append(measurement.queries_per_second)
-        _check_correct(violations, f"d={dims}", measurements)
+        entries = measure_suite(table, workload, factories)
+        data[dims] = entries
+        for entry in entries:
+            series[entry["index"]].append(entry["queries_per_second"])
+        _check_correct(violations, f"d={dims}", entries)
         if correlated:
             # On correlated data Tsunami must not do more scan work than Flood.
-            _check_scans(violations, f"d={dims}", measurements, "flood", 1.10)
+            _check_scans(violations, f"d={dims}", entries, "flood", 1.10)
     kind = "correlated" if correlated else "uncorrelated"
     report = format_series("dimensions", list(dimension_counts), series)
     return ExperimentResult(f"Fig. 10: throughput vs dimensionality ({kind})", report, data, violations)
@@ -433,11 +524,11 @@ def experiment_dataset_size(
         table, workload = load_dataset(
             "tpch", num_rows=rows, queries_per_type=queries_per_type, seed=seed
         )
-        measurements = run_comparison(table, workload, factories, dataset_name=f"tpch_{rows}")
-        data[rows] = measurements
-        for measurement in measurements:
-            series[measurement.index_name].append(measurement.queries_per_second)
-        _check_correct(violations, f"{rows} rows", measurements)
+        entries = measure_suite(table, workload, factories)
+        data[rows] = entries
+        for entry in entries:
+            series[entry["index"]].append(entry["queries_per_second"])
+        _check_correct(violations, f"{rows} rows", entries)
     # Tsunami's advantage over Flood in scan work must hold at the largest size.
     _check_scans(violations, f"{row_counts[-1]} rows", data[row_counts[-1]], "flood", 1.10)
     report = format_series("rows", list(row_counts), series)
@@ -465,11 +556,11 @@ def experiment_selectivity(
         workload = generate_workload(table, templates, seed=seed + 3, name=f"sel_{factor}")
         stats = workload.statistics(table)
         selectivities.append(round(stats.avg_selectivity, 6))
-        measurements = run_comparison(table, workload, factories, dataset_name=f"sel_{factor}")
-        data[factor] = {"measurements": measurements, "avg_selectivity": stats.avg_selectivity}
-        for measurement in measurements:
-            series[measurement.index_name].append(measurement.queries_per_second)
-        _check_correct(violations, f"factor {factor}", measurements)
+        entries = measure_suite(table, workload, factories)
+        data[factor] = {"measurements": entries, "avg_selectivity": stats.avg_selectivity}
+        for entry in entries:
+            series[entry["index"]].append(entry["queries_per_second"])
+        _check_correct(violations, f"factor {factor}", entries)
     averages = [info["avg_selectivity"] for info in data.values()]
     _check(violations, averages == sorted(averages), f"average selectivities {averages} do not rise with the factor")
     report = format_series("avg selectivity", selectivities, series)
@@ -501,22 +592,22 @@ def experiment_components(
         table, workload = load_dataset(
             name, num_rows=num_rows, queries_per_type=queries_per_type, seed=seed
         )
-        measurements = run_comparison(table, workload, factories, dataset_name=name)
-        data[name] = measurements
-        _check_correct(violations, name, measurements)
+        entries = measure_suite(table, workload, factories)
+        data[name] = entries
+        _check_correct(violations, name, entries)
         # The full composition must not do more scan work than plain Flood.
-        _check_scans(violations, name, measurements, "flood", 1.10)
-        throughput = {m.index_name: m.queries_per_second for m in measurements}
+        _check_scans(violations, name, entries, "flood", 1.10)
+        throughput = {entry["index"]: entry["queries_per_second"] for entry in entries}
         factors = relative_factors(throughput, reference="flood")
-        for measurement in measurements:
+        for entry in entries:
             rows.append(
                 {
                     "dataset": name,
-                    "variant": measurement.index_name,
-                    "queries/s": round(measurement.queries_per_second, 1),
-                    "avg scanned": round(measurement.avg_points_scanned, 1),
-                    "vs flood": f"{factors[measurement.index_name]:.2f}x",
-                    "correct": measurement.correct,
+                    "variant": entry["index"],
+                    "queries/s": entry["queries_per_second"],
+                    "avg scanned": entry["avg_points_scanned"],
+                    "vs flood": f"{factors[entry['index']]:.2f}x",
+                    "correct": entry["correct"],
                 }
             )
     return ExperimentResult("Fig. 12a: component drill-down", format_table(rows), data, violations)

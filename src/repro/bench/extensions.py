@@ -29,8 +29,15 @@ import time
 import numpy as np
 
 from repro.baselines import FloodIndex, GridFileIndex, RTreeIndex
-from repro.bench.experiments import ExperimentResult, _check, _check_correct, _check_scans
-from repro.bench.harness import default_index_factories, run_comparison
+from repro.bench.experiments import (
+    ExperimentResult,
+    _check,
+    _check_correct,
+    _check_scans,
+    _row,
+    default_index_factories,
+    measure_suite,
+)
 from repro.bench.report import format_table
 from repro.core.augmented_grid import AugmentedGrid, AugmentedGridConfig
 from repro.core.cost_model import CostModel
@@ -73,13 +80,13 @@ def experiment_extended_baselines(
         factories = default_index_factories(page_size=page_size)
         factories["grid-file"] = lambda: GridFileIndex(page_size=page_size)
         factories["r-tree"] = lambda: RTreeIndex(page_size=page_size)
-        measurements = run_comparison(table, workload, factories, dataset_name=name)
-        data[name] = measurements
-        rows.extend(measurement.as_row() for measurement in measurements)
-        _check_correct(violations, name, measurements)
+        entries = measure_suite(table, workload, factories)
+        data[name] = entries
+        rows.extend(_row(entry, name, table.num_rows) for entry in entries)
+        _check_correct(violations, name, entries)
         # Flood's §6.1 claim on our substrate: learned beats both traditional baselines.
         for baseline in ("grid-file", "r-tree"):
-            _check_scans(violations, name, measurements, baseline, 1.05)
+            _check_scans(violations, name, entries, baseline, 1.05)
     return ExperimentResult(
         "Extended baselines: Grid File and R-tree vs the Fig. 7 suite",
         format_table(rows),

@@ -21,7 +21,9 @@
    the baseline and recovered passes — and the report carries
    machine-independent work counters next to the wall-clock numbers.
    Every timed pass starts from a collected heap; with ``repetitions`` > 1
-   the report carries the median of each timing.
+   the report carries the median of each timing.  The paper-figure drivers
+   (:mod:`repro.bench.experiments`) time, check and count their indexes
+   with the same pass, oracle and counters.
 4. Smoke thresholds (correctness, throughput floors, index-vs-index speedup,
    update-rate degradation, fault recovery) are evaluated into
    ``violations``; CI fails a smoke config whose report has any.
@@ -237,10 +239,10 @@ class _Serving:
 class _Oracle:
     """Full-scan ground truth, tracking writes as they land mid-stream.
 
-    The base table's answer per unique query is full-scanned once and cached;
-    rows inserted so far are filtered vectorized per query.  Scenario
-    workloads aggregate with ``count``, so the expected answer is simply the
-    base count plus the matching-insert count.
+    The base table's answer per unique query is full-scanned once and cached,
+    whatever its aggregate; rows inserted so far are filtered vectorized per
+    query.  Streams with writes aggregate with ``count``, so the expected
+    answer is then the base count plus the matching-insert count.
     """
 
     def __init__(self, table: Table):
@@ -275,6 +277,100 @@ class _Oracle:
         return base + float(np.count_nonzero(mask))
 
 
+def _segments(data: ScenarioData):
+    """Split the stream at write positions: [(queries, rows-to-insert-after)]."""
+    stream = data.stream
+    cuts = [(event.position, event.rows) for event in data.writes]
+    segments = []
+    last = 0
+    for position, rows in cuts:
+        position = min(position, len(stream))
+        segments.append((stream[last:position], rows))
+        last = position
+    if last < len(stream):
+        segments.append((stream[last:], None))
+    return segments or [(stream, None)]
+
+
+def _serve(serving, data: ScenarioData) -> dict:
+    """One timed pass over the stream, inserting each write batch on cue.
+
+    ``serving`` answers a list of queries with ``run_segment`` and takes a
+    write batch with ``insert_many`` (called only when ``data`` has writes).
+    """
+    gc.collect()  # start from a heap without the previous pass's garbage
+    outcomes: list = []
+    insert_log: list[tuple[int, list[dict]]] = []
+    insert_seconds = 0.0
+    start = time.perf_counter()
+    for queries, rows in _segments(data):
+        outcomes.extend(serving.run_segment(queries))
+        if rows is not None:
+            write_start = time.perf_counter()
+            serving.insert_many(rows)
+            insert_seconds += time.perf_counter() - write_start
+            insert_log.append((len(outcomes), rows))
+    return {
+        "outcomes": outcomes,
+        "insert_log": insert_log,
+        "seconds": time.perf_counter() - start,
+        "insert_seconds": insert_seconds,
+    }
+
+
+def _mismatches(served: dict, data: ScenarioData) -> int:
+    """Answers of one pass that differ from the full-scan oracle."""
+    oracle = _Oracle(data.table)
+    insert_log = served["insert_log"]
+    cursor = 0
+    mismatches = 0
+    for position, outcome in enumerate(served["outcomes"]):
+        while cursor < len(insert_log) and insert_log[cursor][0] <= position:
+            oracle.absorb(insert_log[cursor][1])
+            cursor += 1
+        if outcome.value != oracle.expected(data.stream[position]):
+            mismatches += 1
+    return mismatches
+
+
+def _pass_counters(served: dict, mismatches: int) -> dict:
+    """A report entry's measurements of one pass: throughput, scan work,
+    inserts, and how many answers missed the oracle."""
+    outcomes = served["outcomes"]
+    elapsed = served["seconds"]
+    insert_seconds = served["insert_seconds"]
+    rows_inserted = sum(len(rows) for _, rows in served["insert_log"])
+    points = sum(outcome.stats.points_scanned for outcome in outcomes)
+    ranges = sum(outcome.stats.cell_ranges for outcome in outcomes)
+    values_scanned = sum(outcome.stats.values_scanned for outcome in outcomes)
+    bytes_scanned = sum(outcome.stats.bytes_scanned for outcome in outcomes)
+    num_queries = max(len(outcomes), 1)
+    return {
+        "num_queries": len(outcomes),
+        "seconds_total": round(elapsed, 4),
+        "queries_per_second": _rate(len(outcomes), elapsed),
+        "rows_scanned_per_sec": _rate(points, elapsed),
+        "avg_points_scanned": round(points / num_queries, 1),
+        "avg_cell_ranges": round(ranges / num_queries, 2),
+        "values_scanned": values_scanned,
+        "bytes_scanned": bytes_scanned,
+        # Machine-independent compression headline: an all-int64 scan sits
+        # at exactly 8.0 bytes per value read.
+        "bytes_per_value_scanned": (
+            round(bytes_scanned / values_scanned, 3) if values_scanned else None
+        ),
+        "rows_inserted": rows_inserted,
+        # Sustained insert rate over the insert_many calls alone (merge
+        # cost included — that is the point of measuring it).
+        "insert_seconds": round(insert_seconds, 4),
+        "rows_inserted_per_second": (
+            _rate(rows_inserted, insert_seconds) if rows_inserted else None
+        ),
+        "correct": mismatches == 0,
+        "mismatches": mismatches,
+    }
+
+
 class ScenarioRunner:
     """Executes a scenario config into a schema-versioned report."""
 
@@ -283,56 +379,6 @@ class ScenarioRunner:
         self.config = config
 
     # -- measurement ------------------------------------------------------------------
-
-    def _segments(self, data: ScenarioData):
-        """Split the stream at write positions: [(queries, rows-to-insert-after)]."""
-        stream = data.stream
-        cuts = [(event.position, event.rows) for event in data.writes]
-        segments = []
-        last = 0
-        for position, rows in cuts:
-            position = min(position, len(stream))
-            segments.append((stream[last:position], rows))
-            last = position
-        if last < len(stream):
-            segments.append((stream[last:], None))
-        return segments or [(stream, None)]
-
-    def _serve(self, serving: _Serving, data: ScenarioData) -> dict:
-        """One timed pass over the stream, inserting each write batch on cue."""
-        gc.collect()  # start from a heap without the previous pass's garbage
-        outcomes: list = []
-        insert_log: list[tuple[int, list[dict]]] = []
-        insert_seconds = 0.0
-        start = time.perf_counter()
-        for queries, rows in self._segments(data):
-            outcomes.extend(serving.run_segment(queries))
-            if rows is not None:
-                write_start = time.perf_counter()
-                serving.insert_many(rows)
-                insert_seconds += time.perf_counter() - write_start
-                insert_log.append((len(outcomes), rows))
-        return {
-            "outcomes": outcomes,
-            "insert_log": insert_log,
-            "seconds": time.perf_counter() - start,
-            "insert_seconds": insert_seconds,
-        }
-
-    @staticmethod
-    def _mismatches(served: dict, data: ScenarioData) -> int:
-        """Answers of one pass that differ from the full-scan oracle."""
-        oracle = _Oracle(data.table)
-        insert_log = served["insert_log"]
-        cursor = 0
-        mismatches = 0
-        for position, outcome in enumerate(served["outcomes"]):
-            while cursor < len(insert_log) and insert_log[cursor][0] <= position:
-                oracle.absorb(insert_log[cursor][1])
-                cursor += 1
-            if outcome.value != oracle.expected(data.stream[position]):
-                mismatches += 1
-        return mismatches
 
     def _serve_faulted(self, serving: _Serving, data: ScenarioData) -> dict[str, dict]:
         """Baseline, faulted, and recovered passes over one sharded index.
@@ -346,7 +392,7 @@ class ScenarioRunner:
         for phase in ("baseline", "faulted", "recovered"):
             before = stats.as_dict()
             with faults.active(plan) if phase == "faulted" else nullcontext():
-                served = self._serve(serving, data)
+                served = _serve(serving, data)
             after = stats.as_dict()
             served["summary"] = {
                 "queries_per_second": _rate(len(served["outcomes"]), served["seconds"]),
@@ -373,49 +419,18 @@ class ScenarioRunner:
                 served = passes["faulted"]
                 verified = [passes["baseline"], passes["recovered"]]
             else:
-                served = self._serve(serving, data)
+                served = _serve(serving, data)
                 verified = [served]
             details = serving.describe()
         finally:
             serving.close()
 
-        outcomes = served["outcomes"]
-        elapsed = served["seconds"]
-        insert_seconds = served["insert_seconds"]
-        rows_inserted = sum(len(rows) for _, rows in served["insert_log"])
-        mismatches = sum(self._mismatches(run, data) for run in verified)
-        points = sum(outcome.stats.points_scanned for outcome in outcomes)
-        ranges = sum(outcome.stats.cell_ranges for outcome in outcomes)
-        values_scanned = sum(outcome.stats.values_scanned for outcome in outcomes)
-        bytes_scanned = sum(outcome.stats.bytes_scanned for outcome in outcomes)
-        num_queries = max(len(outcomes), 1)
         result = {
             "index": index_config.name,
             "kind": index_config.kind,
             "variant": index_config.variant,
             "build_seconds": round(serving.build_seconds, 4),
-            "num_queries": len(outcomes),
-            "seconds_total": round(elapsed, 4),
-            "queries_per_second": _rate(len(outcomes), elapsed),
-            "rows_scanned_per_sec": _rate(points, elapsed),
-            "avg_points_scanned": round(points / num_queries, 1),
-            "avg_cell_ranges": round(ranges / num_queries, 2),
-            "values_scanned": values_scanned,
-            "bytes_scanned": bytes_scanned,
-            # Machine-independent compression headline: an all-int64 scan sits
-            # at exactly 8.0 bytes per value read.
-            "bytes_per_value_scanned": (
-                round(bytes_scanned / values_scanned, 3) if values_scanned else None
-            ),
-            "rows_inserted": rows_inserted,
-            # Sustained insert rate over the insert_many calls alone (merge
-            # cost included — that is the point of measuring it).
-            "insert_seconds": round(insert_seconds, 4),
-            "rows_inserted_per_second": (
-                _rate(rows_inserted, insert_seconds) if rows_inserted else None
-            ),
-            "correct": mismatches == 0,
-            "mismatches": mismatches,
+            **_pass_counters(served, sum(_mismatches(run, data) for run in verified)),
         }
         if faulted:
             phases = {phase: run["summary"] for phase, run in passes.items()}

@@ -66,6 +66,11 @@ from repro.storage.table import Table
 #: unreasonable partition vector (§5.1 discusses exactly this space blow-up).
 DEFAULT_MAX_CELLS = 1 << 20
 
+#: Knot caps of an independent dimension's CDF model and of each
+#: conditional CDF.
+CDF_KNOTS = 64
+CONDITIONAL_KNOTS = 32
+
 
 @dataclass(frozen=True)
 class AugmentedGridConfig:
@@ -81,8 +86,6 @@ class AugmentedGridConfig:
     skeleton: Skeleton
     partitions: dict[str, int]
     max_cells: int = DEFAULT_MAX_CELLS
-    cdf_knots: int = 64
-    conditional_knots: int = 32
     outlier_aware_mappings: bool = False
     outlier_fraction: float = 0.05
 
@@ -231,7 +234,7 @@ class AugmentedGrid:
                 continue
             # Model resolution only needs to resolve ``count`` partition
             # boundaries, so size the knot budget proportionally.
-            knots = min(self.config.cdf_knots, max(8, 4 * count))
+            knots = min(CDF_KNOTS, max(8, 4 * count))
             key = ("cdf", dim, knots)
             model = cache.get(key)
             if model is None:
@@ -255,7 +258,7 @@ class AugmentedGrid:
             if count == 1:
                 partition_ids[dim] = np.zeros(table.num_rows, dtype=np.int64)
                 continue
-            knots = min(self.config.conditional_knots, max(4, 4 * count))
+            knots = min(CONDITIONAL_KNOTS, max(4, 4 * count))
             key = ("cond", dim, base, self.config.partitions[base], knots)
             model = cache.get(key)
             if model is None:

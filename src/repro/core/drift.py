@@ -21,11 +21,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.query_types import cluster_query_types, queries_by_type
+from repro.core.query_types import DEFAULT_EPS, cluster_query_types, queries_by_type
 from repro.query.query import Query
 from repro.query.selectivity import selectivity_vector
 from repro.query.workload import Workload
 from repro.storage.table import Table
+
+#: Fraction of observed queries matching no known query type above which
+#: drift is declared (a "new query type appeared").
+NEW_TYPE_THRESHOLD = 0.25
+#: Total variation distance between the fitted and observed query-type
+#: frequencies above which drift is declared.
+FREQUENCY_THRESHOLD = 0.30
+#: Rows of the fitted table the selectivity embeddings are estimated on, and
+#: the seed of that sample and of query-type clustering.
+SAMPLE_ROWS = 20_000
+SAMPLE_SEED = 53
 
 
 @dataclass(frozen=True)
@@ -59,25 +70,10 @@ class DriftReport:
 class WorkloadDriftDetector:
     """Detects when the observed workload has drifted from the optimized one.
 
-    Parameters
-    ----------
-    new_type_threshold:
-        Fraction of observed queries that fail to match any known query type
-        above which drift is declared (a "new query type appeared").
-    frequency_threshold:
-        Total variation distance between the old and new query-type frequency
-        distributions above which drift is declared.
-    match_tolerance:
-        Maximum Euclidean distance (in selectivity-embedding space) for an
-        observed query to be considered an instance of a known type; matches
-        the DBSCAN ``eps`` used for type clustering by default.
+    An observed query is an instance of a known type when its selectivity
+    embedding lies within the type-clustering DBSCAN ``eps``
+    (:data:`~repro.core.query_types.DEFAULT_EPS`) of that type's centroid.
     """
-
-    new_type_threshold: float = 0.25
-    frequency_threshold: float = 0.30
-    match_tolerance: float = 0.2
-    sample_rows: int = 20_000
-    seed: int = 53
 
     _table: Table | None = field(default=None, init=False, repr=False)
     _sample: Table | None = field(default=None, init=False, repr=False)
@@ -94,11 +90,11 @@ class WorkloadDriftDetector:
             raise ValueError("cannot fit a drift detector on an empty workload")
         self._table = table
         self._sample = table
-        if table.num_rows > self.sample_rows:
-            self._sample = table.sample_rows(self.sample_rows, np.random.default_rng(self.seed))
+        if table.num_rows > SAMPLE_ROWS:
+            self._sample = table.sample_rows(SAMPLE_ROWS, np.random.default_rng(SAMPLE_SEED))
         typed = workload
         if any(query.query_type is None for query in workload):
-            typed = cluster_query_types(table, workload, seed=self.seed)
+            typed = cluster_query_types(table, workload, seed=SAMPLE_SEED)
         groups = queries_by_type(typed)
         total = sum(len(queries) for queries in groups.values())
         self._type_centroids = {}
@@ -148,7 +144,7 @@ class WorkloadDriftDetector:
             distance = float(np.linalg.norm(embedding - centroid))
             if best is None or distance < best[0]:
                 best = (distance, type_id)
-        if best is None or best[0] > self.match_tolerance:
+        if best is None or best[0] > DEFAULT_EPS:
             return None
         return best[1]
 
@@ -184,13 +180,13 @@ class WorkloadDriftDetector:
         )
 
         reasons = []
-        if new_type_fraction > self.new_type_threshold:
+        if new_type_fraction > NEW_TYPE_THRESHOLD:
             reasons.append(
                 f"{new_type_fraction:.0%} of observed queries match no known query type"
             )
         if disappeared:
             reasons.append(f"query types {list(disappeared)} disappeared from the workload")
-        if frequency_shift > self.frequency_threshold:
+        if frequency_shift > FREQUENCY_THRESHOLD:
             reasons.append(
                 f"query-type frequencies shifted by {frequency_shift:.0%} (total variation)"
             )

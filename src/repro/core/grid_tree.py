@@ -9,8 +9,8 @@ to remove inter-region skew so that a simple grid index per region works well.
 Construction (§4.3) is greedy and recursive: at each node, every dimension is
 evaluated with a skew tree (:mod:`repro.core.skew`) to find the split values
 that remove the most combined query skew; the best dimension wins, unless the
-reduction or the node's point/query share falls below the configured
-thresholds, in which case the node becomes a leaf region.
+reduction or the node's point/query share falls below fixed thresholds
+(the module constants below), in which case the node becomes a leaf region.
 """
 
 from __future__ import annotations
@@ -26,20 +26,25 @@ from repro.query.query import Query
 from repro.query.workload import Workload
 from repro.storage.table import Table
 
+#: A node whose best split removes less skew than this fraction of its
+#: query count stays a leaf (§4.3.2).
+MIN_SKEW_REDUCTION_FRACTION = 0.05
+#: A node holding at most this fraction of the table's points stays a leaf.
+MIN_POINTS_FRACTION = 0.01
+#: A node intersected by at most this fraction of the workload stays a leaf.
+MIN_QUERIES_FRACTION = 0.05
+#: A dimension with at most this many distinct values gets one histogram
+#: bin per value instead of equi-width bins.
+MAX_UNIQUE_VALUES_FOR_EXACT_BINS = 128
+
 
 @dataclass(frozen=True)
 class GridTreeConfig:
-    """Tuning knobs for Grid Tree construction (defaults follow §4.3)."""
+    """Size limits for Grid Tree construction (defaults follow §4.3)."""
 
-    num_histogram_bins: int = 128
-    min_skew_reduction_fraction: float = 0.05
-    min_points_fraction: float = 0.01
-    min_queries_fraction: float = 0.05
-    merge_tolerance: float = 0.10
     max_depth: int = 4
     max_children: int = 6
     max_regions: int = 48
-    max_unique_values_for_exact_bins: int = 128
 
 
 @dataclass
@@ -90,7 +95,7 @@ class GridTree:
             bounds[dim] = (float(low), float(high) + 1.0)
             values = table.values(dim)
             distinct = np.unique(values)
-            if len(distinct) <= self.config.max_unique_values_for_exact_bins:
+            if len(distinct) <= MAX_UNIQUE_VALUES_FOR_EXACT_BINS:
                 unique_values[dim] = distinct.astype(np.float64)
             else:
                 unique_values[dim] = None
@@ -140,13 +145,7 @@ class GridTree:
             if not per_type:
                 continue
             candidate = evaluate_split_dimension(
-                dimension,
-                per_type,
-                low,
-                high,
-                num_bins=self.config.num_histogram_bins,
-                unique_values=self._unique_values.get(dimension),
-                merge_tolerance=self.config.merge_tolerance,
+                dimension, per_type, low, high, unique_values=self._unique_values.get(dimension)
             )
             if not candidate.split_values:
                 continue
@@ -188,15 +187,15 @@ class GridTree:
         if (
             depth >= self.config.max_depth
             or len(self.leaves) + reserved + 1 > self.config.max_regions
-            or len(row_ids) <= self.config.min_points_fraction * total_points
-            or len(queries) <= self.config.min_queries_fraction * total_queries
+            or len(row_ids) <= MIN_POINTS_FRACTION * total_points
+            or len(queries) <= MIN_QUERIES_FRACTION * total_queries
         ):
             return self._make_leaf(node)
 
         candidate = self._best_split(queries, bounds)
         if candidate is None:
             return self._make_leaf(node)
-        if candidate.skew_reduction < self.config.min_skew_reduction_fraction * len(queries):
+        if candidate.skew_reduction < MIN_SKEW_REDUCTION_FRACTION * len(queries):
             return self._make_leaf(node)
 
         dimension = candidate.dimension

@@ -389,7 +389,12 @@ class AdaptiveGradientDescent:
         partitions: dict[str, int],
         current_cost: float,
     ) -> tuple[dict[str, int], float]:
-        """One descent step over the partition vector using numerical gradients."""
+        """One descent step over the partition vector using numerical gradients.
+
+        A neighbour over the cell budget costs ``inf`` and contributes no
+        slope: that side differences against the current layout instead, and
+        a dimension with both neighbours infeasible has zero slope.
+        """
         grid_dims = skeleton.grid_dimensions
         if not grid_dims:
             return partitions, current_cost
@@ -402,6 +407,10 @@ class AdaptiveGradientDescent:
             lower[dim] = max(1, partitions[dim] - delta)
             cost_up = evaluator.evaluate(skeleton, upper)
             cost_down = evaluator.evaluate(skeleton, lower)
+            if math.isinf(cost_up):
+                upper, cost_up = partitions, current_cost
+            if math.isinf(cost_down):
+                lower, cost_down = partitions, current_cost
             span = upper[dim] - lower[dim]
             gradient[dim] = (cost_up - cost_down) / span if span else 0.0
 

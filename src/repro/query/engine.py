@@ -5,7 +5,8 @@ as the ground-truth oracle in tests and as the implicit "no index" baseline:
 every index's answer to every query must equal the full-scan answer.
 
 :class:`QueryEngine` is the serving-path front door: it wraps a built index
-(or falls back to full scans) and exposes single-query and batched execution.
+and exposes single-query and batched execution.  An index-less engine is
+``QueryEngine(FullScanIndex().build(table))``.
 Every index has one query path, the batched pipeline: it dedupes repeated
 queries and shares grid-tree routing and plan-cache lookups across the
 queries of one batch, then scans each distinct query on its own.  A single
@@ -58,42 +59,27 @@ class QueryEngine:
     index:
         A built index implementing the serving contract (any
         :class:`~repro.baselines.base.ClusteredIndex`, or the updatable
-        :class:`~repro.core.delta.DeltaBufferedIndex` wrapper).  ``None``
-        answers every query by full scan over ``table`` instead.
-    table:
-        Required when ``index`` is ``None``; ignored otherwise.
+        :class:`~repro.core.delta.DeltaBufferedIndex` wrapper).
     """
 
-    def __init__(self, index=None, table: Table | None = None) -> None:
-        if index is None and table is None:
-            raise QueryError("QueryEngine needs an index or a table")
-        if index is not None and not index.is_built:
+    def __init__(self, index) -> None:
+        if not index.is_built:
             raise QueryError(f"index {index.name!r} has not been built yet")
         self._index = index
-        self._table = table
-        # The index-less fallback scans the same (never re-clustered) table on
-        # every query; one executor serves them all instead of allocating one
-        # per run() call.
-        self._scan_executor = ScanExecutor(table) if index is None else None
 
     @property
     def table(self) -> Table:
         """The table queries run against.
 
-        Delegates to the index when one is present: an updatable index
-        replaces its table object on merge, so caching it here would go
-        stale after the first auto-merge.
+        Delegates to the index: an updatable index replaces its table object
+        on merge, so caching it here would go stale after the first
+        auto-merge.
         """
-        return self._table if self._index is None else self._index.table
+        return self._index.table
 
     def run(self, query: Query):
         """Answer one query; returns a ``QueryResult``."""
-        from repro.baselines.base import QueryResult
-
-        if self._index is not None:
-            return self._index.execute(query)
-        value, stats = execute_full_scan(self._table, query, self._scan_executor)
-        return QueryResult(value=value, stats=stats)
+        return self._index.execute(query)
 
     def run_batch(self, queries: Sequence[Query], batch_size: int | None = None):
         """Answer ``queries`` in batches, in input order.
@@ -106,8 +92,6 @@ class QueryEngine:
         queries = list(queries)
         if batch_size is not None and batch_size < 1:
             raise QueryError(f"batch_size must be >= 1, got {batch_size}")
-        if self._index is None:
-            return [self.run(query) for query in queries]
         step = batch_size or max(len(queries), 1)
         results = []
         for start in range(0, len(queries), step):
@@ -123,16 +107,12 @@ class QueryEngine:
 
         Delegates to the wrapped index's vectorized ``insert_many`` (the
         delta buffer's columnar path, or the sharded router); raises
-        :class:`QueryError` when the index — or the index-less full-scan
-        fallback — does not support inserts.
+        :class:`QueryError` when the index does not support inserts.
         """
         insert = getattr(self._index, "insert_many", None)
         if insert is None:
-            target = "full-scan fallback" if self._index is None else (
-                f"index {self._index.name!r}"
-            )
             raise QueryError(
-                f"{target} does not support inserts; wrap it in a "
+                f"index {self._index.name!r} does not support inserts; wrap it in a "
                 "DeltaBufferedIndex or use updatable shards"
             )
         insert(rows)
@@ -155,14 +135,4 @@ class QueryEngine:
 
     def explain(self, query: Query) -> dict:
         """Describe how ``query`` would be answered without executing it."""
-        if self._index is not None:
-            return self._index.explain(query)
-        return {
-            "index": "full-scan",
-            "filtered_dimensions": list(query.filtered_dimensions),
-            "aggregate": query.aggregate,
-            "cell_ranges": 1,
-            "rows_to_scan": self._table.num_rows,
-            "exact_rows": 0,
-            "table_fraction_scanned": 1.0,
-        }
+        return self._index.explain(query)

@@ -1,57 +1,53 @@
-"""Tests for the benchmark harness and report formatting."""
+"""Tests for figure measurement (the scenario runner's pass) and report formatting."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import KdTreeIndex, SingleDimensionIndex
-from repro.bench.harness import (
+from repro.baselines.base import QueryResult
+from repro.bench.experiments import (
     default_index_factories,
-    expected_answers,
     learned_index_factories,
-    measure_index,
-    run_comparison,
-    tune_page_size,
+    measure_suite,
 )
 from repro.bench.report import format_series, format_table, relative_factors
+from repro.bench.runner import _INDEX_KEYS
+
+
+class _OffByOne(KdTreeIndex):
+    """A kd-tree whose every answer is one too high."""
+
+    def execute_batch(self, queries):
+        results = super().execute_batch(queries)
+        return [QueryResult(result.value + 1, result.stats) for result in results]
 
 
 class TestMeasureIndex:
     def test_measurement_fields(self, fresh_table, fresh_workload):
-        measurement = measure_index(
-            KdTreeIndex(page_size=512), fresh_table, fresh_workload, dataset_name="toy"
+        (entry,) = measure_suite(
+            fresh_table, fresh_workload, {"kd-tree": lambda: KdTreeIndex(page_size=512)}
         )
-        assert measurement.correct
-        assert measurement.dataset == "toy"
-        assert measurement.num_queries == len(fresh_workload)
-        assert measurement.avg_query_seconds > 0
-        assert measurement.queries_per_second > 0
-        assert measurement.avg_points_scanned > 0
-        assert measurement.index_size_bytes > 0
+        assert entry["correct"] and entry["mismatches"] == 0
+        assert entry["index"] == entry["kind"] == "kd-tree"
+        assert entry["num_queries"] == len(fresh_workload)
+        assert entry["seconds_total"] > 0
+        assert entry["queries_per_second"] > 0
+        assert entry["avg_points_scanned"] > 0
+        assert entry["index_size_bytes"] > 0
+        assert entry["rows_inserted"] == 0
 
     def test_as_row_keys(self, fresh_table, fresh_workload):
-        measurement = measure_index(
-            SingleDimensionIndex(), fresh_table, fresh_workload, dataset_name="toy"
-        )
-        row = measurement.as_row()
-        for key in ("index", "dataset", "queries/s", "index size (KiB)", "correct"):
-            assert key in row
-
-    def test_precomputed_expected_used(self, fresh_table, fresh_workload):
-        expected = expected_answers(fresh_table, fresh_workload)
-        measurement = measure_index(
-            KdTreeIndex(page_size=512),
-            fresh_table,
-            fresh_workload,
-            expected=expected,
-        )
-        assert measurement.correct
+        (entry,) = measure_suite(fresh_table, fresh_workload, {"single-dim": SingleDimensionIndex})
+        # A scenario report's index entry, plus size, build split and describe().
+        assert {*_INDEX_KEYS, "build_seconds", "avg_cell_ranges", "values_scanned"} <= set(entry)
+        assert {"index_size_bytes", "sort_seconds", "optimize_seconds"} <= set(entry)
+        assert entry["describe"]["name"] == "single-dim"
 
     def test_incorrect_expected_detected(self, fresh_table, fresh_workload):
-        wrong = [-1.0] * len(fresh_workload)
-        measurement = measure_index(
-            KdTreeIndex(page_size=512), fresh_table, fresh_workload, expected=wrong
-        )
-        assert not measurement.correct
+        factories = {"off-by-one": lambda: _OffByOne(page_size=512)}
+        (entry,) = measure_suite(fresh_table, fresh_workload, factories)
+        assert not entry["correct"]
+        assert entry["mismatches"] == len(fresh_workload)
 
 
 class TestRunComparison:
@@ -60,14 +56,14 @@ class TestRunComparison:
             "single-dim": SingleDimensionIndex,
             "kd-tree": lambda: KdTreeIndex(page_size=512),
         }
-        measurements = run_comparison(fresh_table, fresh_workload, factories, dataset_name="toy")
-        assert [m.index_name for m in measurements] == ["single-dim", "kd-tree"]
-        assert all(m.correct for m in measurements)
+        entries = measure_suite(fresh_table, fresh_workload, factories)
+        assert [entry["index"] for entry in entries] == ["single-dim", "kd-tree"]
+        assert all(entry["correct"] for entry in entries)
 
     def test_each_index_builds_on_its_own_copy(self, fresh_table, fresh_workload):
         loaded = {name: fresh_table.values(name).copy() for name in fresh_table.column_names}
         factories = {"kd-tree": lambda: KdTreeIndex(page_size=512), "single-dim": SingleDimensionIndex}
-        run_comparison(fresh_table, fresh_workload, factories, dataset_name="toy")
+        measure_suite(fresh_table, fresh_workload, factories)
         for name, values in loaded.items():
             assert np.array_equal(fresh_table.values(name), values)
 
@@ -77,14 +73,6 @@ class TestRunComparison:
 
     def test_learned_factories(self):
         assert set(learned_index_factories()) == {"flood", "tsunami"}
-
-
-class TestTunePageSize:
-    def test_returns_candidate(self, fresh_table, fresh_workload):
-        best = tune_page_size(
-            KdTreeIndex, fresh_table, fresh_workload, candidates=(256, 4096)
-        )
-        assert best in (256, 4096)
 
 
 class TestReport:

@@ -5,7 +5,6 @@ scale; here we only check that every driver runs end-to-end, produces a
 report, and returns correct measurements.
 """
 
-
 from repro.bench.experiments import (
     experiment_adaptability,
     experiment_components,
@@ -18,6 +17,7 @@ from repro.bench.experiments import (
     experiment_table3,
     experiment_table4,
 )
+from repro.core.tsunami import TsunamiIndex
 
 ROWS = 4_000
 QUERIES = 4
@@ -40,20 +40,33 @@ def test_overall_comparison_learned_only():
     result = experiment_overall(
         num_rows=ROWS, queries_per_type=QUERIES, datasets=("taxi",), include_nonlearned=False
     )
-    measurements = result.data["taxi"]
-    assert {m.index_name for m in measurements} == {"flood", "tsunami"}
-    assert all(m.correct for m in measurements)
+    entries = result.data["taxi"]
+    assert {entry["index"] for entry in entries} == {"flood", "tsunami"}
+    assert all(entry["correct"] for entry in entries)
 
 
 def test_adaptability_experiment():
     result = experiment_adaptability(num_rows=ROWS, queries_per_type=QUERIES)
     assert result.data["reoptimize_seconds"] > 0
-    assert result.data["before"].correct and result.data["after"].correct
+    before, degraded, after = (result.data[phase] for phase in ("before", "degraded", "after"))
+    assert before["correct"] and degraded["correct"] and after["correct"]
     # Re-optimizing for the shifted workload must not scan more than the stale layout.
-    assert (
-        result.data["after"].avg_points_scanned
-        <= result.data["degraded_avg_scanned"] * 1.05
-    )
+    assert after["avg_points_scanned"] <= degraded["avg_points_scanned"] * 1.05
+
+
+def test_adaptability_builds_twice(monkeypatch):
+    # One build for the original workload and the one inside reoptimize(),
+    # whose layout the re-optimized pass serves.
+    builds = []
+    real_build = TsunamiIndex.build
+
+    def counting_build(self, table, workload=None):
+        builds.append(workload.name)
+        return real_build(self, table, workload)
+
+    monkeypatch.setattr(TsunamiIndex, "build", counting_build)
+    experiment_adaptability(num_rows=ROWS, queries_per_type=QUERIES)
+    assert builds == ["tpch_original", "tpch_shifted"]
 
 
 def test_creation_time_experiment():
@@ -70,8 +83,7 @@ def test_dimensions_experiment():
         correlated=True,
         include_nonlearned=False,
     )
-    measurements = result.data[4]
-    assert all(m.correct for m in measurements)
+    assert all(entry["correct"] for entry in result.data[4])
 
 
 def test_dataset_size_experiment():
@@ -84,14 +96,14 @@ def test_selectivity_experiment():
         num_rows=ROWS, queries_per_type=QUERIES, selectivity_factors=(1.0,)
     )
     assert 1.0 in result.data
-    assert all(m.correct for m in result.data[1.0]["measurements"])
+    assert all(entry["correct"] for entry in result.data[1.0]["measurements"])
 
 
 def test_components_experiment():
     result = experiment_components(num_rows=ROWS, queries_per_type=QUERIES, datasets=("tpch",))
-    variants = {m.index_name for m in result.data["tpch"]}
+    variants = {entry["index"] for entry in result.data["tpch"]}
     assert variants == {"flood", "augmented-grid-only", "grid-tree-only", "tsunami"}
-    assert all(m.correct for m in result.data["tpch"])
+    assert all(entry["correct"] for entry in result.data["tpch"])
 
 
 def test_optimizers_experiment():

@@ -31,11 +31,11 @@ class TestExtendedBaselines:
         assert "r-tree" in result.report
 
     def test_all_indexes_answer_correctly(self, result):
-        for measurements in result.data.values():
-            assert all(measurement.correct for measurement in measurements)
+        for entries in result.data.values():
+            assert all(entry["correct"] for entry in entries)
 
     def test_added_baselines_are_measured(self, result):
-        names = {m.index_name for m in result.data["tpch"]}
+        names = {entry["index"] for entry in result.data["tpch"]}
         assert {"grid-file", "r-tree", "flood", "tsunami"} <= names
 
 

@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.bench import runner
 from repro.bench.cli import EXPERIMENTS
-from repro.bench.runner import ScenarioRunner, _Serving, run_scenario, validate_report
+from repro.bench.runner import _Serving, run_scenario, validate_report
 from repro.bench.scenario import (
     FigureConfig,
     ScenarioConfig,
@@ -427,7 +428,7 @@ class TestScenarioRunner:
         assert any("qps floor" in v for v in report["violations"])
 
     def test_wrong_answers_always_violate(self, monkeypatch):
-        monkeypatch.setattr(ScenarioRunner, "_mismatches", staticmethod(lambda served, data: 1))
+        monkeypatch.setattr(runner, "_mismatches", lambda served, data: 1)
         report = run_scenario(parse_config(scenario_raw()))
         assert report["ok"] is False
         assert any("full-scan oracle" in v for v in report["violations"])

@@ -215,6 +215,24 @@ class TestOptimizers:
         assert first.config.skeleton == second.config.skeleton
         assert first.config.partitions == second.config.partitions
 
+    @pytest.mark.parametrize("max_cells", [4, 16, 64])
+    def test_agd_starting_at_the_cell_budget_stays_within_it(self, max_cells):
+        # One point per cell puts the starting layout at the budget, so every
+        # upward neighbour of the gradient step is infeasible (costs inf).
+        rng = np.random.default_rng(0)
+        uniform = Table.from_arrays(
+            "uniform", {"a": rng.integers(0, 10_000, 5_000), "b": rng.integers(0, 10_000, 5_000)}
+        )
+        queries = []
+        for _ in range(12):
+            a, b = (int(low) for low in rng.integers(0, 9_000, 2))
+            queries.append(Query.from_ranges({"a": (a, a + 1_000), "b": (b, b + 1_000)}))
+        result = AdaptiveGradientDescent(
+            max_cells=max_cells, target_points_per_cell=1
+        ).optimize(uniform, Workload(queries))
+        assert np.prod(list(result.config.partitions.values())) <= max_cells
+        assert np.isfinite(result.predicted_cost)
+
 
 class TestBatchedEvaluation:
     """Batched candidate planning changes no optimizer decision.

@@ -9,11 +9,17 @@ learned indexes must show the qualitative advantages the paper claims
 import pytest
 
 from repro.baselines import FloodIndex, KdTreeIndex
-from repro.bench.harness import expected_answers, run_comparison
+from repro.bench.experiments import measure_suite
 from repro.core.tsunami import TsunamiConfig, TsunamiIndex
 from repro.datasets import load_dataset, make_correlated_dataset, synthetic_scaling_workload
+from repro.query.engine import execute_full_scan
 
 FAST = dict(optimizer_iterations=1, optimizer_sample_rows=3_000)
+
+
+def expected_answers(table, workload) -> list[float]:
+    """Ground-truth answers for every query, computed by full scans."""
+    return [execute_full_scan(table, query)[0] for query in workload]
 
 
 @pytest.mark.parametrize("dataset", ["tpch", "taxi", "perfmon", "stocks"])
@@ -24,9 +30,8 @@ def test_all_indexes_agree_with_full_scan(dataset):
         "flood": lambda: FloodIndex(optimizer_iterations=1, sample_rows=3_000),
         "tsunami": lambda: TsunamiIndex(TsunamiConfig(**FAST)),
     }
-    measurements = run_comparison(table, workload, factories, dataset_name=dataset)
-    for measurement in measurements:
-        assert measurement.correct, f"{measurement.index_name} wrong on {dataset}"
+    for entry in measure_suite(table, workload, factories):
+        assert entry["correct"], f"{entry['index']} wrong on {dataset}"
 
 
 def test_tsunami_beats_flood_on_scanned_points_for_skewed_taxi():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from reference_router import regions_for_query
 
-from repro.baselines import FloodIndex
+from repro.baselines import FloodIndex, FullScanIndex
 from repro.common.errors import QueryError
 from repro.core.tsunami import make_tsunami
 from repro.query.engine import QueryEngine, execute_full_scan
@@ -85,7 +85,7 @@ class TestExecuteBatchOrdering:
 
 class TestQueryEngine:
     def test_requires_index_or_table(self):
-        with pytest.raises(QueryError):
+        with pytest.raises(TypeError):
             QueryEngine()
 
     def test_rejects_unbuilt_index(self):
@@ -94,7 +94,7 @@ class TestQueryEngine:
 
     def test_full_scan_fallback(self):
         table = make_table(seed=7)
-        engine = QueryEngine(table=table)
+        engine = QueryEngine(FullScanIndex().build(table))
         query = Query.from_ranges({"x": (0, 4_000)})
         expected, _ = execute_full_scan(table, query)
         assert engine.run(query).value == expected
@@ -115,31 +115,26 @@ class TestQueryEngine:
             QueryEngine(index=index).run_batch(list(workload), batch_size=0)
 
     def test_full_scan_fallback_reuses_one_executor(self, monkeypatch):
-        # The index-less engine used to construct a fresh ScanExecutor on
-        # every run() call; it must allocate exactly one per engine instead.
-        import repro.query.engine as engine_module
+        # A full-scan engine must not construct a ScanExecutor per run()
+        # call: the index allocates exactly one, at build time.
+        import repro.baselines.base as base_module
 
         constructed = []
-        real_executor = engine_module.ScanExecutor
+        real_executor = base_module.ScanExecutor
 
         class CountingExecutor(real_executor):
             def __init__(self, table):
                 constructed.append(table)
                 super().__init__(table)
 
-        monkeypatch.setattr(engine_module, "ScanExecutor", CountingExecutor)
+        monkeypatch.setattr(base_module, "ScanExecutor", CountingExecutor)
         table = make_table(seed=7)
-        engine = QueryEngine(table=table)
+        engine = QueryEngine(FullScanIndex().build(table))
         queries = [Query.from_ranges({"x": (0, i * 500)}) for i in range(1, 6)]
         for query in queries:
             engine.run(query)
         engine.run_batch(queries)
         assert len(constructed) == 1
-
-    def test_indexed_engine_skips_fallback_executor(self, built_tsunami):
-        _, _, index = built_tsunami
-        engine = QueryEngine(index=index)
-        assert engine._scan_executor is None
 
 
 class TestPlanCacheLifecycle:
@@ -213,7 +208,7 @@ class TestEngineWriteAndClose:
             QueryEngine(index).insert_many([{"x": 1, "y": 2, "z": 3}])
 
     def test_insert_rejected_for_full_scan_fallback(self):
-        engine = QueryEngine(table=make_table(num_rows=100))
+        engine = QueryEngine(FullScanIndex().build(make_table(num_rows=100)))
         with pytest.raises(QueryError):
             engine.insert({"x": 1, "y": 2, "z": 3})
 
@@ -231,4 +226,4 @@ class TestEngineWriteAndClose:
     def test_close_without_index_close_is_a_noop(self, built_tsunami):
         _, _, index = built_tsunami
         QueryEngine(index).close()  # TsunamiIndex has no close; must not raise
-        QueryEngine(table=make_table(num_rows=50)).close()
+        QueryEngine(FullScanIndex().build(make_table(num_rows=50))).close()
