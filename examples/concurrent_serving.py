@@ -71,7 +71,7 @@ def main() -> None:
         stats = frontend.describe()
         print(
             f"micro-batching: {stats['batching']['batches']} batches, "
-            f"mean size {stats['batching']['mean_batch_size']}, "
+            f"mean size {stats['batching']['mean_batch_size']:.2f}, "
             f"largest {stats['batching']['largest_batch']}"
         )
         print(

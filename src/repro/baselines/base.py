@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.common.errors import IndexBuildError, QueryError
+from repro.common.records import Record
 from repro.query.query import AGGREGATES, Query
 from repro.query.workload import Workload
 from repro.storage.scan import RowRange, ScanExecutor, ScanStats, coalesce_ranges
@@ -33,7 +34,7 @@ class QueryResult:
 
 
 @dataclass
-class BuildReport:
+class BuildReport(Record):
     """Timing and bookkeeping recorded while building an index.
 
     ``sort_seconds`` is the time spent physically reorganizing the table

@@ -2,7 +2,8 @@
 
 The paper presents results as bar charts and line plots; the harness prints
 the same information as aligned text tables (one row per index, or one row per
-x-axis point with one column per series), which EXPERIMENTS.md embeds.
+x-axis point with one column per series); the figure reports printed by
+``python -m repro.bench.cli run`` carry them.
 """
 
 from __future__ import annotations

@@ -22,9 +22,10 @@ A config is one of two kinds:
   keyword arguments, scale included; its paper-shape checks become the
   report's violations.
 
-Configs are validated eagerly and strictly: unknown keys, figure params the
-experiment does not take, unknown index kinds, and inconsistent axis
-combinations raise a typed
+Configs are validated eagerly and strictly: each section's keys and value
+types come from its dataclass's fields, and unknown keys, values of the wrong
+type, figure params the experiment does not take, unknown index kinds, and
+inconsistent axis combinations raise a typed
 :class:`~repro.common.errors.ConfigError` *before* anything is built, so
 ``python -m repro.bench.cli validate benchmarks/configs`` can schema-check
 the whole registry in milliseconds in CI.
@@ -41,9 +42,10 @@ from __future__ import annotations
 
 import inspect
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from types import UnionType
+from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from repro.common.errors import ConfigError
 
@@ -80,9 +82,91 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _check_keys(section: str, mapping: Mapping, allowed: Sequence[str]) -> None:
-    unknown = set(mapping) - set(allowed)
+#: The JSON form each plain field type is written as, for error messages.
+_JSON_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string", dict: "an object"}
+
+
+def _parse_section(cls: type, raw, path: str):
+    """``raw`` as dataclass ``cls``: its keys are the field names, and each
+    value must hold its field's annotated type.  ``path`` names the section
+    in errors (empty at the top level)."""
+    section = path or "config"
+    _require(isinstance(raw, Mapping), f"{section} must be an object, got {raw!r}")
+    declared = fields(cls)
+    unknown = set(raw) - {f.name for f in declared}
     _require(not unknown, f"{section}: unknown keys {sorted(unknown)}")
+    missing = [
+        f.name
+        for f in declared
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING
+    ]
+    _require(not missing, f"{section}: missing keys {missing}")
+    hints = get_type_hints(cls)
+    prefix = f"{path}." if path else ""
+    return cls(**{key: _parse_value(hints[key], value, prefix + key) for key, value in raw.items()})
+
+
+def _parse_value(hint, value, path: str):
+    """``value`` as annotation ``hint``: a section recurses, a JSON list
+    becomes a tuple of parsed items, and a plain value must be its type (an
+    integer is never a bool; a number is an integer or a float)."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        if value is None:
+            _require(type(None) in args, f"{path} must not be null")
+            return None
+        options = [option for option in args if option is not type(None)]
+        if len(options) > 1:  # ``int | tuple[int, ...]``: a list is the tuple
+            listed = isinstance(value, list)
+            options = [option for option in options if (get_origin(option) is tuple) == listed]
+        return _parse_value(options[0], value, path)
+    if is_dataclass(hint):
+        return _parse_section(hint, value, path)
+    if origin is tuple:
+        _require(isinstance(value, list), f"{path} must be a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        _require(
+            len(args) == len(value), f"{path} must be a list of {len(args)} items, got {value!r}"
+        )
+        return tuple(
+            _parse_value(item_hint, item, f"{path}[{position}]")
+            for position, (item_hint, item) in enumerate(zip(args, value))
+        )
+    accepted = (int, float) if hint is float else hint
+    _require(
+        isinstance(value, accepted) and (hint is bool or not isinstance(value, bool)),
+        f"{path} must be {_JSON_NAMES[hint]}, got {value!r}",
+    )
+    return value
+
+
+class _ConfigFile:
+    """What every config kind shares: the envelope keys ``schema_version``
+    and ``kind`` (the subclass's ``KIND``) around its dataclass fields."""
+
+    KIND = ""
+
+    @classmethod
+    def from_dict(cls, raw: Mapping):
+        """Parse and validate a raw JSON mapping (strict: unknown keys and
+        values of the wrong type fail)."""
+        body = dict(raw)
+        version = body.pop("schema_version", SCHEMA_VERSION)
+        _require(
+            version == SCHEMA_VERSION,
+            f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})",
+        )
+        kind = body.pop("kind", "scenario")
+        _require(kind == cls.KIND, f"{cls.__name__} cannot parse kind {kind!r}")
+        config = _parse_section(cls, body, "")
+        config.validate()
+        return config
+
+    def to_dict(self) -> dict:
+        """The JSON form of this config (round-trips through from_dict)."""
+        body = json.loads(json.dumps(asdict(self)))
+        return {"schema_version": SCHEMA_VERSION, "kind": self.KIND, **body}
 
 
 @dataclass(frozen=True)
@@ -441,8 +525,10 @@ class ThresholdsConfig:
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(_ConfigFile):
     """A fully validated scenario: dataset x workload x indexes-under-test."""
+
+    KIND = "scenario"
 
     name: str
     description: str = ""
@@ -501,174 +587,6 @@ class ScenarioConfig:
         )
         self.thresholds.validate(names)
 
-    # -- (de)serialization ------------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, raw: Mapping) -> "ScenarioConfig":
-        """Parse and validate a raw JSON mapping (strict: unknown keys fail)."""
-        _check_keys(
-            "scenario",
-            raw,
-            [
-                "schema_version",
-                "kind",
-                "name",
-                "description",
-                "smoke",
-                "seed",
-                "repetitions",
-                "dataset",
-                "workload",
-                "indexes",
-                "faults",
-                "thresholds",
-            ],
-        )
-        version = raw.get("schema_version", SCHEMA_VERSION)
-        _require(
-            version == SCHEMA_VERSION,
-            f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})",
-        )
-        kind = raw.get("kind", "scenario")
-        _require(kind == "scenario", f"ScenarioConfig cannot parse kind {kind!r}")
-
-        dataset_raw = dict(raw.get("dataset", {}))
-        _check_keys(
-            "dataset",
-            dataset_raw,
-            ["source", "num_rows", "num_dimensions", "domain", "categorical"],
-        )
-        categorical_raw = dataset_raw.pop("categorical", None)
-        if categorical_raw is not None:
-            _check_keys(
-                "dataset.categorical", categorical_raw, ["dimension", "cardinality", "skew"]
-            )
-            dataset_raw["categorical"] = CategoricalDatasetConfig(**categorical_raw)
-        for key in ("num_rows", "num_dimensions"):
-            if isinstance(dataset_raw.get(key), list):
-                dataset_raw[key] = tuple(dataset_raw[key])
-        dataset = DatasetConfig(**dataset_raw)
-
-        workload_raw = dict(raw.get("workload", {}))
-        _check_keys(
-            "workload",
-            workload_raw,
-            [
-                "num_templates",
-                "num_queries",
-                "zipf_theta",
-                "selectivity",
-                "dims_per_query",
-                "point_lookup_fraction",
-                "categorical_fraction",
-                "reorder_categorical",
-                "placement",
-                "writes",
-                "drift",
-            ],
-        )
-        writes_raw = workload_raw.pop("writes", None)
-        if writes_raw is not None:
-            writes_raw = dict(writes_raw)
-            _check_keys(
-                "workload.writes", writes_raw, ["write_fraction", "rows_per_write", "hotspot"]
-            )
-            if isinstance(writes_raw.get("hotspot"), list):
-                writes_raw["hotspot"] = tuple(writes_raw["hotspot"])
-            workload_raw["writes"] = WriteMixConfig(**writes_raw)
-        drift_raw = workload_raw.pop("drift", None)
-        if drift_raw is not None:
-            _check_keys("workload.drift", drift_raw, ["schedule", "phases"])
-            workload_raw["drift"] = DriftConfig(**drift_raw)
-        workload = WorkloadConfig(**workload_raw)
-
-        indexes = []
-        for position, index_raw in enumerate(raw.get("indexes", [])):
-            _check_keys(
-                f"indexes[{position}]",
-                index_raw,
-                [
-                    "kind",
-                    "variant",
-                    "label",
-                    "optimizer_iterations",
-                    "page_size",
-                    "merge_threshold",
-                    "merge_strategy",
-                    "num_shards",
-                    "parallelism",
-                    "updatable_shards",
-                    "cache_entries",
-                    "batch_size",
-                ],
-            )
-            indexes.append(IndexConfig(**index_raw))
-
-        faults_raw = raw.get("faults")
-        faults = None
-        if faults_raw is not None:
-            _check_keys(
-                "faults",
-                faults_raw,
-                ["error_probability", "delay_probability", "delay_seconds"],
-            )
-            faults = FaultsConfig(**faults_raw)
-
-        thresholds_raw = raw.get("thresholds")
-        thresholds = ThresholdsConfig()
-        if thresholds_raw is not None:
-            _check_keys(
-                "thresholds",
-                thresholds_raw,
-                [
-                    "min_queries_per_second",
-                    "speedup_of",
-                    "speedup_over",
-                    "min_speedup",
-                    "max_bytes_per_value",
-                    "max_table_bytes_per_value",
-                    "min_relative_update_rate",
-                    "max_update_rate_degradation",
-                    "min_recovery_ratio",
-                ],
-            )
-            thresholds = ThresholdsConfig(**thresholds_raw)
-
-        try:
-            config = cls(
-                name=raw.get("name", ""),
-                description=raw.get("description", ""),
-                smoke=bool(raw.get("smoke", False)),
-                seed=int(raw.get("seed", 0)),
-                repetitions=int(raw.get("repetitions", 1)),
-                dataset=dataset,
-                workload=workload,
-                indexes=tuple(indexes),
-                faults=faults,
-                thresholds=thresholds,
-            )
-        except TypeError as exc:  # wrong field type in a section constructor
-            raise ConfigError(f"malformed scenario config: {exc}") from exc
-        config.validate()
-        return config
-
-    def to_dict(self) -> dict:
-        """The JSON form of this config (round-trips through from_dict)."""
-        raw = asdict(self)
-        raw["schema_version"] = SCHEMA_VERSION
-        raw["kind"] = "scenario"
-        raw["indexes"] = [
-            {k: v for k, v in index.items() if v is not None}
-            for index in raw["indexes"]
-        ]
-        for key in ("num_rows", "num_dimensions"):
-            if isinstance(raw["dataset"][key], tuple):
-                raw["dataset"][key] = list(raw["dataset"][key])
-        writes = raw["workload"]["writes"]
-        if writes is not None and writes["hotspot"] is not None:
-            writes["hotspot"] = list(writes["hotspot"])
-        return raw
-
 
 # ---------------------------------------------------------------------------
 # Config files: loading, discovery, and the figure kind
@@ -676,15 +594,17 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class FigureConfig:
+class FigureConfig(_ConfigFile):
     """A paper table/figure reproduced by one experiment function: ``params``
     are its keyword arguments, scale included."""
+
+    KIND = "figure"
 
     name: str
     experiment: str
     description: str = ""
     smoke: bool = False
-    params: Mapping = field(default_factory=dict)
+    params: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         _require(bool(self.name), "figure config name must be non-empty")
@@ -706,44 +626,10 @@ class FigureConfig:
                 f"params do not fit {self.experiment}({', '.join(signature.parameters)}): {exc}"
             ) from None
 
-    @classmethod
-    def from_dict(cls, raw: Mapping) -> "FigureConfig":
-        _check_keys(
-            "figure",
-            raw,
-            [
-                "schema_version",
-                "kind",
-                "name",
-                "experiment",
-                "description",
-                "smoke",
-                "params",
-            ],
-        )
-        version = raw.get("schema_version", SCHEMA_VERSION)
-        _require(
-            version == SCHEMA_VERSION,
-            f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})",
-        )
-        _require(raw.get("kind") == "figure", "FigureConfig requires kind 'figure'")
-        config = cls(
-            name=raw.get("name", ""),
-            experiment=raw.get("experiment", ""),
-            description=raw.get("description", ""),
-            smoke=bool(raw.get("smoke", False)),
-            params=dict(raw.get("params", {})),
-        )
-        config.validate()
-        return config
-
 
 AnyConfig = ScenarioConfig | FigureConfig
 
-_PARSERS = {
-    "scenario": ScenarioConfig.from_dict,
-    "figure": FigureConfig.from_dict,
-}
+_PARSERS = {config.KIND: config.from_dict for config in (ScenarioConfig, FigureConfig)}
 
 
 def parse_config(raw: Mapping, source: str = "<dict>") -> AnyConfig:

@@ -73,6 +73,7 @@ from repro.baselines.base import (
 )
 from repro.common import faults
 from repro.common.errors import IndexBuildError, QueryError, SchemaError
+from repro.common.records import Record
 from repro.core.local_merge import local_merge, supports_local_merge
 from repro.query.query import Query
 from repro.query.workload import Workload
@@ -92,7 +93,7 @@ MERGE_STRATEGIES = ("local", "rebuild")
 
 
 @dataclass
-class MergeReport:
+class MergeReport(Record):
     """Outcome of folding the delta buffer into the main index.
 
     ``strategy`` records the path that actually ran (a ``"local"`` request

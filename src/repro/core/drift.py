@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.common.records import Record
 from repro.core.query_types import DEFAULT_EPS, cluster_query_types, queries_by_type
 from repro.query.query import Query
 from repro.query.selectivity import selectivity_vector
@@ -40,7 +41,7 @@ SAMPLE_SEED = 53
 
 
 @dataclass(frozen=True)
-class DriftReport:
+class DriftReport(Record):
     """The detector's verdict on a window of recently observed queries."""
 
     drifted: bool
@@ -54,16 +55,6 @@ class DriftReport:
         if not self.drifted:
             return "no significant workload drift detected"
         return "workload drift detected: " + "; ".join(self.reasons)
-
-    def as_dict(self) -> dict:
-        """JSON-serializable form (used by the lifecycle benchmark reports)."""
-        return {
-            "drifted": self.drifted,
-            "new_type_fraction": self.new_type_fraction,
-            "disappeared_types": list(self.disappeared_types),
-            "frequency_shift": self.frequency_shift,
-            "reasons": list(self.reasons),
-        }
 
 
 @dataclass

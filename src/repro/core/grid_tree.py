@@ -180,10 +180,11 @@ class GridTree:
 
         # Stopping rules (§4.3.2): too deep, too few points, or too few queries.
         # ``max_regions`` is an additional engineering bound keeping the tree
-        # lightweight at small data scales (see DESIGN.md §6).  ``reserved``
-        # counts sibling/ancestor subtrees still awaiting construction, each
-        # of which will produce at least one leaf, so the budget check holds
-        # across the whole depth-first build rather than only locally.
+        # lightweight at small data scales (see ROADMAP.md item 2, "The Grid
+        # Tree at small scale").  ``reserved`` counts sibling/ancestor
+        # subtrees still awaiting construction, each of which will produce at
+        # least one leaf, so the budget check holds across the whole
+        # depth-first build rather than only locally.
         if (
             depth >= self.config.max_depth
             or len(self.leaves) + reserved + 1 > self.config.max_regions

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.common.errors import IndexBuildError
+from repro.common.records import Record
 from repro.core.query_types import cluster_query_types
 from repro.core.tsunami import TsunamiIndex
 from repro.query.workload import Workload
@@ -57,7 +58,7 @@ class RegionShift:
 
 
 @dataclass
-class IncrementalReport:
+class IncrementalReport(Record):
     """Outcome of one incremental re-optimization pass."""
 
     seconds: float

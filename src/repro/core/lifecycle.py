@@ -43,6 +43,7 @@ from typing import Callable, Sequence
 from repro.baselines.base import QueryResult
 from repro.common import faults
 from repro.common.errors import IndexBuildError
+from repro.common.records import Record
 from repro.core.delta import DeltaBufferedIndex
 from repro.core.drift import WorkloadDriftDetector
 from repro.core.incremental import IncrementalReoptimizer
@@ -95,7 +96,7 @@ class LifecycleEvent:
 
 
 @dataclass
-class LifecycleReport:
+class LifecycleReport(Record):
     """Running totals of everything the lifecycle loop has done."""
 
     queries_served: int = 0
@@ -113,34 +114,6 @@ class LifecycleReport:
     maintenance_failures: int = 0
     maintenance_seconds: float = 0.0
     events: list[LifecycleEvent] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        """JSON-serializable summary for the benchmark reports."""
-        return {
-            "queries_served": self.queries_served,
-            "batches_served": self.batches_served,
-            "rows_inserted": self.rows_inserted,
-            "windows_observed": self.windows_observed,
-            "drifts_detected": self.drifts_detected,
-            "merges": self.merges,
-            "local_merges": self.local_merges,
-            "rows_merged": self.rows_merged,
-            "merge_regions_touched": self.merge_regions_touched,
-            "merge_regions_total": self.merge_regions_total,
-            "reoptimizations": self.reoptimizations,
-            "regions_reoptimized": self.regions_reoptimized,
-            "maintenance_failures": self.maintenance_failures,
-            "maintenance_seconds": round(self.maintenance_seconds, 6),
-            "events": [
-                {
-                    "kind": event.kind,
-                    "at_query": event.at_query,
-                    "seconds": round(event.seconds, 6),
-                    **event.details,
-                }
-                for event in self.events
-            ],
-        }
 
 
 class LifecycleManager:
@@ -285,7 +258,7 @@ class LifecycleManager:
             "rows_merged": report.rows_merged,
             "total_rows": report.total_rows,
             "strategy": report.strategy,
-            "merge_seconds": round(report.rebuild_seconds, 6),
+            "merge_seconds": report.rebuild_seconds,
         }
         if report.strategy == "local":
             self._report.local_merges += 1

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.common.records import Record
 from repro.common.rng import make_rng
 from repro.query.query import Query
 from repro.query.selectivity import selectivity_vector
@@ -93,7 +94,7 @@ def cluster_query_types(
 
 
 @dataclass
-class PlanCacheStats:
+class PlanCacheStats(Record):
     """Hit/miss accounting for one :class:`PlanCache`."""
 
     hits: int = 0

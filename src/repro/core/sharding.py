@@ -80,6 +80,7 @@ from repro.common.errors import (
     SchemaError,
     ShardTimeoutError,
 )
+from repro.common.records import Record
 from repro.common.resilience import CircuitBreaker, FaultPolicy
 from repro.query.query import Query
 from repro.query.workload import Workload
@@ -148,7 +149,7 @@ def scaled_tsunami_config(num_shards: int, config=None):
 
 
 @dataclass
-class FanOutStats:
+class FanOutStats(Record):
     """Cumulative fault accounting for one :class:`ShardedIndex`."""
 
     shard_failures: int = 0
@@ -156,16 +157,6 @@ class FanOutStats:
     shard_retries: int = 0
     shards_skipped_open: int = 0
     partial_serves: int = 0
-
-    def as_dict(self) -> dict:
-        """JSON-serializable summary for ``describe`` and benchmark reports."""
-        return {
-            "shard_failures": self.shard_failures,
-            "shard_timeouts": self.shard_timeouts,
-            "shard_retries": self.shard_retries,
-            "shards_skipped_open": self.shards_skipped_open,
-            "partial_serves": self.partial_serves,
-        }
 
 
 @dataclass

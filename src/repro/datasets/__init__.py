@@ -6,7 +6,8 @@ synthesized workload of several query *types* that display skew over time and
 other dimensions (§6.2).  The real datasets are not redistributable, so this
 subpackage generates synthetic stand-ins that reproduce the documented
 schemas, correlations, and workload skew at configurable scale — the
-statistics the index structures actually respond to (see DESIGN.md §2).
+statistics the index structures actually respond to (see §6.2 of the
+paper PAPER.md names, and each generator's own docstring).
 
 ``load_dataset(name, ...)`` is the registry entry point used by the examples
 and benchmarks.

@@ -30,10 +30,11 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.common.errors import ServerClosedError, ServerOverloadedError, ServingError
+from repro.common.records import Record
 
 
 @dataclass
-class BatcherStats:
+class BatcherStats(Record):
     """Admission and batch accounting for one :class:`MicroBatcher`."""
 
     items_admitted: int = 0
@@ -45,16 +46,6 @@ class BatcherStats:
     def mean_batch_size(self) -> float:
         """Average items per batch handed to the dispatcher."""
         return self.items_admitted / self.batches if self.batches else 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-serializable summary for benchmark reports."""
-        return {
-            "items_admitted": self.items_admitted,
-            "items_rejected": self.items_rejected,
-            "batches": self.batches,
-            "largest_batch": self.largest_batch,
-            "mean_batch_size": round(self.mean_batch_size, 2),
-        }
 
 
 class MicroBatcher:

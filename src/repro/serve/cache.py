@@ -32,11 +32,12 @@ from dataclasses import dataclass
 
 from repro.baselines.base import QueryResult
 from repro.common import faults
+from repro.common.records import Record
 from repro.query.query import Query
 
 
 @dataclass
-class ResultCacheStats:
+class ResultCacheStats(Record):
     """Hit/miss/invalidation accounting for one :class:`ResultCache`."""
 
     hits: int = 0
@@ -49,16 +50,6 @@ class ResultCacheStats:
         """Fraction of lookups answered from the cache."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-serializable summary for benchmark reports."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "hit_rate": round(self.hit_rate, 4),
-        }
 
 
 class ResultCache:

@@ -63,6 +63,7 @@ from repro.common.errors import (
     ServerClosedError,
     ServingError,
 )
+from repro.common.records import Record
 from repro.query.query import Query
 from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import ResultCache
@@ -120,7 +121,7 @@ class ServingConfig:
 
 
 @dataclass
-class ServingStats:
+class ServingStats(Record):
     """Running totals of everything the front-end has done."""
 
     queries_submitted: int = 0
@@ -136,24 +137,6 @@ class ServingStats:
     query_failures: int = 0
     quarantined: int = 0
     dispatcher_crashes: int = 0
-
-    def as_dict(self) -> dict:
-        """JSON-serializable summary for benchmark reports."""
-        return {
-            "queries_submitted": self.queries_submitted,
-            "queries_served": self.queries_served,
-            "cache_hits": self.cache_hits,
-            "observed_cache_hits": self.observed_cache_hits,
-            "rejections": self.rejections,
-            "write_batches": self.write_batches,
-            "rows_inserted": self.rows_inserted,
-            "invalidations": self.invalidations,
-            "batch_failures": self.batch_failures,
-            "solo_retries": self.solo_retries,
-            "query_failures": self.query_failures,
-            "quarantined": self.quarantined,
-            "dispatcher_crashes": self.dispatcher_crashes,
-        }
 
 
 class _PendingQuery:

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.common.errors import QueryError
+from repro.common.records import Record
 from repro.storage.kernels import fused_count, fused_max, fused_min, fused_sum
 from repro.storage.table import Table
 
@@ -46,7 +47,7 @@ class RowRange:
 
 
 @dataclass
-class ScanStats:
+class ScanStats(Record):
     """Machine-independent accounting of the work done by one or more scans.
 
     ``values_scanned`` counts individual cell values logically read (filter

@@ -14,7 +14,10 @@ Covers the three layers of ``repro.bench``'s scenario subsystem:
   schema validation.
 """
 
+import json
+import re
 import statistics
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +27,17 @@ from repro.bench import runner
 from repro.bench.cli import EXPERIMENTS
 from repro.bench.runner import _Serving, run_scenario, validate_report
 from repro.bench.scenario import (
+    CategoricalDatasetConfig,
+    DatasetConfig,
+    DriftConfig,
+    FaultsConfig,
     FigureConfig,
+    IndexConfig,
     ScenarioConfig,
+    ThresholdsConfig,
+    WorkloadConfig,
+    WriteMixConfig,
+    _parse_section,
     load_config,
     parse_config,
     validate_directory,
@@ -36,6 +48,8 @@ from repro.core.delta import DeltaBufferedIndex
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "benchmarks" / "configs"
+SCENARIO_FILE = "scenario_drift_step.json"
+FIGURE_FILE = "table3_datasets.json"
 
 
 def scenario_raw(**overrides) -> dict:
@@ -51,7 +65,128 @@ def scenario_raw(**overrides) -> dict:
     return raw
 
 
+#: For each config section, a raw mapping naming every field with a
+#: non-default value (lists where the field holds a tuple).
+EVERY_FIELD = {
+    CategoricalDatasetConfig: {"dimension": "mode", "cardinality": 12, "skew": 0},
+    WriteMixConfig: {"write_fraction": 0.2, "rows_per_write": 8, "hotspot": [100, 900]},
+    DriftConfig: {"schedule": "rotating_hotspot", "phases": 3},
+    FaultsConfig: {"error_probability": 0.1, "delay_probability": 0.2, "delay_seconds": 0},
+    IndexConfig: {
+        "kind": "tsunami",
+        "variant": "delta",
+        "label": "t",
+        "optimizer_iterations": 1,
+        "page_size": 512,
+        "merge_threshold": 10,
+        "merge_strategy": "rebuild",
+        "num_shards": 2,
+        "parallelism": 2,
+        "updatable_shards": True,
+        "cache_entries": 16,
+        "batch_size": 8,
+    },
+    ThresholdsConfig: {
+        "min_queries_per_second": 1,
+        "speedup_of": "a",
+        "speedup_over": "b",
+        "min_speedup": 1.5,
+        "max_bytes_per_value": 4,
+        "max_table_bytes_per_value": 4.5,
+        "min_relative_update_rate": 0.5,
+        "max_update_rate_degradation": 2,
+        "min_recovery_ratio": 0.5,
+    },
+    FigureConfig: {
+        "name": "f",
+        "experiment": "table3",
+        "description": "d",
+        "smoke": True,
+        "params": {"num_rows": 2_000},
+    },
+}
+EVERY_FIELD[DatasetConfig] = {
+    "source": "uniform",
+    "num_rows": [1_000, 2_000],
+    "num_dimensions": 4,
+    "domain": 500,
+    "categorical": EVERY_FIELD[CategoricalDatasetConfig],
+}
+EVERY_FIELD[WorkloadConfig] = {
+    "num_templates": 4,
+    "num_queries": 32,
+    "zipf_theta": None,
+    "selectivity": 0.1,
+    "dims_per_query": 1,
+    "point_lookup_fraction": 0.25,
+    "categorical_fraction": 0.25,
+    "reorder_categorical": True,
+    "placement": "narrow",
+    "writes": EVERY_FIELD[WriteMixConfig],
+    "drift": EVERY_FIELD[DriftConfig],
+}
+EVERY_FIELD[ScenarioConfig] = {
+    "name": "s",
+    "description": "d",
+    "smoke": True,
+    "seed": 7,
+    "repetitions": 2,
+    "dataset": EVERY_FIELD[DatasetConfig],
+    "workload": EVERY_FIELD[WorkloadConfig],
+    "indexes": [EVERY_FIELD[IndexConfig]],
+    "faults": EVERY_FIELD[FaultsConfig],
+    "thresholds": EVERY_FIELD[ThresholdsConfig],
+}
+
+
 class TestConfigSchema:
+    @pytest.mark.parametrize("section", list(EVERY_FIELD), ids=lambda section: section.__name__)
+    def test_a_mapping_naming_every_field_parses(self, section):
+        raw = EVERY_FIELD[section]
+        assert set(raw) == {f.name for f in fields(section)}
+        parsed = _parse_section(section, raw, section.__name__)
+        assert json.loads(json.dumps(asdict(parsed))) == raw
+
+    @pytest.mark.parametrize(
+        "config_file, section, key, value, named",
+        [
+            pytest.param(SCENARIO_FILE, (), "smoke", "false", "smoke", id="smoke"),
+            pytest.param(SCENARIO_FILE, (), "seed", 2.7, "seed", id="seed"),
+            pytest.param(SCENARIO_FILE, (), "repetitions", "two", "repetitions", id="repetitions"),
+            pytest.param(
+                SCENARIO_FILE, ("workload",), "num_templates", "24", "workload.num_templates", id="num_templates"
+            ),
+            pytest.param(SCENARIO_FILE, ("dataset",), "domain", "big", "dataset.domain", id="domain"),
+            pytest.param(
+                SCENARIO_FILE, ("thresholds",), "min_speedup", "1.5", "thresholds.min_speedup", id="min_speedup"
+            ),
+            pytest.param(SCENARIO_FILE, (), "indexes", {"kind": "tsunami"}, "indexes", id="indexes"),
+            pytest.param(
+                SCENARIO_FILE,
+                ("indexes", 0),
+                "optimizer_iterations",
+                True,
+                "indexes[0].optimizer_iterations",
+                id="bool-as-int",
+            ),
+            pytest.param(
+                SCENARIO_FILE, ("dataset",), "num_rows", [1_000, "2k"], "dataset.num_rows[1]", id="list-item"
+            ),
+            pytest.param(SCENARIO_FILE, (), "dataset", None, "dataset", id="null-section"),
+            pytest.param(SCENARIO_FILE, ("workload",), "drift", None, "workload.drift", id="null-nested-section"),
+            pytest.param(FIGURE_FILE, (), "smoke", "false", "smoke", id="figure-smoke"),
+            pytest.param(FIGURE_FILE, (), "params", [40_000], "params", id="figure-params"),
+        ],
+    )
+    def test_values_of_the_wrong_type_are_rejected(self, config_file, section, key, value, named):
+        raw = json.loads((CONFIG_DIR / config_file).read_text())
+        target = raw
+        for step in section:
+            target = target.setdefault(step, {}) if isinstance(step, str) else target[step]
+        target[key] = value
+        with pytest.raises(ConfigError, match=f"^{re.escape(config_file)}: {re.escape(named)} must "):
+            parse_config(raw, source=config_file)
+
     def test_round_trip(self):
         config = parse_config(scenario_raw())
         assert isinstance(config, ScenarioConfig)
@@ -184,6 +319,8 @@ class TestShippedConfigs:
         assert len(configs) >= 15
         kinds = {type(config).__name__ for _, config in configs}
         assert kinds == {"ScenarioConfig", "FigureConfig"}
+        for path, config in configs:
+            assert parse_config(config.to_dict(), source=path.name) == config
 
     def test_tracker_configs_cover_all_five_bench_outputs(self):
         """Every gate of the five retired ``BENCH_*.json`` outputs is a smoke scenario.
