@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +48,6 @@ class BuildReport(Record):
 
     sort_seconds: float = 0.0
     optimize_seconds: float = 0.0
-    details: dict = field(default_factory=dict)
 
     @property
     def total_seconds(self) -> float:

@@ -673,6 +673,11 @@ def experiment_optimizers(
                     "predicted cost": round(result.predicted_cost, 1),
                     "actual avg query (ms)": round(avg_actual * 1e3, 3),
                     "cost model error": f"{model_error:.1%}",
+                    # The weights fitted to the measured scans (§5.3.1's
+                    # model has w0/w1 = 50).
+                    "w0 (us/range)": round(calibrated.w0 * 1e6, 2),
+                    "w1 (ns/value)": round(calibrated.w1 * 1e9, 2),
+                    "w0/w1": round(calibrated.w0 / calibrated.w1) if calibrated.w1 > 0 else "inf",
                     "evaluations": result.evaluations,
                     "skeleton": result.config.skeleton.describe(),
                 }

@@ -24,11 +24,19 @@ emits one coalesced span per outer-dimension prefix — cells consecutive in the
 innermost dimension occupy contiguous physical rows, so no per-cell Python
 work is needed.  One expansion core plans a whole batch of queries at once,
 carrying a query id through the cross product and breaking coalesced spans at
-query boundaries.  It has two callers:
+query boundaries.
 
-* :meth:`AugmentedGrid.plan` serves one query.  Its windows come from the
-  per-query window table, which also keys the plan cache; a cache miss runs
-  the core as a batch of one and keeps the spans.
+Both callers read a query's bounds through one role table, built when the
+grid is fitted: per skeleton dimension, which grid position a filter on it
+windows, through which CDF (one per base partition for a conditional
+dimension), after which functional mapping.
+
+* :meth:`AugmentedGrid.plan` serves one query.  It loops over the query's
+  own predicates and windows only the positions they bound.  Those windows,
+  as plain ints after the query type and the sorted filtered dimensions,
+  are the plan-cache key: every other window is full, so the key is
+  lossless.  A cache miss runs the core as a batch of one on the same
+  windows and keeps the spans.
 * :meth:`AugmentedGrid.plan_counts` takes the optimizer's whole sample
   workload.  Its windows are computed as arrays for every query at once, and
   it returns only per-query ``(num_cell_ranges, points_scanned)``, equal to
@@ -40,7 +48,7 @@ differential oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -122,6 +130,27 @@ class AugmentedGridConfig:
         return total
 
 
+@dataclass(frozen=True, slots=True)
+class _Role:
+    """What a filter on one skeleton dimension does to the grid's windows.
+
+    The filter's bounds window grid position ``position``, which has
+    ``count`` partitions.  An independent position (``base`` is -1) has one
+    window, through its CDF ``cdf``.  A conditional position has one window
+    per partition of the grid position ``base`` (``base_count`` partitions)
+    inside that position's window, through ``cdf[base partition]``.  A
+    mapped dimension first rewrites its bounds onto its target with
+    ``mapping``; the rest of its role is the target's.
+    """
+
+    position: int
+    count: int
+    cdf: EmpiricalCDF | tuple[EmpiricalCDF, ...]
+    base: int = -1
+    base_count: int = 1
+    mapping: BoundedLinearModel | OutlierBoundedMapping | None = None
+
+
 @dataclass
 class _BatchWindows:
     """Partition windows of a batch of queries, as :meth:`AugmentedGrid._batch_windows` builds them.
@@ -147,6 +176,11 @@ class AugmentedGrid:
     query's type and quantized (partition-window) bounds so skewed workloads
     reuse plans instead of re-planning.  The cache is cleared by :meth:`fit`
     because spans are offsets into the clustered row order.
+
+    A fitted grid keeps a role table (:class:`_Role` per skeleton dimension
+    whose filter windows a position with more than one partition).  It is
+    derived from the fitted models, so snapshots leave it out and rebuild
+    it on load.
     """
 
     def __init__(
@@ -180,9 +214,21 @@ class AugmentedGrid:
         self._cdf_models: dict[str, EmpiricalCDF] = {}
         self._conditional_models: dict[str, ConditionalCDF] = {}
         self._mapping_models: dict[str, BoundedLinearModel | OutlierBoundedMapping] = {}
+        self._roles: dict[str, _Role] = {}
         self._offsets: np.ndarray | None = None
         self._num_rows = 0
         self._fitted = False
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_roles"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._roles = {}
+        if self._fitted:
+            self._build_roles()
 
     # -- fitting -----------------------------------------------------------------
 
@@ -316,6 +362,7 @@ class AugmentedGrid:
         counts = np.bincount(cell_ids, minlength=total_cells)
         self._offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         self._fitted = True
+        self._build_roles()
         if self.plan_cache is not None:
             # Cached spans are offsets into the previous clustered order.
             self.plan_cache.clear()
@@ -386,7 +433,38 @@ class AugmentedGrid:
         grid._offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         grid._num_rows = self._num_rows + num_appended
         grid._fitted = True
+        grid._build_roles()
         return grid, permutation
+
+    def _build_roles(self) -> None:
+        """Compile the role table from the fitted models (see :class:`_Role`).
+
+        A position with one partition has no role: every filter on it leaves
+        the one full window, so it only counts as a filtered dimension.
+        """
+        roles: dict[str, _Role] = {}
+        for position, dim in enumerate(self.grid_dimensions):
+            count = self.config.partitions[dim]
+            if count == 1:
+                continue
+            strategy = self.skeleton.strategy_for(dim)
+            if isinstance(strategy, IndependentCDFStrategy):
+                roles[dim] = _Role(position, count, self._cdf_models[dim])
+                continue
+            model = self._conditional_models[dim]
+            base_count = self.config.partitions[strategy.base]
+            roles[dim] = _Role(
+                position,
+                count,
+                tuple(model.model_for(part) for part in range(base_count)),
+                base=self.grid_dimensions.index(strategy.base),
+                base_count=base_count,
+            )
+        for dim in self.skeleton.mapped_dimensions:
+            target = roles.get(self.skeleton.strategy_for(dim).target)
+            if target is not None:
+                roles[dim] = replace(target, mapping=self._mapping_models[dim])
+        self._roles = roles
 
     # -- planning ------------------------------------------------------------------
 
@@ -394,131 +472,68 @@ class AugmentedGrid:
         if not self._fitted or self._offsets is None:
             raise IndexBuildError("AugmentedGrid has not been fitted")
 
-    def _effective_bounds(self, query: Query) -> dict[str, tuple[float, float]]:
-        """Per-grid-dimension filter bounds after applying functional mappings.
+    def _bounds(self, query: Query) -> dict[int, tuple[_Role, float, float]]:
+        """The query's filter bounds per windowed grid position, through the role table.
 
-        A filter over a mapped dimension is rewritten (via the mapping's error
-        bounds) into a covering range over its target dimension and intersected
-        with any direct filter over the target.
+        Only the query's own predicates are read.  A filter on a mapped
+        dimension is rewritten (via the mapping's error bounds) into a
+        covering range over its target and intersected with any direct
+        filter on the target.  Each entry keeps the position's role beside
+        its ``(low, high)``.
         """
-        bounds: dict[str, tuple[float, float]] = {}
-        for dim in self.grid_dimensions:
-            predicate = query.predicate_for(dim)
-            if predicate is not None:
-                bounds[dim] = (float(predicate.low), float(predicate.high))
-        for dim in self.skeleton.mapped_dimensions:
-            predicate = query.predicate_for(dim)
-            if predicate is None:
+        bounds: dict[int, tuple[_Role, float, float]] = {}
+        roles = self._roles
+        for predicate in query.predicates:
+            role = roles.get(predicate.dimension)
+            if role is None:
                 continue
-            strategy = self.skeleton.strategy_for(dim)
-            assert isinstance(strategy, FunctionalMappingStrategy)
-            mapped_low, mapped_high = self._mapping_models[dim].map_range(
-                float(predicate.low), float(predicate.high)
-            )
-            if strategy.target in bounds:
-                existing_low, existing_high = bounds[strategy.target]
-                bounds[strategy.target] = (
-                    max(existing_low, mapped_low),
-                    min(existing_high, mapped_high),
-                )
-            else:
-                bounds[strategy.target] = (mapped_low, mapped_high)
+            low, high = float(predicate.low), float(predicate.high)
+            if role.mapping is not None:
+                low, high = role.mapping.map_range(low, high)
+            known = bounds.get(role.position)
+            if known is not None:
+                low, high = max(known[1], low), min(known[2], high)
+            bounds[role.position] = (role, low, high)
         return bounds
 
-    def _partition_window(
-        self,
-        dim: str,
-        bounds: dict[str, tuple[float, float]],
-        assignment: dict[str, int],
-    ) -> tuple[int, int]:
-        """Inclusive partition-id window of ``dim`` given bounds and base assignments."""
-        num_partitions = self.config.partitions[dim]
-        if dim not in bounds or num_partitions == 1:
-            return 0, num_partitions - 1
-        low, high = bounds[dim]
-        if high < low:
-            return 1, 0  # empty window
-        strategy = self.skeleton.strategy_for(dim)
-        if isinstance(strategy, IndependentCDFStrategy):
-            return self._cdf_models[dim].partition_range(low, high, num_partitions)
-        assert isinstance(strategy, ConditionalCDFStrategy)
-        base_partition = assignment[strategy.base]
-        return self._conditional_models[dim].partition_range(
-            low, high, base_partition, num_partitions
-        )
+    def _windows(self, bounds: dict[int, tuple[_Role, float, float]], key: list) -> dict:
+        """Partition windows of the bounded positions, appended to ``key`` in grid order.
 
-    def _window_table(
-        self, query: Query
-    ) -> dict[str, tuple[int, int] | tuple[np.ndarray, np.ndarray]]:
-        """Every grid dimension's partition window(s) for ``query``.
-
-        Independent dimensions map to one inclusive ``(first, last)`` window.
-        Conditional dimensions map to two parallel int arrays holding one
-        window per base partition inside the base dimension's own window
-        (empty windows are encoded as ``first > last``).  This table is the
-        query's *quantized bounds*: it fully determines the planned spans, so
-        it doubles as the plan-cache key material.
+        An independent position gets one inclusive ``(first, last)`` window;
+        a conditional one gets a list of them, one per base partition inside
+        the base position's window.  Empty windows are ``first > last``.
+        Every unbounded position's windows are full, so the filtered
+        dimensions plus these windows fix the plan: appended to ``key`` as
+        plain ints, they make the lossless plan-cache key.
         """
-        bounds = self._effective_bounds(query)
-        windows: dict[str, tuple[int, int] | tuple[np.ndarray, np.ndarray]] = {}
-        for dim in self.grid_dimensions:
-            strategy = self.skeleton.strategy_for(dim)
-            if isinstance(strategy, IndependentCDFStrategy):
-                windows[dim] = self._partition_window(dim, bounds, {})
-                continue
-            assert isinstance(strategy, ConditionalCDFStrategy)
-            base_window = windows[strategy.base]
-            base_first, base_last = base_window  # bases are independent
-            num_base = max(int(base_last) - int(base_first) + 1, 0)
-            count = self.config.partitions[dim]
-            if dim not in bounds or count == 1:
-                firsts = np.zeros(num_base, dtype=np.int64)
-                lasts = np.full(num_base, count - 1, dtype=np.int64)
+        windows: dict = {}
+        for position in sorted(bounds):
+            role, low, high = bounds[position]
+            if role.base < 0:
+                window = (1, 0) if high < low else role.cdf.partition_range(low, high, role.count)
+                key += window
             else:
-                low, high = bounds[dim]
-                firsts = np.empty(num_base, dtype=np.int64)
-                lasts = np.empty(num_base, dtype=np.int64)
+                base_first, base_last = windows.get(role.base, (0, role.base_count - 1))
+                parts = range(base_first, base_last + 1)
                 if high < low:
-                    firsts[:] = 1
-                    lasts[:] = 0
+                    window = [(1, 0)] * len(parts)
                 else:
-                    model = self._conditional_models[dim]
-                    for position, base_partition in enumerate(
-                        range(int(base_first), int(base_last) + 1)
-                    ):
-                        first, last = model.partition_range(
-                            low, high, base_partition, count
-                        )
-                        firsts[position] = first
-                        lasts[position] = last
-            windows[dim] = (firsts, lasts)
+                    window = [role.cdf[part].partition_range(low, high, role.count) for part in parts]
+                for pair in window:
+                    key += pair
+            windows[position] = window
         return windows
-
-    def _plan_key(self, query: Query, windows: dict) -> tuple:
-        """Plan-cache key: query type + filtered dims + quantized bounds."""
-        signature = []
-        for dim in self.grid_dimensions:
-            window = windows[dim]
-            if isinstance(window[0], np.ndarray):
-                signature.append((tuple(window[0].tolist()), tuple(window[1].tolist())))
-            else:
-                signature.append((int(window[0]), int(window[1])))
-        return (
-            query.query_type,
-            tuple(sorted(query.filtered_dimensions)),
-            tuple(signature),
-        )
 
     def _batch_windows(self, queries: Sequence[Query]) -> _BatchWindows:
         """Every grid dimension's partition windows for a batch of queries.
 
-        The array form of :meth:`_window_table`: each independent
-        dimension's windows are computed for the whole batch with
-        :meth:`~repro.stats.cdf.EmpiricalCDF.partitions_of`, and each
-        conditional dimension's ``(queries, base partitions)`` table is
-        filled one base-partition model at a time.
+        The array form of :meth:`_windows`, reading bounds through the same
+        role table: each independent dimension's windows are computed for
+        the whole batch with :meth:`~repro.stats.cdf.EmpiricalCDF.partitions_of`,
+        and each conditional dimension's ``(queries, base partitions)`` table
+        is filled one base-partition model at a time.
         """
-        bounds = [self._effective_bounds(query) for query in queries]
+        bounds = [self._bounds(query) for query in queries]
         filtered = {dim for query in queries for dim in query.filtered_dimensions}
         num_queries = len(queries)
         independent = self.grid_dimensions[: self._num_independent]
@@ -528,73 +543,66 @@ class AugmentedGrid:
         windows = _BatchWindows(firsts, lasts, {}, 0)
         for position, dim in enumerate(self.grid_dimensions):
             count = self.config.partitions[dim]
-            strategy = self.skeleton.strategy_for(dim)
-            bounded = [row for row, query_bounds in enumerate(bounds) if dim in query_bounds]
-            if isinstance(strategy, ConditionalCDFStrategy):
-                shape = (num_queries, self.config.partitions[strategy.base])
+            if position < self._num_independent:
+                dim_firsts, dim_lasts = firsts[:, position], lasts[:, position]
+            else:
+                base = self.skeleton.strategy_for(dim).base
+                shape = (num_queries, self.config.partitions[base])
                 dim_firsts = np.zeros(shape, dtype=np.int64)
                 dim_lasts = np.full(shape, count - 1, dtype=np.int64)
                 windows.conditional[dim] = (dim_firsts, dim_lasts)
-            else:
-                dim_firsts, dim_lasts = firsts[:, position], lasts[:, position]
-            if dim in filtered or (count > 1 and bounded):
+            bounded = [row for row, query_bounds in enumerate(bounds) if position in query_bounds]
+            if dim in filtered or bounded:
                 windows.depth = position + 1
-            if count == 1 or not bounded:
+            if not bounded:
                 continue
+            role = self._roles[dim]
             rows = np.array(bounded, dtype=np.int64)
-            lows = np.array([bounds[row][dim][0] for row in bounded], dtype=np.float64)
-            highs = np.array([bounds[row][dim][1] for row in bounded], dtype=np.float64)
-            if isinstance(strategy, ConditionalCDFStrategy):
-                base_position = self.grid_dimensions.index(strategy.base)
-                model = self._conditional_models[dim]
+            lows = np.array([bounds[row][position][1] for row in bounded], dtype=np.float64)
+            highs = np.array([bounds[row][position][2] for row in bounded], dtype=np.float64)
+            if role.base < 0:
+                dim_firsts[rows] = role.cdf.partitions_of(lows, count)
+                dim_lasts[rows] = role.cdf.partitions_of(highs, count)
+            else:
                 # Only base partitions inside some query's base window are read.
                 for base_partition in range(
-                    int(firsts[rows, base_position].min()),
-                    int(lasts[rows, base_position].max()) + 1,
+                    int(firsts[rows, role.base].min()),
+                    int(lasts[rows, role.base].max()) + 1,
                 ):
-                    cdf = model.model_for(base_partition)
+                    cdf = role.cdf[base_partition]
                     dim_firsts[rows, base_partition] = cdf.partitions_of(lows, count)
                     dim_lasts[rows, base_partition] = cdf.partitions_of(highs, count)
-            else:
-                model = self._cdf_models[dim]
-                dim_firsts[rows] = model.partitions_of(lows, count)
-                dim_lasts[rows] = model.partitions_of(highs, count)
             empty = rows[highs < lows]
             dim_firsts[empty] = 1
             dim_lasts[empty] = 0
         return windows
 
     def _batch_of_one(self, query: Query, windows: dict) -> _BatchWindows:
-        """One query's :meth:`_window_table` in :meth:`_batch_windows`' layout."""
+        """One query's :meth:`_windows` in :meth:`_batch_windows`' layout."""
         dims = self.grid_dimensions
-        independent = dims[: self._num_independent]
-        pairs = np.array(
-            [[windows[dim][0] for dim in independent], [windows[dim][1] for dim in independent]],
-            dtype=np.int64,
-        )
-        batch = _BatchWindows(pairs[:1], pairs[1:], {}, 0)
+        independent = self._num_independent
         filtered = query.filtered_dimensions
-        for position in range(len(dims) - 1, -1, -1):
+        depth = 0
+        for position, dim in enumerate(dims):
+            if position in windows or dim in filtered:
+                depth = position + 1
+        firsts = np.zeros((1, independent), dtype=np.int64)
+        lasts = np.array(
+            [[self.config.partitions[dim] - 1 for dim in dims[:independent]]], dtype=np.int64
+        )
+        for position, window in windows.items():
+            if position < independent:
+                firsts[0, position], lasts[0, position] = window
+        batch = _BatchWindows(firsts, lasts, {}, depth)
+        for position in range(independent, depth):
             dim = dims[position]
-            last = self.config.partitions[dim] - 1
-            dim_firsts, dim_lasts = windows[dim]
-            if position < self._num_independent:
-                full = dim_firsts == 0 and dim_lasts == last
-            else:
-                full = not any(dim_firsts.tolist()) and all(
-                    value == last for value in dim_lasts.tolist()
-                )
-            if dim in filtered or not full:
-                batch.depth = position + 1
-                break
-        for dim in dims[self._num_independent : batch.depth]:
             base = self.skeleton.strategy_for(dim).base
-            base_first = int(windows[base][0])
-            dim_firsts, dim_lasts = windows[dim]
-            # Entries outside the base window are never read.
             tables = np.zeros((2, self.config.partitions[base]), dtype=np.int64)
-            tables[0, base_first : base_first + dim_firsts.size] = dim_firsts
-            tables[1, base_first : base_first + dim_lasts.size] = dim_lasts
+            tables[1] = self.config.partitions[dim] - 1
+            window = windows.get(position)
+            if window:
+                base_first = int(firsts[0, dims.index(base)])
+                tables[:, base_first : base_first + len(window)] = np.array(window).T
             batch.conditional[dim] = (tables[:1], tables[1:])
         return batch
 
@@ -753,25 +761,32 @@ class AugmentedGrid:
             flags[first_index],
         )
 
-    def plan(self, query: Query) -> tuple[list[tuple[int, int, bool]], QueryPlanFeatures]:
-        """Plan ``query``: relative row ranges plus cost-model features.
+    def _spans(self, query: Query) -> list[tuple[int, int, bool]]:
+        """Relative ``(start, stop, exact)`` row spans of ``query``.
 
-        Windows come from the per-query :meth:`_window_table`, which also keys
-        the plan cache; a miss expands the spans as a batch of one.
+        The query's predicates are read through the role table into the
+        windows of its bounded positions, which also make the plan-cache
+        key; a miss expands the spans from those same windows as a batch of
+        one.
         """
         self._require_fitted()
-        windows = self._window_table(query)
-        spans = None
-        if self.plan_cache is not None:
-            key = self._plan_key(query, windows)
-            spans = self.plan_cache.get(key)
+        signature = [query.query_type, tuple(sorted(query.filtered_dimensions))]
+        windows = self._windows(self._bounds(query), signature)
+        key = tuple(signature)
+        cache = self.plan_cache
+        spans = None if cache is None else cache.get(key)
         if spans is None:
             _, starts, stops, flags = self._expand_spans(
                 (query,), self._batch_of_one(query, windows)
             )
             spans = list(zip(starts.tolist(), stops.tolist(), flags.tolist()))
-            if self.plan_cache is not None:
-                self.plan_cache.put(key, spans)
+            if cache is not None:
+                cache.put(key, spans)
+        return spans
+
+    def plan(self, query: Query) -> tuple[list[tuple[int, int, bool]], QueryPlanFeatures]:
+        """Plan ``query``: relative row ranges plus cost-model features."""
+        spans = self._spans(query)
         features = QueryPlanFeatures(
             num_cell_ranges=len(spans),
             points_scanned=sum(stop - start for start, stop, _ in spans),
@@ -796,10 +811,9 @@ class AugmentedGrid:
 
     def ranges_for_query(self, query: Query, offset: int = 0) -> list[RowRange]:
         """Physical row ranges for ``query``, shifted by the region's ``offset``."""
-        spans, _ = self.plan(query)
         return [
             RowRange(offset + start, offset + stop, exact=exact)
-            for start, stop, exact in spans
+            for start, stop, exact in self._spans(query)
         ]
 
     # -- reporting ---------------------------------------------------------------------

@@ -125,7 +125,13 @@ class PlanCache:
     lies inside *any* filter range producing that window).  Caching the
     planned spans under ``(query_type, filtered dimensions, windows)`` is
     therefore lossless: a hit replays the identical plan, and scan-time
-    filtering still uses the live query's exact bounds.
+    filtering still uses the live query's exact bounds.  The grid builds
+    the key as a flat tuple: the query type, the sorted filtered
+    dimensions, then the windows of only the grid dimensions the query
+    bounds, as plain ints in grid order (one ``first, last`` pair per
+    independent dimension, one per base partition for a conditional one).
+    Every other window is full, and the filtered dimensions say which
+    dimensions are bounded, so the short key still fixes the plan.
 
     The cache must be dropped whenever the physical layout changes (rebuild or
     :meth:`~repro.core.tsunami.TsunamiIndex.reoptimize`): cached spans are

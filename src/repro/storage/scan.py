@@ -125,8 +125,23 @@ def coalesce_ranges(ranges: Iterable[RowRange]) -> list[RowRange]:
     return merged
 
 
+def _gather(values: np.ndarray, ranges: Sequence[tuple[int, int]]) -> np.ndarray:
+    """``values`` over ``ranges``, concatenated (a lone range is a view)."""
+    if len(ranges) == 1:
+        start, stop = ranges[0]
+        return values[start:stop]
+    return np.concatenate([values[start:stop] for start, stop in ranges])
+
+
 class ScanExecutor:
-    """Evaluates filter predicates and aggregations over physical row ranges."""
+    """Evaluates filter predicates and aggregations over physical row ranges.
+
+    A query's ranges are coalesced, then scanned in one pass: exact ranges
+    are counted without reading a value, and all inexact ranges are filtered
+    together, one concatenated slice and one pair of comparisons per
+    filtered column.  Sums and extremes run the fused kernels range by range,
+    each inexact range under its slice of that one mask.
+    """
 
     def __init__(self, table: Table) -> None:
         self._table = table
@@ -144,16 +159,6 @@ class ScanExecutor:
             size = self._table.column(dim).itemsize
             self._itemsizes[dim] = size
         return size
-
-    def _filter_mask(
-        self, start: int, stop: int, filters: Mapping[str, tuple[int, int]]
-    ) -> np.ndarray:
-        """Boolean mask of rows in ``[start, stop)`` matching every filter."""
-        mask = np.ones(stop - start, dtype=bool)
-        for dim, (low, high) in filters.items():
-            values = self._table.column(dim).slice(start, stop)
-            mask &= (values >= low) & (values <= high)
-        return mask
 
     def execute(
         self,
@@ -202,69 +207,97 @@ class ScanExecutor:
         aggregate: str,
         aggregate_column: str | None,
     ) -> tuple[float, ScanStats]:
-        """Scan already-coalesced ranges."""
-        stats = ScanStats(dims_accessed=len(filters))
-        stats.cell_ranges = len(merged)
-        filter_bytes_per_row = sum(self._itemsize(dim) for dim in filters)
-        aggregate_itemsize = (
-            self._itemsize(aggregate_column) if aggregate_column is not None else 0
-        )
+        """Scan already-coalesced ranges: one filter pass over all inexact ones.
 
-        count = 0
+        Each filtered column's inexact slices are concatenated once (a lone
+        slice is used as is) and compared against its bounds once, so a
+        query costs one mask and one ``count_nonzero`` however many ranges
+        it has.  Other aggregates then walk the ranges in order, reducing
+        each inexact one under its slice of that mask, so answers are those
+        of a range-by-range scan.
+        """
+        num_rows = self._table.num_rows
+        exact_rows = 0
+        inexact: list[tuple[int, int]] = []
+        for row_range in merged:
+            start, stop = row_range.start, row_range.stop
+            if stop > num_rows:
+                raise QueryError(f"row range [{start}, {stop}) exceeds table size {num_rows}")
+            if row_range.exact:
+                exact_rows += stop - start
+            else:
+                inexact.append((start, stop))
+        inexact_rows = sum(stop - start for start, stop in inexact)
+        mask = self._matches(inexact, filters)
+        matched = inexact_rows if mask is None else fused_count(mask)
+        stats = ScanStats(
+            points_scanned=inexact_rows,
+            cell_ranges=len(merged),
+            rows_matched=exact_rows + matched,
+            dims_accessed=len(filters),
+            values_scanned=inexact_rows * len(filters),
+            bytes_scanned=inexact_rows * sum(self._itemsize(dim) for dim in filters),
+        )
+        if aggregate == "count":
+            return float(stats.rows_matched), stats
+        stats.points_scanned += exact_rows
+        column = self._table.column(aggregate_column).values
+        itemsize = self._itemsize(aggregate_column)
         total = 0.0
         minimum: float | None = None
         maximum: float | None = None
-
+        offset = 0  # where the next inexact range starts in ``mask``
         for row_range in merged:
             start, stop = row_range.start, row_range.stop
-            if stop > self._table.num_rows:
-                raise QueryError(
-                    f"row range [{start}, {stop}) exceeds table size {self._table.num_rows}"
-                )
             length = stop - start
-            if row_range.exact:
-                # Exact ranges skip per-value filter checks entirely.
-                matched = length
-                count += matched
-                stats.rows_matched += matched
-                if aggregate == "count":
+            # Exact ranges skip per-value filter checks entirely.
+            selected = None
+            if not row_range.exact and mask is not None:
+                selected = mask[offset : offset + length]
+                offset += length
+                if fused_count(selected) == 0:
                     continue
-                stats.points_scanned += length
-                mask = None
-            else:
-                stats.points_scanned += length
-                stats.values_scanned += length * len(filters)
-                stats.bytes_scanned += length * filter_bytes_per_row
-                mask = self._filter_mask(start, stop, filters)
-                matched = fused_count(mask)
-                count += matched
-                stats.rows_matched += matched
-                if aggregate == "count" or matched == 0:
-                    continue
-
             # Fused aggregation: reduce over the whole slice under the mask
             # instead of materializing ``values[mask]``.
-            values = self._table.column(aggregate_column).slice(start, stop)
+            values = column[start:stop]
             stats.values_scanned += length
-            stats.bytes_scanned += length * aggregate_itemsize
+            stats.bytes_scanned += length * itemsize
             if aggregate in {"sum", "avg"}:
-                total += float(fused_sum(values, mask))
+                total += float(fused_sum(values, selected))
             if aggregate == "min":
-                candidate = float(fused_min(values, mask))
+                candidate = float(fused_min(values, selected))
                 minimum = candidate if minimum is None else min(minimum, candidate)
             if aggregate == "max":
-                candidate = float(fused_max(values, mask))
+                candidate = float(fused_max(values, selected))
                 maximum = candidate if maximum is None else max(maximum, candidate)
 
-        if aggregate == "count":
-            return float(count), stats
         if aggregate == "sum":
             return total, stats
         if aggregate == "avg":
-            return (total / count) if count else float("nan"), stats
+            return (total / stats.rows_matched) if stats.rows_matched else float("nan"), stats
         if aggregate == "min":
             return minimum if minimum is not None else float("nan"), stats
         return maximum if maximum is not None else float("nan"), stats
+
+    def _matches(
+        self, inexact: Sequence[tuple[int, int]], filters: Mapping[str, tuple[int, int]]
+    ) -> np.ndarray | None:
+        """Which rows of the concatenated ``inexact`` ranges match every filter.
+
+        ``None`` when nothing is checked: no inexact range, or no filter.
+        """
+        if not inexact or not filters:
+            return None
+        mask = None
+        for dim, (low, high) in filters.items():
+            values = _gather(self._table.column(dim).values, inexact)
+            check = values >= low
+            check &= values <= high
+            if mask is None:
+                mask = check
+            else:
+                mask &= check
+        return mask
 
     def execute_batch(
         self,

@@ -13,10 +13,10 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from reference_evaluator import reference_features
-from reference_planner import reference_spans
+from reference_planner import reference_spans, window_table
 
 from repro.core.augmented_grid import AugmentedGrid, AugmentedGridConfig
 from repro.core.optimizer import ConfigurationEvaluator
@@ -94,6 +94,64 @@ def planner_cases(draw):
     return config, num_rows, table_seed, queries
 
 
+def twin_of(grid: AugmentedGrid, query: Query) -> Query:
+    """A new query object whose bounds move inside the same partition windows.
+
+    Each filter's bounds are shifted by the largest step that leaves the
+    oracle's window table unchanged (for a mapped dimension, its target's
+    windows); a filter no step keeps is left as it is.
+    """
+    table = window_table(grid, query)
+    ranges = query.filters()
+    for dim in list(ranges):
+        low, high = ranges[dim]
+        for step in (257, 31, 5, 1):
+            moves = ((step, -step), (-step, step), (step, step), (-step, -step))
+            kept = [
+                (low + low_move, high + high_move)
+                for low_move, high_move in moves
+                if low + low_move <= high + high_move
+                and window_table(
+                    grid,
+                    Query.from_ranges(
+                        {**ranges, dim: (low + low_move, high + high_move)},
+                        query_type=query.query_type,
+                    ),
+                )
+                == table
+            ]
+            if kept:
+                ranges[dim] = kept[0]
+                break
+    return Query.from_ranges(ranges, query_type=query.query_type)
+
+
+#: One grid with every strategy: independent, conditional, and an
+#: outlier-aware mapped dimension, with queries filtering each of them.
+ALL_STRATEGIES_CASE = (
+    AugmentedGridConfig(
+        skeleton=Skeleton(
+            {
+                "a": IndependentCDFStrategy(),
+                "b": ConditionalCDFStrategy(base="a"),
+                "c": IndependentCDFStrategy(),
+                "d": FunctionalMappingStrategy(target="a"),
+            }
+        ),
+        partitions={"a": 5, "b": 4, "c": 3},
+        outlier_aware_mappings=True,
+    ),
+    600,
+    7,
+    [
+        Query.from_ranges({"a": (1_000, 6_000)}, query_type=0),
+        Query.from_ranges({"b": (2_000, 9_000), "c": (100, 400)}, query_type=1),
+        Query.from_ranges({"d": (500, 2_500), "c": (50, 300)}, query_type=2),
+        Query.from_ranges({"a": (2_500, 7_500), "b": (4_000, 16_000), "d": (300, 2_800)}),
+    ],
+)
+
+
 class TestDifferentialPlanning:
     @settings(
         max_examples=40,
@@ -135,6 +193,34 @@ class TestDifferentialPlanning:
             spans_c, _ = cached.plan(query)
             assert spans_c == reference_spans(cached, query)
         assert cached.plan_cache.stats.hits >= len(queries)
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(planner_cases())
+    @example(ALL_STRATEGIES_CASE)
+    def test_twin_queries_hit_and_match_reference(self, case):
+        """A different query object with the same windows must hit the cache.
+
+        Each query's twin moves its bounds inside the same partition
+        windows.  The twin must be a plan-cache hit and replay exactly the
+        reference plan of the twin, so the key is neither finer than the
+        windows (no hit) nor coarser (a wrong plan).
+        """
+        config, num_rows, table_seed, queries = case
+        table = make_table(num_rows, table_seed)
+        cached = AugmentedGrid(config, plan_cache=PlanCache())
+        cached.fit(table)
+        for query in queries:
+            cached.plan(query)
+        for query in queries:
+            twin = twin_of(cached, query)
+            hits = cached.plan_cache.stats.hits
+            spans, _ = cached.plan(twin)
+            assert cached.plan_cache.stats.hits == hits + 1
+            assert spans == reference_spans(cached, twin)
 
 
 class TestPlannerConfiguration:

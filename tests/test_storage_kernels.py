@@ -8,11 +8,15 @@ ranges on mixed narrow dtypes.  The bytes-accounting tests pin the logical
 gates rely on.
 """
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.storage.kernels import fused_count, fused_max, fused_min, fused_sum
-from repro.storage.scan import RowRange, ScanExecutor
+from repro.storage.scan import RowRange, ScanExecutor, ScanStats
 from repro.storage.table import Table
 
 DTYPES = (np.uint8, np.int16, np.int32, np.int64)
@@ -69,22 +73,38 @@ class TestFusedKernels:
 
 def reference_execute(table, ranges, filters, aggregate, aggregate_column):
     """The pre-fusion scan: materialize ``values[mask]`` per range, reduce,
-    and accumulate per-range partials exactly like the merged executor."""
+    and accumulate per-range partials in range order.
+
+    Returns the value and the range-by-range work counters: every inexact
+    range charges its filter columns, and the aggregate column is charged
+    for exact ranges and for inexact ranges with a match.
+    """
+    stats = ScanStats(cell_ranges=len(ranges), dims_accessed=len(filters))
+    filter_bytes = sum(table.column(dim).itemsize for dim in filters)
     count = 0
     total = 0.0
     minimum = None
     maximum = None
     for row_range in ranges:
         start, stop = row_range.start, row_range.stop
-        mask = np.ones(stop - start, dtype=bool)
+        length = stop - start
+        mask = np.ones(length, dtype=bool)
         if not row_range.exact:
+            stats.points_scanned += length
+            stats.values_scanned += length * len(filters)
+            stats.bytes_scanned += length * filter_bytes
             for dim, (low, high) in filters.items():
                 values = table.values(dim)[start:stop]
                 mask &= (values >= low) & (values <= high)
+        elif aggregate != "count":
+            stats.points_scanned += length
         matched = int(np.count_nonzero(mask))
         count += matched
+        stats.rows_matched += matched
         if aggregate == "count" or aggregate_column is None or matched == 0:
             continue
+        stats.values_scanned += length
+        stats.bytes_scanned += length * table.column(aggregate_column).itemsize
         selected = table.values(aggregate_column)[start:stop][mask].astype(np.int64)
         if aggregate in {"sum", "avg"}:
             total += float(selected.sum())
@@ -95,18 +115,17 @@ def reference_execute(table, ranges, filters, aggregate, aggregate_column):
             candidate = float(selected.max())
             maximum = candidate if maximum is None else max(maximum, candidate)
     if aggregate == "count":
-        return float(count)
+        return float(count), stats
     if aggregate == "sum":
-        return total
+        return total, stats
     if count == 0:
-        return float("nan")
+        return float("nan"), stats
     if aggregate == "avg":
-        return total / count
-    return minimum if aggregate == "min" else maximum
+        return total / count, stats
+    return (minimum if aggregate == "min" else maximum), stats
 
 
-@pytest.fixture()
-def mixed_table() -> Table:
+def make_mixed_table() -> Table:
     """Four columns spanning all four storage dtypes."""
     rng = np.random.default_rng(77)
     num_rows = 2_000
@@ -121,9 +140,49 @@ def mixed_table() -> Table:
     )
 
 
-class TestFusedExecutorDifferential:
-    AGGREGATES = ("count", "sum", "avg", "min", "max")
+#: One shared (never mutated) table for the property-based cases.
+MIXED = make_mixed_table()
+COLUMNS = ("tiny", "small", "wide", "huge")
+AGGREGATES = ("count", "sum", "avg", "min", "max")
 
+
+@st.composite
+def scan_cases(draw):
+    """1-40 sorted, non-overlapping ranges of mixed exactness, 0-3 filters, one aggregate."""
+    num_ranges = draw(st.integers(min_value=1, max_value=40))
+    cuts = sorted(
+        draw(
+            st.sets(
+                st.integers(min_value=0, max_value=MIXED.num_rows),
+                min_size=2 * num_ranges,
+                max_size=2 * num_ranges,
+            )
+        )
+    )
+    exact = draw(st.lists(st.booleans(), min_size=num_ranges, max_size=num_ranges))
+    ranges = [
+        RowRange(cuts[2 * i], cuts[2 * i + 1], exact=exact[i]) for i in range(num_ranges)
+    ]
+    filters = {}
+    for dim in draw(st.lists(st.sampled_from(COLUMNS), unique=True, max_size=3)):
+        low_value, high_value = MIXED.bounds(dim)
+        span = high_value - low_value
+        # Narrow filters (down to equality) leave many inexact ranges with
+        # no match; bounds may also fall outside the column's domain.
+        low = draw(st.integers(min_value=low_value - span // 8, max_value=high_value))
+        width = draw(st.sampled_from([0, 1, span // 100, span // 4, span]))
+        filters[dim] = (low, low + width)
+    aggregate = draw(st.sampled_from(AGGREGATES))
+    column = None if aggregate == "count" else draw(st.sampled_from(COLUMNS))
+    return ranges, filters, aggregate, column
+
+
+@pytest.fixture()
+def mixed_table() -> Table:
+    return make_mixed_table()
+
+
+class TestFusedExecutorDifferential:
     def cases(self, table):
         """(ranges, filters) pairs covering empty/exact/boundary/inexact."""
         n = table.num_rows
@@ -152,14 +211,14 @@ class TestFusedExecutorDifferential:
         ]
 
     @pytest.mark.parametrize("aggregate", AGGREGATES)
-    @pytest.mark.parametrize("column", ["tiny", "small", "wide", "huge"])
+    @pytest.mark.parametrize("column", COLUMNS)
     def test_bit_identical_to_materialized_reference(
         self, mixed_table, aggregate, column
     ):
         executor = ScanExecutor(mixed_table)
         aggregate_column = None if aggregate == "count" else column
         for ranges, filters in self.cases(mixed_table):
-            expected = reference_execute(
+            expected, _ = reference_execute(
                 mixed_table, ranges, filters, aggregate, aggregate_column
             )
             value, _ = executor.execute(ranges, filters, aggregate, aggregate_column)
@@ -179,11 +238,22 @@ class TestFusedExecutorDifferential:
         value, stats = executor.execute(
             [RowRange(0, n)], {"tiny": (0, 10)}, "sum", "huge"
         )
-        expected = reference_execute(
+        expected, _ = reference_execute(
             mixed_table, [RowRange(0, n)], {"tiny": (0, 10)}, "sum", "huge"
         )
         assert value == expected
         assert stats.rows_matched < n
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(scan_cases())
+    def test_many_ranges_match_reference_bit_for_bit(self, case):
+        """Up to 40 ranges per query, many inexact: the one-pass filter must
+        give the range-by-range value bit for bit and every counter."""
+        ranges, filters, aggregate, column = case
+        value, stats = ScanExecutor(MIXED).execute(ranges, filters, aggregate, column)
+        expected, expected_stats = reference_execute(MIXED, ranges, filters, aggregate, column)
+        assert struct.pack("<d", value) == struct.pack("<d", expected)
+        assert stats == expected_stats
 
 
 class TestScanBytesAccounting:

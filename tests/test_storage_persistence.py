@@ -119,6 +119,34 @@ class TestIndexRoundTrip:
             expected, _ = execute_full_scan(loaded.table, query)
             assert loaded.execute(query).value == expected
 
+    def test_older_tsunami_snapshot_loads(self, tmp_path, fresh_table, fresh_workload):
+        """Grids are pickled without their role tables, and older snapshots
+        pickled the removed ``BuildReport.details``: a loaded index rebuilds
+        every role table, plans exactly as the saved one, and reports no
+        ``details``."""
+        index = TsunamiIndex(TsunamiConfig(optimizer_iterations=1)).build(
+            fresh_table, fresh_workload
+        )
+        index.build_report.__dict__["details"] = {}  # as older snapshots hold it
+        grids = [region.grid for region in index._regions if region.grid is not None]
+        assert grids
+        for grid in grids:
+            assert "_roles" not in grid.__getstate__()
+        save_index(index, tmp_path)
+        loaded = load_index(tmp_path)
+        assert "details" not in loaded.build_report.as_dict()
+        partitioned = [
+            region.grid
+            for region in loaded._regions
+            if region.grid is not None
+            and any(region.grid.config.partitions[dim] > 1 for dim in region.grid.grid_dimensions)
+        ]
+        assert partitioned
+        for grid in partitioned:
+            assert grid._roles
+        for query in list(fresh_workload)[:15]:
+            assert loaded._ranges_for_query(query) == index._ranges_for_query(query)
+
     def test_original_index_still_usable_after_save(self, tmp_path, fresh_table, fresh_workload):
         index = TsunamiIndex(TsunamiConfig(optimizer_iterations=1)).build(
             fresh_table, fresh_workload
