@@ -18,29 +18,24 @@ converted to contiguous cell ranges, and either executed against the table or
 returned as cost-model features — the optimizer (§5.3) uses the same planning
 code on a data sample.
 
-The planner computes every per-dimension partition window once, expands the
-cross product of the *outer* dimensions with numpy stride arithmetic, and
-emits one coalesced span per outer-dimension prefix — cells consecutive in the
-innermost dimension occupy contiguous physical rows, so no per-cell Python
-work is needed.  One expansion core plans a whole batch of queries at once,
-carrying a query id through the cross product and breaking coalesced spans at
-query boundaries.
+One planner path serves both callers, one query at a time.  A query's
+predicates are read through a role table, built when the grid is fitted:
+per skeleton dimension, which grid position a filter on it windows, through
+which CDF (one per base partition for a conditional dimension), after which
+functional mapping.  Only the positions the query bounds get partition
+windows; every other window is full.  The expander then walks the *outer*
+positions prefix by prefix, skipping a prefix whose cells hold no row, and
+emits at most three spans per prefix at the innermost restricted position —
+cells consecutive in the innermost dimension occupy contiguous physical
+rows, so no per-cell Python work is needed.
 
-Both callers read a query's bounds through one role table, built when the
-grid is fitted: per skeleton dimension, which grid position a filter on it
-windows, through which CDF (one per base partition for a conditional
-dimension), after which functional mapping.
-
-* :meth:`AugmentedGrid.plan` serves one query.  It loops over the query's
-  own predicates and windows only the positions they bound.  Those windows,
-  as plain ints after the query type and the sorted filtered dimensions,
-  are the plan-cache key: every other window is full, so the key is
-  lossless.  A cache miss runs the core as a batch of one on the same
-  windows and keeps the spans.
-* :meth:`AugmentedGrid.plan_counts` takes the optimizer's whole sample
-  workload.  Its windows are computed as arrays for every query at once, and
-  it returns only per-query ``(num_cell_ranges, points_scanned)``, equal to
-  what :meth:`~AugmentedGrid.plan` reports.
+* :meth:`AugmentedGrid.plan` serves one query.  Its windows, as plain ints
+  after the query type and the sorted filtered dimensions, are the
+  plan-cache key: every other window is full, so the key is lossless.  A
+  cache miss expands the spans from the same windows and keeps them.
+* :meth:`AugmentedGrid.plan_counts` takes the optimizer's sample workload
+  and returns only per-query ``(num_cell_ranges, points_scanned)``, equal to
+  what :meth:`~AugmentedGrid.plan` reports, without a plan cache.
 
 ``tests/reference_planner.py`` keeps the per-cell recursive enumeration as the
 differential oracle.
@@ -151,24 +146,6 @@ class _Role:
     mapping: BoundedLinearModel | OutlierBoundedMapping | None = None
 
 
-@dataclass
-class _BatchWindows:
-    """Partition windows of a batch of queries, as :meth:`AugmentedGrid._batch_windows` builds them.
-
-    ``firsts``/``lasts`` hold one inclusive window per (query, independent
-    grid dimension); ``conditional`` maps each conditional dimension to a
-    ``(queries, base partitions)`` pair of window tables indexed by absolute
-    base partition.  Empty windows are ``first > last``.  Grid dimensions
-    from ``depth`` on are unrestricted for every query: full windows and no
-    filter.
-    """
-
-    firsts: np.ndarray
-    lasts: np.ndarray
-    conditional: dict[str, tuple[np.ndarray, np.ndarray]]
-    depth: int
-
-
 class AugmentedGrid:
     """A fitted Augmented Grid over one region's rows.
 
@@ -204,12 +181,6 @@ class AugmentedGrid:
             if isinstance(self.skeleton.strategy_for(dim), ConditionalCDFStrategy)
         ]
         self.grid_dimensions: list[str] = independents + conditionals
-        self._num_independent = len(independents)
-        # Independent dimensions some conditional dimension partitions against;
-        # the planner tracks partition assignments only for these.
-        self._base_dims: set[str] = {
-            self.skeleton.strategy_for(dim).base for dim in conditionals
-        }
         self._strides: dict[str, int] = {}
         self._cdf_models: dict[str, EmpiricalCDF] = {}
         self._conditional_models: dict[str, ConditionalCDF] = {}
@@ -524,250 +495,108 @@ class AugmentedGrid:
             windows[position] = window
         return windows
 
-    def _batch_windows(self, queries: Sequence[Query]) -> _BatchWindows:
-        """Every grid dimension's partition windows for a batch of queries.
+    def _expand(self, windows: dict, filtered: Sequence[str]) -> list[tuple[int, int, bool]]:
+        """Coalesced ``(start, stop, exact)`` row spans from one query's :meth:`_windows`.
 
-        The array form of :meth:`_windows`, reading bounds through the same
-        role table: each independent dimension's windows are computed for
-        the whole batch with :meth:`~repro.stats.cdf.EmpiricalCDF.partitions_of`,
-        and each conditional dimension's ``(queries, base partitions)`` table
-        is filled one base-partition model at a time.
-        """
-        bounds = [self._bounds(query) for query in queries]
-        filtered = {dim for query in queries for dim in query.filtered_dimensions}
-        num_queries = len(queries)
-        independent = self.grid_dimensions[: self._num_independent]
-        firsts = np.zeros((num_queries, len(independent)), dtype=np.int64)
-        lasts = np.array([self.config.partitions[dim] - 1 for dim in independent], dtype=np.int64)
-        lasts = np.repeat(lasts[None, :], num_queries, axis=0)
-        windows = _BatchWindows(firsts, lasts, {}, 0)
-        for position, dim in enumerate(self.grid_dimensions):
-            count = self.config.partitions[dim]
-            if position < self._num_independent:
-                dim_firsts, dim_lasts = firsts[:, position], lasts[:, position]
-            else:
-                base = self.skeleton.strategy_for(dim).base
-                shape = (num_queries, self.config.partitions[base])
-                dim_firsts = np.zeros(shape, dtype=np.int64)
-                dim_lasts = np.full(shape, count - 1, dtype=np.int64)
-                windows.conditional[dim] = (dim_firsts, dim_lasts)
-            bounded = [row for row, query_bounds in enumerate(bounds) if position in query_bounds]
-            if dim in filtered or bounded:
-                windows.depth = position + 1
-            if not bounded:
-                continue
-            role = self._roles[dim]
-            rows = np.array(bounded, dtype=np.int64)
-            lows = np.array([bounds[row][position][1] for row in bounded], dtype=np.float64)
-            highs = np.array([bounds[row][position][2] for row in bounded], dtype=np.float64)
-            if role.base < 0:
-                dim_firsts[rows] = role.cdf.partitions_of(lows, count)
-                dim_lasts[rows] = role.cdf.partitions_of(highs, count)
-            else:
-                # Only base partitions inside some query's base window are read.
-                for base_partition in range(
-                    int(firsts[rows, role.base].min()),
-                    int(lasts[rows, role.base].max()) + 1,
-                ):
-                    cdf = role.cdf[base_partition]
-                    dim_firsts[rows, base_partition] = cdf.partitions_of(lows, count)
-                    dim_lasts[rows, base_partition] = cdf.partitions_of(highs, count)
-            empty = rows[highs < lows]
-            dim_firsts[empty] = 1
-            dim_lasts[empty] = 0
-        return windows
-
-    def _batch_of_one(self, query: Query, windows: dict) -> _BatchWindows:
-        """One query's :meth:`_windows` in :meth:`_batch_windows`' layout."""
-        dims = self.grid_dimensions
-        independent = self._num_independent
-        filtered = query.filtered_dimensions
-        depth = 0
-        for position, dim in enumerate(dims):
-            if position in windows or dim in filtered:
-                depth = position + 1
-        firsts = np.zeros((1, independent), dtype=np.int64)
-        lasts = np.array(
-            [[self.config.partitions[dim] - 1 for dim in dims[:independent]]], dtype=np.int64
-        )
-        for position, window in windows.items():
-            if position < independent:
-                firsts[0, position], lasts[0, position] = window
-        batch = _BatchWindows(firsts, lasts, {}, depth)
-        for position in range(independent, depth):
-            dim = dims[position]
-            base = self.skeleton.strategy_for(dim).base
-            tables = np.zeros((2, self.config.partitions[base]), dtype=np.int64)
-            tables[1] = self.config.partitions[dim] - 1
-            window = windows.get(position)
-            if window:
-                base_first = int(firsts[0, dims.index(base)])
-                tables[:, base_first : base_first + len(window)] = np.array(window).T
-            batch.conditional[dim] = (tables[:1], tables[1:])
-        return batch
-
-    def _expand_spans(
-        self, queries: Sequence[Query], windows: _BatchWindows
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Coalesced spans of a batch of queries, without per-cell work.
-
-        Returns four parallel arrays ``(query ids, starts, stops, exact)``,
-        grouped by query in input order.  Only the first ``windows.depth``
-        grid dimensions are expanded: below the last one any query
-        restricts, each prefix's cells are one contiguous block per
-        partition.  The outer independent dimensions' cross product is
-        enumerated per query in mixed radix (each prefix's digits are its
-        positions inside the query's windows), the outer conditional
-        dimensions are expanded with ``np.repeat`` over ragged per-prefix
-        windows, and the innermost expanded dimension yields at most three
-        spans per prefix — the two boundary blocks and the exact interior
-        run.  Spans coalesce across row-contiguous neighbours but never
-        across a query boundary, so each query's spans are byte-identical to
-        per-cell recursive enumeration.
+        ``filtered`` names the query's filtered dimensions.  Only the grid
+        positions up to the last one the query bounds or filters are walked:
+        below it, each prefix's cells are one contiguous block per partition.
+        The outer positions are walked prefix by prefix in cell order (a
+        conditional position reads the window of the prefix's base
+        partition), and a prefix whose cells hold no row is dropped.  The
+        innermost walked position yields at most three spans per prefix:
+        the two boundary blocks and the exact interior run.  Row-contiguous
+        spans that agree on exactness coalesce, so the spans equal per-cell
+        recursive enumeration's.
         """
         assert self._offsets is not None
-        offsets = self._offsets
+        # A zero-copy view of the lookup table whose reads are Python ints.
+        offsets = memoryview(self._offsets)
         dims = self.grid_dimensions
-        depth = windows.depth
-        filtered = [set(query.filtered_dimensions) for query in queries]
-        exact = np.array([f.issubset(dims) for f in filtered], dtype=bool)
-        num_queries = len(queries)
-
-        def filter_mask(dim: str) -> np.ndarray | bool:
-            """Which prefixes' queries filter ``dim``, or a bool when all or none do."""
-            mask = [dim in f for f in filtered]
-            if all(mask) or not any(mask):
-                return bool(mask) and mask[0]
-            return np.array(mask, dtype=bool)[query_ids]
-
-        def narrowed(exact: np.ndarray, dim: str, interior) -> np.ndarray:
-            """``exact`` after ``dim``: where a query filters ``dim``, only
-            partitions strictly inside its window (``interior()``) stay exact;
-            boundary partitions may straddle the filter edge."""
-            mask = filter_mask(dim)
-            if mask is False:
-                return exact
-            if mask is True:
-                return exact & interior()
-            return exact & (interior() | ~mask)
-
-        if depth == 0:
-            # Nothing is restricted: each query's one span is every row.
-            query_ids = np.arange(num_queries if offsets[-1] > offsets[0] else 0)
-            size = query_ids.size
-            return query_ids, np.full(size, offsets[0]), np.full(size, offsets[-1]), exact[query_ids]
-
-        # Outer independent dimensions: one prefix per mixed-radix number
-        # whose digits are the prefix's positions inside the query's windows.
-        outer = min(depth - 1, self._num_independent)
-        lengths = np.maximum(windows.lasts - windows.firsts + 1, 0)
-        counts = np.multiply.reduce(lengths[:, :outer], axis=1)
-        if num_queries == 1:
-            # A plan-cache miss: the one query's prefixes are numbered directly.
-            digits = np.arange(counts[0])
-            query_ids = np.zeros(digits.size, dtype=np.int64)
-        else:
-            query_ids = np.repeat(np.arange(num_queries), counts)
-            digits = np.arange(query_ids.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        strides = np.array([self._strides[dim] for dim in dims[:outer]], dtype=np.int64)
-        cell_base = (windows.firsts[:, :outer] @ strides)[query_ids]
-        exact = exact[query_ids]
-        part_ids: dict[str, np.ndarray] = {}
-        for position in range(outer - 1, -1, -1):
+        strides = self._strides
+        partitions = self.config.partitions
+        # A position with one partition never branches, so the walk skips
+        # it.  A filter on it (or on a dimension outside the grid) leaves no
+        # partition strictly inside its window: no span can be exact.
+        exact = all(dim in strides and partitions[dim] > 1 for dim in filtered)
+        depth = 0
+        for position, dim in enumerate(dims):
+            if position in windows or (dim in filtered and partitions[dim] > 1):
+                depth = position + 1
+        if not depth:
+            # Nothing is restricted: the one span is every row.
+            stop = offsets[-1]
+            return [(0, stop, exact)] if stop else []
+        # (first cell, exact) per prefix of the positions walked so far.
+        prefixes = [(0, exact)]
+        for position in range(depth - 1):
             dim = dims[position]
-            length = lengths[:, position][query_ids]
-            digit = digits
-            if position:
-                digit = digits % length
-                digits = digits // length
-            cell_base += digit * strides[position]
-            exact = narrowed(exact, dim, lambda: (digit > 0) & (digit < length - 1))
-            if dim in self._base_dims:
-                part_ids[dim] = windows.firsts[:, position][query_ids] + digit
+            if partitions[dim] == 1:
+                continue
+            stride = strides[dim]
+            narrows = dim in filtered
+            grown = []
+            for (cell, exact), (first, last) in zip(prefixes, self._prefix_windows(position, windows, prefixes)):
+                for part in range(first, last + 1):
+                    child = cell + part * stride
+                    if offsets[child] != offsets[child + stride]:
+                        # Only a partition strictly inside the window of a
+                        # filtered dimension keeps exactness; a boundary
+                        # partition may straddle the filter edge.
+                        grown.append((child, exact and (not narrows or first < part < last)))
+            prefixes = grown
 
-        def prefix_windows(position: int) -> tuple[np.ndarray, np.ndarray]:
-            if position < self._num_independent:
-                return windows.firsts[:, position][query_ids], windows.lasts[:, position][query_ids]
-            dim = dims[position]
-            table_firsts, table_lasts = windows.conditional[dim]
-            base_parts = part_ids[self.skeleton.strategy_for(dim).base]
-            return table_firsts[query_ids, base_parts], table_lasts[query_ids, base_parts]
-
-        # Outer conditional dimensions: ragged windows, one per prefix.
-        for position in range(outer, depth - 1):
-            dim = dims[position]
-            firsts, lasts = prefix_windows(position)
-            lengths = np.maximum(lasts - firsts + 1, 0)
-            repeats = np.repeat(np.arange(lengths.size), lengths)
-            parts = np.arange(repeats.size) + (firsts + lengths - np.cumsum(lengths))[repeats]
-            firsts, lasts = firsts[repeats], lasts[repeats]
-            query_ids = query_ids[repeats]
-            exact = narrowed(exact[repeats], dim, lambda: (parts > firsts) & (parts < lasts))
-            cell_base = cell_base[repeats] + parts * self._strides[dim]
-            part_ids = {d: a[repeats] for d, a in part_ids.items()}
-
-        innermost = dims[depth - 1]
-        firsts, lasts = prefix_windows(depth - 1)
-        valid = lasts >= firsts
-        if not valid.all():
-            query_ids, cell_base, exact = query_ids[valid], cell_base[valid], exact[valid]
-            firsts, lasts = firsts[valid], lasts[valid]
-
-        # Cells [base + first * block, base + (last + 1) * block) are one
+        # Cells [cell + first * block, cell + (last + 1) * block) are one
         # contiguous physical run.  A prefix whose exactness survived emits
         # its two boundary blocks inexactly and the interior exactly; any
         # other prefix is a single span.
-        block = self._strides[innermost]
-        low_cell = cell_base + firsts * block
-        high_cell = cell_base + (lasts + 1) * block
-        decomposed = exact & filter_mask(innermost)
-        multi = decomposed & (lasts > firsts)
+        innermost = dims[depth - 1]
+        block = strides[innermost]
+        narrows = innermost in filtered
+        spans: list[tuple[int, int, bool]] = []
+        for (cell, exact), (first, last) in zip(prefixes, self._prefix_windows(depth - 1, windows, prefixes)):
+            if first > last:
+                continue
+            low, high = cell + first * block, cell + (last + 1) * block
+            if not (exact and narrows):
+                pieces = ((low, high, exact),)
+            elif first == last:
+                pieces = ((low, high, False),)
+            else:
+                pieces = ((low, low + block, False), (low + block, high - block, True), (high - block, high, False))
+            for low_cell, high_cell, flag in pieces:
+                start, stop = offsets[low_cell], offsets[high_cell]
+                if start >= stop:
+                    continue
+                if spans and spans[-1][1] == start and spans[-1][2] == flag:
+                    spans[-1] = (spans[-1][0], stop, flag)
+                else:
+                    spans.append((start, stop, flag))
+        return spans
 
-        num_prefixes = cell_base.size
-        span_lo = np.zeros((num_prefixes, 3), dtype=np.int64)
-        span_hi = np.zeros((num_prefixes, 3), dtype=np.int64)
-        span_exact = np.zeros((num_prefixes, 3), dtype=bool)
-        span_lo[:, 0] = low_cell
-        span_hi[:, 0] = np.where(decomposed, low_cell + block, high_cell)
-        span_exact[:, 0] = exact & ~decomposed
-        span_lo[:, 1] = np.where(multi, low_cell + block, 0)
-        span_hi[:, 1] = np.where(multi, high_cell - block, 0)
-        span_exact[:, 1] = multi
-        span_lo[:, 2] = np.where(multi, high_cell - block, 0)
-        span_hi[:, 2] = np.where(multi, high_cell, 0)
+    def _prefix_windows(self, position: int, windows: dict, prefixes: list) -> list[tuple[int, int]]:
+        """Each prefix's ``(first, last)`` window at grid ``position``.
 
-        row_start = offsets[span_lo.reshape(-1)]
-        row_stop = offsets[span_hi.reshape(-1)]
-        keep = row_start < row_stop
-        query_ids = np.repeat(query_ids, 3)[keep]
-        row_start, row_stop = row_start[keep], row_stop[keep]
-        flags = span_exact.reshape(-1)[keep]
-        if row_start.size == 0:
-            return query_ids, row_start, row_stop, flags
-
-        # Coalesce row-contiguous spans of one query agreeing on exactness
-        # (each query's candidates are already sorted and non-overlapping).
-        breaks = np.empty(row_start.size, dtype=bool)
-        breaks[0] = True
-        breaks[1:] = (row_start[1:] != row_stop[:-1]) | (flags[1:] != flags[:-1])
-        if num_queries > 1:
-            breaks[1:] |= query_ids[1:] != query_ids[:-1]
-        first_index = np.flatnonzero(breaks)
-        last_index = np.append(first_index[1:], row_start.size) - 1
-        return (
-            query_ids[first_index],
-            row_start[first_index],
-            row_stop[last_index],
-            flags[first_index],
-        )
+        An unbounded position's window is full; a conditional one is read
+        from the prefix's base partition, which the prefix's first cell
+        encodes in mixed radix.
+        """
+        dim = self.grid_dimensions[position]
+        window = windows.get(position, (0, self.config.partitions[dim] - 1))
+        if not isinstance(window, list):
+            return [window] * len(prefixes)
+        base = self._roles[dim].base
+        base_dim = self.grid_dimensions[base]
+        base_stride, base_count = self._strides[base_dim], self.config.partitions[base_dim]
+        base_first = windows[base][0] if base in windows else 0
+        return [window[cell // base_stride % base_count - base_first] for cell, _ in prefixes]
 
     def _spans(self, query: Query) -> list[tuple[int, int, bool]]:
         """Relative ``(start, stop, exact)`` row spans of ``query``.
 
         The query's predicates are read through the role table into the
         windows of its bounded positions, which also make the plan-cache
-        key; a miss expands the spans from those same windows as a batch of
-        one.
+        key; a miss expands the spans from those same windows.
         """
         self._require_fitted()
         signature = [query.query_type, tuple(sorted(query.filtered_dimensions))]
@@ -776,10 +605,7 @@ class AugmentedGrid:
         cache = self.plan_cache
         spans = None if cache is None else cache.get(key)
         if spans is None:
-            _, starts, stops, flags = self._expand_spans(
-                (query,), self._batch_of_one(query, windows)
-            )
-            spans = list(zip(starts.tolist(), stops.tolist(), flags.tolist()))
+            spans = self._expand(windows, query.filtered_dimensions)
             if cache is not None:
                 cache.put(key, spans)
         return spans
@@ -795,19 +621,21 @@ class AugmentedGrid:
         return spans, features
 
     def plan_counts(self, queries: Sequence[Query]) -> tuple[np.ndarray, np.ndarray]:
-        """Per-query ``(num_cell_ranges, points_scanned)`` of a whole batch.
+        """Per-query ``(num_cell_ranges, points_scanned)`` of a list of queries.
 
-        The numbers equal what :meth:`plan` reports for each query, but the
-        batch is planned in one pass: windows as arrays, one span expansion
-        for every query, no span tuples and no plan cache.  The optimizer
-        scores each candidate configuration with one call.
+        The numbers equal what :meth:`plan` reports for each query: each
+        query's windows and spans come from the same :meth:`_windows` and
+        :meth:`_expand`, but no plan cache is read or filled and only the
+        counts are kept.  The optimizer scores each candidate configuration
+        with one call.
         """
         self._require_fitted()
-        query_ids, starts, stops, _ = self._expand_spans(queries, self._batch_windows(queries))
-        num_ranges = np.bincount(query_ids, minlength=len(queries))
-        ends = np.cumsum(num_ranges)
-        scanned = np.concatenate(([0], np.cumsum(stops - starts)))
-        return num_ranges, scanned[ends] - scanned[ends - num_ranges]
+        num_ranges, points = [], []
+        for query in queries:
+            spans = self._expand(self._windows(self._bounds(query), []), query.filtered_dimensions)
+            num_ranges.append(len(spans))
+            points.append(sum(stop - start for start, stop, _ in spans))
+        return np.array(num_ranges, dtype=np.int64), np.array(points, dtype=np.int64)
 
     def ranges_for_query(self, query: Query, offset: int = 0) -> list[RowRange]:
         """Physical row ranges for ``query``, shifted by the region's ``offset``."""

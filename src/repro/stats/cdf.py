@@ -97,43 +97,6 @@ class EmpiricalCDF:
         return int(self._knots.nbytes + self._knot_cdf.nbytes)
 
 
-class HistogramCDF:
-    """A CDF model backed by an equi-width histogram (an even cheaper alternative).
-
-    The paper notes (§2.2) that the choice of CDF modelling technique is
-    orthogonal; this class exists to demonstrate that and is used in ablation
-    tests.
-    """
-
-    def __init__(self, values: np.ndarray, num_bins: int = 256) -> None:
-        values = np.asarray(values, dtype=np.float64)
-        if values.size == 0:
-            raise IndexBuildError("cannot fit a CDF over an empty value array")
-        counts, edges = np.histogram(values, bins=num_bins)
-        cumulative = np.cumsum(counts).astype(np.float64)
-        self._edges = edges
-        self._cdf_at_edges = np.concatenate([[0.0], cumulative / cumulative[-1]])
-        self._min = float(edges[0])
-        self._max = float(edges[-1])
-
-    def evaluate(self, x: float) -> float:
-        """Return ``CDF(x)`` in ``[0, 1]``."""
-        if x <= self._min:
-            return 0.0
-        if x >= self._max:
-            return 1.0
-        return float(np.interp(x, self._edges, self._cdf_at_edges))
-
-    def partition_of(self, x: float, num_partitions: int) -> int:
-        """Partition id of value ``x`` when the dimension has ``num_partitions``."""
-        index = int(self.evaluate(x) * num_partitions)
-        return min(index, num_partitions - 1)
-
-    def size_bytes(self) -> int:
-        """Approximate in-memory footprint of the model."""
-        return int(self._edges.nbytes + self._cdf_at_edges.nbytes)
-
-
 class ConditionalCDF:
     """``CDF(Y | X)``: one compact CDF of Y per partition of the base dimension X.
 

@@ -1,10 +1,11 @@
 """The per-query candidate evaluation, kept as the differential oracle.
 
 :meth:`~repro.core.optimizer.ConfigurationEvaluator.features_for` plans the
-whole sample workload on a candidate's sample grid in one batched
-:meth:`~repro.core.augmented_grid.AugmentedGrid.plan_counts` call.  This
-module is the loop it replaced: fit the grid with its clustering
-permutation, then plan the queries one at a time through
+whole sample workload on a candidate's sample grid in one
+:meth:`~repro.core.augmented_grid.AugmentedGrid.plan_counts` call, on a grid
+fitted without its clustering permutation.  This module is the loop it
+replaced: fit the grid with its clustering permutation, then plan the
+queries one at a time through
 :meth:`~repro.core.augmented_grid.AugmentedGrid.plan`.  The two must agree
 feature for feature, so every optimizer decision is the same.
 """

@@ -1,7 +1,8 @@
 """The per-cell recursive query planner, kept as the differential oracle.
 
-:class:`~repro.core.augmented_grid.AugmentedGrid` plans with numpy stride
-arithmetic over partition windows.  This module is the original planner it
+:class:`~repro.core.augmented_grid.AugmentedGrid` plans from partition
+windows, walking only the outer grid prefixes that hold rows and emitting at
+most three spans per prefix.  This module is the original planner it
 replaced: it enumerates every intersecting cell recursively (respecting the
 conditional-CDF dependency structure), then coalesces the cells' row ranges.
 It computes every window itself from the fitted models (:func:`effective_bounds`,

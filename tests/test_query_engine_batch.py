@@ -11,7 +11,8 @@ from reference_router import regions_for_query
 
 from repro.baselines import FloodIndex, FullScanIndex
 from repro.common.errors import QueryError
-from repro.core.tsunami import make_tsunami
+from repro.core.query_types import PlanCache
+from repro.core.tsunami import PLAN_CACHE_ENTRIES, TsunamiConfig, make_tsunami
 from repro.query.engine import QueryEngine, execute_full_scan
 from repro.query.query import Query
 from repro.query.workload import Workload
@@ -163,14 +164,20 @@ class TestPlanCacheLifecycle:
             expected, _ = execute_full_scan(table, query)
             assert index.execute(query).value == expected
 
-    def test_cache_disabled_by_config(self):
-        table = make_table(seed=9)
-        workload = make_workload(seed=10)
-        index = make_tsunami(optimizer_iterations=2, plan_cache_entries=0)
-        index.build(table, workload)
-        index.execute_batch(list(workload))
-        assert index.plan_cache_entries() == 0
-        assert index.plan_cache_stats().misses == 0
+
+    def test_every_region_grid_caches_plans(self, built_tsunami):
+        _, _, index = built_tsunami
+        grids = [region.grid for region in index._regions if region.grid is not None]
+        assert grids
+        for grid in grids:
+            assert isinstance(grid.plan_cache, PlanCache)
+            assert grid.plan_cache.max_entries == PLAN_CACHE_ENTRIES
+
+    def test_plan_cache_cannot_be_configured_away(self):
+        """The cache is always on: a config naming its removed size knob
+        fails instead of being ignored."""
+        with pytest.raises(TypeError):
+            TsunamiConfig(plan_cache_entries=0)
 
 
 class TestGridTreeBatchRouting:

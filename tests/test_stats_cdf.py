@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import IndexBuildError
-from repro.stats.cdf import ConditionalCDF, EmpiricalCDF, HistogramCDF
+from repro.stats.cdf import ConditionalCDF, EmpiricalCDF
 
 
 class TestEmpiricalCDF:
@@ -65,24 +65,6 @@ class TestEmpiricalCDF:
         cdf = EmpiricalCDF(np.full(100, 7))
         assert cdf.partition_of(7, 4) in (0, 3)
         assert cdf.evaluate(6) == 0.0
-
-
-class TestHistogramCDF:
-    def test_monotone(self):
-        values = np.random.default_rng(3).integers(0, 1000, 5000)
-        cdf = HistogramCDF(values)
-        xs = np.linspace(0, 1000, 100)
-        evaluations = [cdf.evaluate(float(x)) for x in xs]
-        assert all(a <= b + 1e-12 for a, b in zip(evaluations, evaluations[1:]))
-
-    def test_partition_of(self):
-        cdf = HistogramCDF(np.arange(1000))
-        assert cdf.partition_of(0, 4) == 0
-        assert cdf.partition_of(999, 4) == 3
-
-    def test_empty_rejected(self):
-        with pytest.raises(IndexBuildError):
-            HistogramCDF(np.array([]))
 
 
 class TestConditionalCDF:

@@ -121,13 +121,16 @@ class TestIndexRoundTrip:
 
     def test_older_tsunami_snapshot_loads(self, tmp_path, fresh_table, fresh_workload):
         """Grids are pickled without their role tables, and older snapshots
-        pickled the removed ``BuildReport.details``: a loaded index rebuilds
-        every role table, plans exactly as the saved one, and reports no
-        ``details``."""
+        pickled the removed ``BuildReport.details`` and
+        ``TsunamiConfig.plan_cache_entries``: a loaded index rebuilds every
+        role table, plans and answers exactly as the saved one, and reports
+        no ``details``."""
         index = TsunamiIndex(TsunamiConfig(optimizer_iterations=1)).build(
             fresh_table, fresh_workload
         )
-        index.build_report.__dict__["details"] = {}  # as older snapshots hold it
+        # As older snapshots hold them.
+        index.build_report.__dict__["details"] = {}
+        index.config.__dict__["plan_cache_entries"] = 4096
         grids = [region.grid for region in index._regions if region.grid is not None]
         assert grids
         for grid in grids:
@@ -146,6 +149,7 @@ class TestIndexRoundTrip:
             assert grid._roles
         for query in list(fresh_workload)[:15]:
             assert loaded._ranges_for_query(query) == index._ranges_for_query(query)
+            assert loaded.execute(query).value == index.execute(query).value
 
     def test_original_index_still_usable_after_save(self, tmp_path, fresh_table, fresh_workload):
         index = TsunamiIndex(TsunamiConfig(optimizer_iterations=1)).build(
