@@ -245,10 +245,10 @@ class ClusteredIndex(ABC):
         """Build lookup structures that depend on the final physical order."""
 
     @abstractmethod
-    def _ranges_for_query(self, query: Query) -> list[RowRange]:
+    def _ranges_for_query(self, query: Query) -> Sequence[RowRange]:
         """Return the physical row ranges that must be scanned for ``query``."""
 
-    def _ranges_for_queries(self, queries: Sequence[Query]) -> list[list[RowRange]]:
+    def _ranges_for_queries(self, queries: Sequence[Query]) -> list[Sequence[RowRange]]:
         """Row ranges for a batch of queries; indexes may override to share work."""
         return [self._ranges_for_query(query) for query in queries]
 

@@ -12,6 +12,8 @@ over the same cost model.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.baselines.base import ClusteredIndex
@@ -98,7 +100,7 @@ class FloodIndex(ClusteredIndex):
         self.grid = AugmentedGrid(self._config)
         return self.grid.fit(table)
 
-    def _ranges_for_query(self, query: Query) -> list[RowRange]:
+    def _ranges_for_query(self, query: Query) -> Sequence[RowRange]:
         assert self.grid is not None
         return self.grid.ranges_for_query(query, offset=0)
 

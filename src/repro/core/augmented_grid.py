@@ -21,18 +21,25 @@ code on a data sample.
 One planner path serves both callers, one query at a time.  A query's
 predicates are read through a role table, built when the grid is fitted:
 per skeleton dimension, which grid position a filter on it windows, through
-which CDF (one per base partition for a conditional dimension), after which
-functional mapping.  Only the positions the query bounds get partition
-windows; every other window is full.  The expander then walks the *outer*
-positions prefix by prefix, skipping a prefix whose cells hold no row, and
-emits at most three spans per prefix at the innermost restricted position —
-cells consecutive in the innermost dimension occupy contiguous physical
-rows, so no per-cell Python work is needed.
+which compiled partition function (one per base partition for a conditional
+dimension), after which functional mapping.  Only the positions the query
+bounds get partition windows; every other window is full.  A window is two
+bisects: each CDF model compiles the doubles at which its partition changes
+(:meth:`~repro.stats.cdf.EmpiricalCDF.partitioning`), and rows were assigned
+to cells through the same compiled function.  The expander then walks the
+*outer* positions prefix by prefix, skipping a prefix whose cells hold no
+row, and emits at most three spans per prefix at the innermost restricted
+position — cells consecutive in the innermost dimension occupy contiguous
+physical rows, so no per-cell Python work is needed.
 
-* :meth:`AugmentedGrid.plan` serves one query.  Its windows, as plain ints
-  after the query type and the sorted filtered dimensions, are the
-  plan-cache key: every other window is full, so the key is lossless.  A
-  cache miss expands the spans from the same windows and keeps them.
+* :meth:`AugmentedGrid.ranges_for_query` and :meth:`AugmentedGrid.plan`
+  serve one query.  Its windows, as plain ints after the query type and the
+  sorted filtered dimensions, are the plan-cache key: every other window is
+  full, so the key is lossless.  A caller that plans one query in many
+  regions takes its :class:`QueryTerms` (that key prefix and the float
+  bounds) once.  A cache miss expands the spans from the same windows and
+  keeps them; the entry also keeps the row ranges it last handed out, so a
+  warm hit builds none until a local merge moves the region.
 * :meth:`AugmentedGrid.plan_counts` takes the optimizer's sample workload
   and returns only per-query ``(num_cell_ranges, points_scanned)``, equal to
   what :meth:`~AugmentedGrid.plan` reports, without a plan cache.
@@ -43,8 +50,9 @@ differential oracle.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -125,25 +133,81 @@ class AugmentedGridConfig:
         return total
 
 
+#: A compiled partition function as ``(breaks, ids)`` lists: value ``x``
+#: lies in partition ``ids[bisect_right(breaks, x)]`` (see
+#: :class:`~repro.stats.cdf.Partitioning`).
+_Split = tuple[list[float], list[int]]
+
+
 @dataclass(frozen=True, slots=True)
 class _Role:
     """What a filter on one skeleton dimension does to the grid's windows.
 
     The filter's bounds window grid position ``position``, which has
     ``count`` partitions.  An independent position (``base`` is -1) has one
-    window, through its CDF ``cdf``.  A conditional position has one window
-    per partition of the grid position ``base`` (``base_count`` partitions)
-    inside that position's window, through ``cdf[base partition]``.  A
-    mapped dimension first rewrites its bounds onto its target with
-    ``mapping``; the rest of its role is the target's.
+    window, through its CDF's compiled partition function ``split``.  A
+    conditional position has one window per partition of the grid position
+    ``base`` (``base_count`` partitions) inside that position's window,
+    through ``split[base partition]``.  A window is two bisects.  A mapped
+    dimension first rewrites its bounds onto its target with ``mapping``;
+    the rest of its role is the target's.
     """
 
     position: int
     count: int
-    cdf: EmpiricalCDF | tuple[EmpiricalCDF, ...]
+    split: _Split | tuple[_Split, ...]
     base: int = -1
     base_count: int = 1
     mapping: BoundedLinearModel | OutlierBoundedMapping | None = None
+
+
+class QueryTerms(NamedTuple):
+    """What planning reads from one query, taken once for every region it visits.
+
+    ``prefix`` starts the plan-cache key: the query type and the sorted
+    filtered dimensions.  ``filtered`` holds the filtered dimensions in
+    predicate order, and ``bounds`` each predicate's dimension with its
+    bounds as floats.
+    """
+
+    prefix: tuple
+    filtered: tuple[str, ...]
+    bounds: tuple[tuple[str, float, float], ...]
+
+    @classmethod
+    def of(cls, query: Query) -> "QueryTerms":
+        predicates = query.predicates
+        filtered = tuple([p.dimension for p in predicates])
+        return cls(
+            (query.query_type, tuple(sorted(filtered))),
+            filtered,
+            tuple([(p.dimension, float(p.low), float(p.high)) for p in predicates]),
+        )
+
+
+class _Plan:
+    """A plan-cache entry: one query's relative spans and the row ranges last handed out.
+
+    ``placed`` is ``(offset, ranges)``: the spans as row ranges shifted by
+    the region's row offset.  They are rebuilt only when the
+    offset changes, which a local merge does when it moves the region.
+    Pickles keep only the spans.
+    """
+
+    __slots__ = ("spans", "placed")
+
+    def __init__(self, spans: list[tuple[int, int, bool]]) -> None:
+        self.spans = spans
+        self.placed: tuple[int, tuple[RowRange, ...]] = (-1, ())
+
+    def __reduce__(self):
+        return _Plan, (self.spans,)
+
+    def place(self, offset: int) -> tuple[RowRange, ...]:
+        """The spans shifted by ``offset``, kept as :attr:`placed`."""
+        ranges = tuple(RowRange(offset + start, offset + stop, exact=exact) for start, stop, exact in self.spans)
+        self.placed = (offset, ranges)
+        return ranges
 
 
 class AugmentedGrid:
@@ -152,12 +216,14 @@ class AugmentedGrid:
     ``plan_cache`` optionally memoizes planned spans under the
     query's type and quantized (partition-window) bounds so skewed workloads
     reuse plans instead of re-planning.  The cache is cleared by :meth:`fit`
-    because spans are offsets into the clustered row order.
+    because spans are offsets into the clustered row order.  An entry also
+    keeps the row ranges it last handed out (:class:`_Plan`).
 
     A fitted grid keeps a role table (:class:`_Role` per skeleton dimension
     whose filter windows a position with more than one partition).  It is
     derived from the fitted models, so snapshots leave it out and rebuild
-    it on load.
+    it on load.  A snapshot whose plan cache holds bare span lists (as
+    older ones do) loads with them wrapped as entries.
     """
 
     def __init__(
@@ -200,6 +266,8 @@ class AugmentedGrid:
         self._roles = {}
         if self._fitted:
             self._build_roles()
+        if self.plan_cache is not None:
+            self.plan_cache.map_plans(lambda plan: plan if isinstance(plan, _Plan) else _Plan(plan))
 
     # -- fitting -----------------------------------------------------------------
 
@@ -420,14 +488,14 @@ class AugmentedGrid:
                 continue
             strategy = self.skeleton.strategy_for(dim)
             if isinstance(strategy, IndependentCDFStrategy):
-                roles[dim] = _Role(position, count, self._cdf_models[dim])
+                roles[dim] = _Role(position, count, self._cdf_models[dim].partitioning(count)[:2])
                 continue
             model = self._conditional_models[dim]
             base_count = self.config.partitions[strategy.base]
             roles[dim] = _Role(
                 position,
                 count,
-                tuple(model.model_for(part) for part in range(base_count)),
+                tuple(model.model_for(part).partitioning(count)[:2] for part in range(base_count)),
                 base=self.grid_dimensions.index(strategy.base),
                 base_count=base_count,
             )
@@ -443,7 +511,7 @@ class AugmentedGrid:
         if not self._fitted or self._offsets is None:
             raise IndexBuildError("AugmentedGrid has not been fitted")
 
-    def _bounds(self, query: Query) -> dict[int, tuple[_Role, float, float]]:
+    def _bounds(self, terms: QueryTerms) -> dict[int, tuple[_Role, float, float]]:
         """The query's filter bounds per windowed grid position, through the role table.
 
         Only the query's own predicates are read.  A filter on a mapped
@@ -454,11 +522,10 @@ class AugmentedGrid:
         """
         bounds: dict[int, tuple[_Role, float, float]] = {}
         roles = self._roles
-        for predicate in query.predicates:
-            role = roles.get(predicate.dimension)
+        for dim, low, high in terms.bounds:
+            role = roles.get(dim)
             if role is None:
                 continue
-            low, high = float(predicate.low), float(predicate.high)
             if role.mapping is not None:
                 low, high = role.mapping.map_range(low, high)
             known = bounds.get(role.position)
@@ -473,23 +540,32 @@ class AugmentedGrid:
         An independent position gets one inclusive ``(first, last)`` window;
         a conditional one gets a list of them, one per base partition inside
         the base position's window.  Empty windows are ``first > last``.
-        Every unbounded position's windows are full, so the filtered
-        dimensions plus these windows fix the plan: appended to ``key`` as
-        plain ints, they make the lossless plan-cache key.
+        A window is the partitions of its two bounds, two bisects in the
+        position's compiled partition function.  Every unbounded position's
+        windows are full, so the filtered dimensions plus these windows fix
+        the plan: appended to ``key`` as plain ints, they make the lossless
+        plan-cache key.
         """
         windows: dict = {}
         for position in sorted(bounds):
             role, low, high = bounds[position]
             if role.base < 0:
-                window = (1, 0) if high < low else role.cdf.partition_range(low, high, role.count)
+                if high < low:
+                    window = (1, 0)
+                else:
+                    breaks, ids = role.split
+                    window = (ids[bisect_right(breaks, low)], ids[bisect_right(breaks, high)])
                 key += window
             else:
                 base_first, base_last = windows.get(role.base, (0, role.base_count - 1))
-                parts = range(base_first, base_last + 1)
+                splits = role.split[base_first : base_last + 1]
                 if high < low:
-                    window = [(1, 0)] * len(parts)
+                    window = [(1, 0)] * len(splits)
                 else:
-                    window = [role.cdf[part].partition_range(low, high, role.count) for part in parts]
+                    window = [
+                        (ids[bisect_right(breaks, low)], ids[bisect_right(breaks, high)])
+                        for breaks, ids in splits
+                    ]
                 for pair in window:
                     key += pair
             windows[position] = window
@@ -591,28 +667,29 @@ class AugmentedGrid:
         base_first = windows[base][0] if base in windows else 0
         return [window[cell // base_stride % base_count - base_first] for cell, _ in prefixes]
 
-    def _spans(self, query: Query) -> list[tuple[int, int, bool]]:
-        """Relative ``(start, stop, exact)`` row spans of ``query``.
+    def _plan(self, terms: QueryTerms) -> _Plan:
+        """The plan of one query's :class:`QueryTerms`: its relative row spans.
 
-        The query's predicates are read through the role table into the
+        The query's bounds are read through the role table into the
         windows of its bounded positions, which also make the plan-cache
-        key; a miss expands the spans from those same windows.
+        key after the terms' prefix; a miss expands the spans from those
+        same windows.
         """
         self._require_fitted()
-        signature = [query.query_type, tuple(sorted(query.filtered_dimensions))]
-        windows = self._windows(self._bounds(query), signature)
-        key = tuple(signature)
+        key = list(terms.prefix)
+        windows = self._windows(self._bounds(terms), key)
+        key = tuple(key)
         cache = self.plan_cache
-        spans = None if cache is None else cache.get(key)
-        if spans is None:
-            spans = self._expand(windows, query.filtered_dimensions)
+        plan = None if cache is None else cache.get(key)
+        if plan is None:
+            plan = _Plan(self._expand(windows, terms.filtered))
             if cache is not None:
-                cache.put(key, spans)
-        return spans
+                cache.put(key, plan)
+        return plan
 
     def plan(self, query: Query) -> tuple[list[tuple[int, int, bool]], QueryPlanFeatures]:
         """Plan ``query``: relative row ranges plus cost-model features."""
-        spans = self._spans(query)
+        spans = self._plan(QueryTerms.of(query)).spans
         features = QueryPlanFeatures(
             num_cell_ranges=len(spans),
             points_scanned=sum(stop - start for start, stop, _ in spans),
@@ -632,17 +709,24 @@ class AugmentedGrid:
         self._require_fitted()
         num_ranges, points = [], []
         for query in queries:
-            spans = self._expand(self._windows(self._bounds(query), []), query.filtered_dimensions)
+            terms = QueryTerms.of(query)
+            spans = self._expand(self._windows(self._bounds(terms), []), terms.filtered)
             num_ranges.append(len(spans))
             points.append(sum(stop - start for start, stop, _ in spans))
         return np.array(num_ranges, dtype=np.int64), np.array(points, dtype=np.int64)
 
-    def ranges_for_query(self, query: Query, offset: int = 0) -> list[RowRange]:
-        """Physical row ranges for ``query``, shifted by the region's ``offset``."""
-        return [
-            RowRange(offset + start, offset + stop, exact=exact)
-            for start, stop, exact in self._spans(query)
-        ]
+    def ranges_for_query(
+        self, query: Query, offset: int = 0, terms: QueryTerms | None = None
+    ) -> tuple[RowRange, ...]:
+        """Physical row ranges for ``query``, shifted by the region's ``offset``.
+
+        A caller that plans one query in many regions passes its
+        ``QueryTerms.of(query)`` as ``terms``.  A cached plan hands out the
+        same ranges until the offset changes.
+        """
+        plan = self._plan(QueryTerms.of(query) if terms is None else terms)
+        placed, ranges = plan.placed
+        return ranges if placed == offset else plan.place(offset)
 
     # -- reporting ---------------------------------------------------------------------
 

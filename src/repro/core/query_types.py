@@ -127,11 +127,18 @@ class PlanCache:
     therefore lossless: a hit replays the identical plan, and scan-time
     filtering still uses the live query's exact bounds.  The grid builds
     the key as a flat tuple: the query type, the sorted filtered
-    dimensions, then the windows of only the grid dimensions the query
-    bounds, as plain ints in grid order (one ``first, last`` pair per
-    independent dimension, one per base partition for a conditional one).
-    Every other window is full, and the filtered dimensions say which
-    dimensions are bounded, so the short key still fixes the plan.
+    dimensions (both taken once per query, for all its regions), then the
+    windows of only the grid dimensions the query bounds, as plain ints in
+    grid order (one ``first, last`` pair per independent dimension, one per
+    base partition for a conditional one).  Each window is two bisects in
+    the dimension's compiled partition function
+    (:meth:`~repro.stats.cdf.EmpiricalCDF.partitioning`).  Every other
+    window is full, and the filtered dimensions say which dimensions are
+    bounded, so the short key still fixes the plan.
+
+    A plan is whatever the grid stores: its relative spans plus the row
+    ranges it last handed out at the region's offset, so a warm hit builds
+    no row range until a local merge moves the region.
 
     The cache must be dropped whenever the physical layout changes (rebuild or
     :meth:`~repro.core.tsunami.TsunamiIndex.reoptimize`): cached spans are
@@ -165,6 +172,11 @@ class PlanCache:
         if len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
+
+    def map_plans(self, convert) -> None:
+        """Replace every cached plan by ``convert(plan)``, keeping keys, order and statistics."""
+        for key, plan in list(self._entries.items()):
+            self._entries[key] = convert(plan)
 
     def clear(self) -> None:
         """Drop every entry and reset the statistics (layout invalidation)."""

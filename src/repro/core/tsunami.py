@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.baselines.base import ClusteredIndex, containment_exactness
 from repro.common.errors import IndexBuildError, OptimizationError
-from repro.core.augmented_grid import AugmentedGrid, AugmentedGridConfig
+from repro.core.augmented_grid import AugmentedGrid, AugmentedGridConfig, QueryTerms
 from repro.core.cost_model import CostModel
 from repro.core.grid_tree import GridTree, GridTreeConfig, GridTreeNode
 from repro.core.optimizer import AdaptiveGradientDescent, initialize_partitions
@@ -234,17 +234,21 @@ class TsunamiIndex(ClusteredIndex):
             chunks.append(row_ids)
             self._regions.append(_RegionIndex(node, offset, len(row_ids), grid))
             offset += len(row_ids)
+        # Leaves are numbered in leaf order, so routing reads a leaf's record
+        # at its region id.
+        assert all(region.node.region_id == position for position, region in enumerate(self._regions))
         if not chunks:
             return None
         return np.concatenate(chunks)
 
     # -- query processing (§3) -------------------------------------------------------
 
-    def _regions_by_id(self, region_ids: set[int]) -> list[_RegionIndex]:
-        return [r for r in self._regions if r.node.region_id in region_ids]
+    def _region_ranges(self, query: Query, regions: Sequence[_RegionIndex]) -> list[RowRange]:
+        """Row ranges for ``query`` across the given (pre-routed) regions.
 
-    def _region_ranges(self, query: Query, regions: list[_RegionIndex]) -> list[RowRange]:
-        """Row ranges for ``query`` across the given (pre-routed) regions."""
+        The query's planning terms are taken once, for all its regions.
+        """
+        terms = QueryTerms.of(query)
         ranges: list[RowRange] = []
         for region in regions:
             if region.num_rows == 0:
@@ -259,9 +263,7 @@ class TsunamiIndex(ClusteredIndex):
                     )
                 )
                 continue
-            ranges.extend(
-                region.grid.ranges_for_query(query, offset=region.row_offset)
-            )
+            ranges.extend(region.grid.ranges_for_query(query, region.row_offset, terms))
         return ranges
 
     def _ranges_for_query(self, query: Query) -> list[RowRange]:
@@ -274,10 +276,9 @@ class TsunamiIndex(ClusteredIndex):
         if self.grid_tree is None:
             return [self._region_ranges(query, self._regions) for query in queries]
         routed = self.grid_tree.regions_for_queries(queries)
+        regions = self._regions
         return [
-            self._region_ranges(
-                query, self._regions_by_id({node.region_id for node in nodes})
-            )
+            self._region_ranges(query, [regions[node.region_id] for node in nodes])
             for query, nodes in zip(queries, routed)
         ]
 

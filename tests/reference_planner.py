@@ -6,8 +6,11 @@ most three spans per prefix.  This module is the original planner it
 replaced: it enumerates every intersecting cell recursively (respecting the
 conditional-CDF dependency structure), then coalesces the cells' row ranges.
 It computes every window itself from the fitted models (:func:`effective_bounds`,
-:func:`partition_window`), not through the grid's role table.  The two must
-agree span for span, flag for flag.
+:func:`partition_window`), not through the grid's role table, and reads
+each partition off the interpolated CDF (:meth:`EmpiricalCDF.evaluate`, an
+``np.interp``) as ``min(int(c * p), p - 1)`` instead of the models'
+compiled partition functions.  The two must agree span for span, flag for
+flag.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from repro.core.skeleton import (
     IndependentCDFStrategy,
 )
 from repro.query.query import Query
+from repro.stats.cdf import EmpiricalCDF
 
 
 def effective_bounds(grid: AugmentedGrid, query: Query) -> dict[str, tuple[float, float]]:
@@ -53,6 +57,11 @@ def effective_bounds(grid: AugmentedGrid, query: Query) -> dict[str, tuple[float
     return bounds
 
 
+def interp_partition(model: EmpiricalCDF, value: float, num_partitions: int) -> int:
+    """The partition of ``value``: ``min(int(CDF(value) * p), p - 1)``."""
+    return min(int(model.evaluate(value) * num_partitions), num_partitions - 1)
+
+
 def partition_window(
     grid: AugmentedGrid,
     dim: str,
@@ -68,12 +77,11 @@ def partition_window(
         return 1, 0  # empty window
     strategy = grid.skeleton.strategy_for(dim)
     if isinstance(strategy, IndependentCDFStrategy):
-        return grid._cdf_models[dim].partition_range(low, high, num_partitions)
-    assert isinstance(strategy, ConditionalCDFStrategy)
-    base_partition = assignment[strategy.base]
-    return grid._conditional_models[dim].partition_range(
-        low, high, base_partition, num_partitions
-    )
+        model = grid._cdf_models[dim]
+    else:
+        assert isinstance(strategy, ConditionalCDFStrategy)
+        model = grid._conditional_models[dim].model_for(assignment[strategy.base])
+    return interp_partition(model, low, num_partitions), interp_partition(model, high, num_partitions)
 
 
 def window_table(grid: AugmentedGrid, query: Query) -> dict[str, object]:

@@ -475,13 +475,15 @@ class TestPersistenceAfterLocalMerge:
 def assert_region_bookkeeping(index: TsunamiIndex) -> None:
     """The per-region invariants every build and repair must keep.
 
-    Regions tile the clustered table in order, every row lies inside its
+    Regions tile the clustered table in order, each record sits at its
+    leaf's region id (routing reads it there), every row lies inside its
     region's half-open bounds, each indexed region's grid covers exactly
     its rows, and the index keeps no per-row array beside its table.
     """
     table = index.table
     offset = 0
-    for region in index._regions:
+    for position, region in enumerate(index._regions):
+        assert region.node.region_id == position
         assert region.row_offset == offset
         stop = region.row_offset + region.num_rows
         for dim, (low, high) in region.node.bounds.items():

@@ -351,6 +351,40 @@ class TestExpanderBranches:
         assert spans and spans == reference_spans(grid, open_base)
 
 
+class TestWindowsOnBreaks:
+    def test_bounds_on_compiled_breaks_match_reference(self):
+        """Low-cardinality columns put partition breaks on integer knots,
+        where query bounds can sit exactly; a window's two bisects must place
+        a bound on a break as the oracle's interpolation formula does, for
+        independent and conditional positions."""
+        rng = np.random.default_rng(11)
+        a = rng.integers(0, 12, 900)
+        table = Table.from_arrays(
+            "breaks", {"a": a, "b": (a + rng.integers(0, 3, 900)) % 12, "c": rng.integers(0, 9, 900)}
+        )
+        config = AugmentedGridConfig(
+            skeleton=Skeleton(
+                {
+                    "a": IndependentCDFStrategy(),
+                    "b": ConditionalCDFStrategy(base="a"),
+                    "c": IndependentCDFStrategy(),
+                }
+            ),
+            partitions={"a": 4, "b": 3, "c": 5},
+        )
+        grid = AugmentedGrid(config, plan_cache=PlanCache())
+        grid.fit(table)
+        models = [(grid._cdf_models["a"], 4), (grid._cdf_models["c"], 5)]
+        models += [(grid._conditional_models["b"].model_for(part), 3) for part in range(4)]
+        on_knots = {b for model, count in models for b in model.partitioning(count).breaks if b == int(b)}
+        assert on_knots
+        for value in sorted(int(b) for b in on_knots):
+            for low, high in ((value, value), (value - 1, value), (value, value + 1)):
+                for dim in ("a", "b", "c"):
+                    query = Query.from_ranges({dim: (low, high)})
+                    assert grid.plan(query)[0] == reference_spans(grid, query)
+
+
 class TestPlannerConfiguration:
     def test_unknown_planner_rejected(self):
         """The span planner is the only one: no planner can be selected.

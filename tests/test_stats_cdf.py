@@ -2,9 +2,115 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import IndexBuildError
 from repro.stats.cdf import ConditionalCDF, EmpiricalCDF
+
+
+def interp_partition(model: EmpiricalCDF, value: float, num_partitions: int) -> int:
+    """The partition formula the compiled functions must reproduce."""
+    return min(int(model.evaluate(value) * num_partitions), num_partitions - 1)
+
+
+def ulp_neighbours(values: np.ndarray, steps: int) -> np.ndarray:
+    """``values`` plus the ``steps`` doubles on either side of each."""
+    neighbours = [values]
+    down, up = values, values
+    for _ in range(steps):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        neighbours += [down, up]
+    return np.concatenate(neighbours)
+
+
+@st.composite
+def cdf_cases(draw):
+    """A column of one of the shapes that stress partition boundaries, a
+    knot cap, a partition count and a seed for random probes."""
+    kind = draw(
+        st.sampled_from(
+            ["duplicates", "constant", "negatives", "heavy_tails", "tiny_spread", "billions", "few_rows"]
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(1, 400))
+    if kind == "duplicates":
+        values = rng.integers(0, draw(st.integers(1, 12)), size)
+    elif kind == "constant":
+        values = np.full(size, draw(st.integers(-(10**9), 10**9)))
+    elif kind == "negatives":
+        values = rng.integers(-(10**6), 10**3, size)
+    elif kind == "heavy_tails":
+        values = np.round(rng.standard_cauchy(size) * 10**6)
+    elif kind == "tiny_spread":
+        values = draw(st.floats(-1e3, 1e3)) + rng.integers(0, 40, size) * 1e-12
+    elif kind == "billions":
+        values = rng.integers(-3 * 10**9, 3 * 10**9, size)
+    else:
+        values = rng.integers(-1000, 1000, draw(st.integers(1, 8)))
+    knots = draw(st.integers(2, 128))
+    return values.astype(np.float64), knots, draw(st.integers(1, 300)), rng
+
+
+class TestCompiledPartitions:
+    """Every partition lookup reads a compiled boundary list; it must equal
+    ``min(int(evaluate(x) * p), p - 1)`` at every double."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cdf_cases())
+    def test_compiled_partitions_equal_the_interp_formula(self, case):
+        values, max_knots, num_partitions, rng = case
+        model = EmpiricalCDF(values, max_knots=max_knots)
+        breaks = np.array(model.partitioning(num_partitions).breaks)
+        low, high = model.domain
+        probes = np.concatenate(
+            [
+                ulp_neighbours(np.unique(model._knots), 4),
+                ulp_neighbours(breaks, 1),
+                rng.uniform(low - 10.0, high + 10.0, 32),
+                rng.normal(0.0, 1e12, 8),
+                [-np.inf, np.inf, 0.0, -0.0],
+            ]
+        )
+        expected = [interp_partition(model, float(x), num_partitions) for x in probes]
+        assert model.partitions_of(probes, num_partitions).tolist() == expected
+        assert [model.partition_of(x, num_partitions) for x in probes] == expected
+        pairs = rng.integers(0, probes.size, (64, 2))
+        assert [model.partition_range(probes[a], probes[b], num_partitions) for a, b in pairs] == [
+            (expected[a], expected[b]) for a, b in pairs
+        ]
+
+        bases = rng.integers(0, 3, values.size)
+        conditional = ConditionalCDF(bases, values, 3, max_knots=max_knots)
+        probe_bases = rng.integers(0, 3, probes.size)
+        assert conditional.partitions_of(probes, probe_bases, num_partitions).tolist() == [
+            interp_partition(conditional.model_for(int(base)), float(x), num_partitions)
+            for x, base in zip(probes, probe_bases)
+        ]
+
+    def test_partition_may_fall_back_at_a_knot(self):
+        """Where rounding leaves the interpolating line's end above a knot's
+        own CDF value, the formula's partition falls by one at the knot (a
+        three-knot slice of a heavy-tailed column's model); the compiled
+        function follows it there."""
+        model = EmpiricalCDF.__new__(EmpiricalCDF)
+        knots = np.array([-33619203.95918368, -16257495.591836736, -12593767.42857143])
+        model.__setstate__(
+            {
+                "_n": 3,
+                "_knots": knots,
+                "_knot_cdf": np.array([0.01020408163265306, 0.02040816326530612, 0.030612244897959183]),
+                "_min": float(knots[0]),
+                "_max": float(knots[-1]),
+            }
+        )
+        knot = knots[1]
+        around = [np.nextafter(knot, -np.inf), knot, np.nextafter(knot, np.inf)]
+        assert [interp_partition(model, float(x), 49) for x in around] == [1, 0, 1]
+        assert [model.partition_of(x, 49) for x in around] == [1, 0, 1]
+        assert model.partitions_of(np.array(around), 49).tolist() == [1, 0, 1]
+
 
 
 class TestEmpiricalCDF:
@@ -58,8 +164,13 @@ class TestEmpiricalCDF:
 
     def test_invalid_partition_count(self):
         cdf = EmpiricalCDF(np.arange(10))
-        with pytest.raises(ValueError):
-            cdf.partition_of(5, 0)
+        for count in (0, -3):
+            with pytest.raises(ValueError):
+                cdf.partition_of(5, count)
+            with pytest.raises(ValueError):
+                cdf.partitions_of(np.arange(5), count)
+            with pytest.raises(ValueError):
+                cdf.partition_range(1, 5, count)
 
     def test_constant_values(self):
         cdf = EmpiricalCDF(np.full(100, 7))

@@ -120,24 +120,40 @@ class TestIndexRoundTrip:
             assert loaded.execute(query).value == expected
 
     def test_older_tsunami_snapshot_loads(self, tmp_path, fresh_table, fresh_workload):
-        """Grids are pickled without their role tables, and older snapshots
-        pickled the removed ``BuildReport.details`` and
-        ``TsunamiConfig.plan_cache_entries``: a loaded index rebuilds every
-        role table, plans and answers exactly as the saved one, and reports
-        no ``details``."""
+        """Grids are pickled without their role tables, CDF models without
+        their compiled partition functions, and plan-cache entries without
+        their row ranges; older snapshots also pickled the removed
+        ``BuildReport.details`` and ``TsunamiConfig.plan_cache_entries``,
+        and cached bare span lists.  A loaded index rebuilds every role
+        table, plans, hits and answers exactly as the saved one, reports no
+        ``details`` and keeps its index size."""
         index = TsunamiIndex(TsunamiConfig(optimizer_iterations=1)).build(
             fresh_table, fresh_workload
         )
+        queries = list(fresh_workload)[:15]
+        planned = [index._ranges_for_query(query) for query in queries]
+        answers = [index.execute(query).value for query in queries]
+        grids = [region.grid for region in index._regions if region.grid is not None]
+        assert grids
         # As older snapshots hold them.
         index.build_report.__dict__["details"] = {}
         index.config.__dict__["plan_cache_entries"] = 4096
-        grids = [region.grid for region in index._regions if region.grid is not None]
-        assert grids
+        for grid in grids:
+            grid.plan_cache.map_plans(lambda plan: plan.spans)
+        models = []
         for grid in grids:
             assert "_roles" not in grid.__getstate__()
+            models += grid._cdf_models.values()
+            for conditional in grid._conditional_models.values():
+                models += [conditional.model_for(part) for part in range(conditional.num_base_partitions)]
+        assert any(model._compiled for model in models)
+        for model in models:
+            state = model.__getstate__()
+            assert "_compiled" not in state and "_segments" not in state
         save_index(index, tmp_path)
         loaded = load_index(tmp_path)
         assert "details" not in loaded.build_report.as_dict()
+        assert loaded.index_size_bytes() == index.index_size_bytes()
         partitioned = [
             region.grid
             for region in loaded._regions
@@ -147,9 +163,11 @@ class TestIndexRoundTrip:
         assert partitioned
         for grid in partitioned:
             assert grid._roles
-        for query in list(fresh_workload)[:15]:
-            assert loaded._ranges_for_query(query) == index._ranges_for_query(query)
-            assert loaded.execute(query).value == index.execute(query).value
+        hits = loaded.plan_cache_stats().hits
+        for query, ranges, answer in zip(queries, planned, answers):
+            assert list(loaded._ranges_for_query(query)) == ranges
+            assert loaded.execute(query).value == answer
+        assert loaded.plan_cache_stats().hits > hits
 
     def test_original_index_still_usable_after_save(self, tmp_path, fresh_table, fresh_workload):
         index = TsunamiIndex(TsunamiConfig(optimizer_iterations=1)).build(
