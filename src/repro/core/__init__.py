@@ -45,7 +45,7 @@ from repro.core.tsunami import TsunamiIndex, TsunamiConfig
 from repro.core.drift import WorkloadDriftDetector, DriftReport
 from repro.core.outliers import OutlierBoundedMapping
 from repro.core.categorical import CategoricalReordering, co_access_counts
-from repro.core.delta import BufferScan, DeltaBuffer, DeltaBufferedIndex, MergeReport
+from repro.core.delta import DeltaBuffer, DeltaBufferedIndex, MergeReport
 from repro.core.incremental import IncrementalReoptimizer, IncrementalReport, RegionShift
 from repro.core.sharding import ShardedIndex, balanced_cuts, scaled_tsunami_config
 from repro.core.lifecycle import (
@@ -78,7 +78,6 @@ __all__ = [
     "CategoricalReordering",
     "co_access_counts",
     "DeltaBuffer",
-    "BufferScan",
     "DeltaBufferedIndex",
     "MergeReport",
     "IncrementalReoptimizer",

@@ -9,11 +9,18 @@ one level up, wrapping *any* clustered index in the repository:
 * Inserted rows land in a :class:`DeltaBuffer` — a columnar, amortized-growth
   set of ``int64`` arrays in the same storage domain the main index uses.
   :meth:`DeltaBufferedIndex.insert_many` converts whole columns at once
-  through :meth:`~repro.storage.column.Column.to_storage_array`, so bulk
-  ingestion is vectorized end to end; :meth:`DeltaBufferedIndex.insert` is
-  an ``insert_many`` of one row.
-* Queries are answered by combining the main index's result with a single
-  columnar scan of the buffer, so reads always see every insert immediately.
+  through :meth:`~repro.storage.table.Table.encode_rows`, so bulk ingestion
+  is vectorized end to end; :meth:`DeltaBufferedIndex.insert` is an
+  ``insert_many`` of one row.
+* Pending rows are table rows: the buffer shows its live rows as one
+  :class:`~repro.storage.table.Table` of ``int64`` columns
+  (:attr:`DeltaBuffer.table`, rebuilt after an append), and every reader
+  goes through it — the buffer's scan, local merges, the rebuild merge's
+  concatenation and a sharded index's pruning boxes.
+* Queries are answered by combining the main index's result with one scan
+  of that table through the same :class:`~repro.storage.scan.ScanExecutor`
+  (one row range holding every pending row), so reads always see every
+  insert immediately and the buffer's work counters are those of a scan.
 * Once the buffer reaches ``merge_threshold`` rows (or on an explicit
   :meth:`merge` call), the buffered rows are folded into the table — the
   "periodic merge" of the differential-file technique the paper cites.  How
@@ -44,10 +51,12 @@ The wrapper implements the full serving contract of
 :class:`~repro.query.engine.QueryEngine` and serve through the batched
 pipeline at the same speed as a read-only index: a batch is deduped into
 distinct templates, routed through the wrapped index's batched pipeline once,
-the buffer is scanned once per distinct template, and the per-template results
-are recombined per aggregate; ``execute`` is a batch of one.  ``avg`` is
-recombined in a single pass: the main index executes the corresponding
-``sum`` query, whose scan already counts the matching rows
+the buffer is scanned once per distinct template, and the two partial results
+are recombined per aggregate with
+:func:`~repro.baselines.base.combine_partial_results`, as a sharded index
+recombines its shards; ``execute`` is a batch of one.  ``avg`` is recombined
+in a single pass: the main index and the buffer each execute the
+corresponding ``sum`` query, whose scan already counts the matching rows
 (``ScanStats.rows_matched``), so no second count-query execution is needed
 and the reported scan work is conserved.
 """
@@ -62,7 +71,6 @@ import numpy as np
 
 from repro.baselines.base import (
     ClusteredIndex,
-    PartialAggregate,
     QueryResult,
     avg_as_sum,
     combine_partial_results,
@@ -72,14 +80,13 @@ from repro.baselines.base import (
     serve_workload,
 )
 from repro.common import faults
-from repro.common.errors import IndexBuildError, QueryError, SchemaError
+from repro.common.errors import IndexBuildError, SchemaError
 from repro.common.records import Record
 from repro.core.local_merge import local_merge, supports_local_merge
 from repro.query.query import Query
 from repro.query.workload import Workload
 from repro.storage.column import Column
-from repro.storage.kernels import fused_count, fused_max, fused_min, fused_sum
-from repro.storage.scan import ScanStats
+from repro.storage.scan import RowRange, ScanExecutor, ScanStats
 from repro.storage.table import Table
 
 IndexFactory = Callable[[], ClusteredIndex]
@@ -111,29 +118,15 @@ class MergeReport(Record):
     regions_total: int | None = None
 
 
-@dataclass(frozen=True)
-class BufferScan:
-    """Everything one query needs from a single pass over the delta buffer.
-
-    All aggregate pieces are computed together so one scan per distinct
-    template serves any aggregate: ``total`` feeds ``sum``/``avg``,
-    ``matched`` feeds ``count``/``avg``, ``minimum``/``maximum`` (``NaN``
-    when no buffered row matches) feed ``min``/``max``.
-    """
-
-    total: float
-    minimum: float
-    maximum: float
-    matched: int
-    stats: ScanStats
-
-
 class DeltaBuffer:
     """A columnar insert buffer with amortized-growth ``int64`` storage.
 
     Values are appended into preallocated per-column arrays that double in
-    capacity when full, so appends are amortized O(1) and queries scan the
-    live prefix of each array directly — no per-query list→array conversion.
+    capacity when full, so appends are amortized O(1).  Every reader sees the
+    pending rows through :attr:`table`, a :class:`~repro.storage.table.Table`
+    of ``int64`` views over the live prefix of each array, built on first
+    use after an append; queries scan it with the same
+    :class:`~repro.storage.scan.ScanExecutor` the main index uses.
     """
 
     def __init__(self, column_names: Sequence[str], capacity: int = MIN_BUFFER_CAPACITY) -> None:
@@ -146,6 +139,8 @@ class DeltaBuffer:
         self._capacity = max(int(capacity), MIN_BUFFER_CAPACITY)
         self._size = 0
         self._data = {name: np.empty(self._capacity, dtype=np.int64) for name in names}
+        # Scans the table view of the live rows; ``None`` after an append.
+        self._executor: ScanExecutor | None = None
 
     # -- protocol ---------------------------------------------------------------
 
@@ -159,23 +154,28 @@ class DeltaBuffer:
         )
 
     @property
-    def column_names(self) -> list[str]:
-        """Buffered column names, in table order."""
-        return list(self._names)
-
-    @property
     def capacity(self) -> int:
         """Currently allocated rows per column (grows by doubling)."""
         return self._capacity
 
-    def column(self, name: str) -> np.ndarray:
-        """The buffered values of ``name`` (a view of the live prefix)."""
-        try:
-            return self._data[name][: self._size]
-        except KeyError:
-            raise SchemaError(
-                f"delta buffer has no column {name!r}; available: {self._names}"
-            ) from None
+    @property
+    def table(self) -> Table:
+        """The live rows as a table of ``int64`` columns (views, not copies).
+
+        Built on first use after an append, so its columns' cached bounds
+        and the executor over it serve every read until the next append.
+        """
+        return self._scanner().table
+
+    def _scanner(self) -> ScanExecutor:
+        """The executor over :attr:`table`, rebuilt after an append."""
+        if self._executor is None:
+            view = Table(
+                "pending",
+                [Column(name, self._data[name][: self._size], narrow=False) for name in self._names],
+            )
+            self._executor = ScanExecutor(view)
+        return self._executor
 
     # -- appends -----------------------------------------------------------------
 
@@ -224,11 +224,13 @@ class DeltaBuffer:
         for name in self._names:
             self._data[name][start : start + length] = arrays[name]
         self._size += length
+        self._executor = None
         return length
 
     def clear(self) -> None:
         """Drop every buffered row and shrink back to the minimum allocation."""
         self._size = 0
+        self._executor = None
         if self._capacity > MIN_BUFFER_CAPACITY:
             self._capacity = MIN_BUFFER_CAPACITY
             self._data = {
@@ -237,47 +239,19 @@ class DeltaBuffer:
 
     # -- scans --------------------------------------------------------------------
 
-    def mask_for_filters(self, filters: Mapping[str, tuple[int, int]]) -> np.ndarray:
-        """Boolean mask of buffered rows matching every ``{dim: (low, high)}``."""
-        mask = np.ones(self._size, dtype=bool)
-        for dim, (low, high) in filters.items():
-            if dim not in self._data:
-                raise QueryError(f"query filters unknown dimension {dim!r}")
-            values = self._data[dim][: self._size]
-            mask &= (values >= low) & (values <= high)
-        return mask
+    def scan(self, query: Query) -> QueryResult:
+        """Answer ``query`` over the pending rows, scanned as one row range.
 
-    def scan(self, query: Query) -> BufferScan:
-        """Evaluate ``query`` over the buffer in one pass (see :class:`BufferScan`).
-
-        Aggregation goes through the fused kernels: the whole live prefix is
-        reduced under the filter mask without materializing matching rows.
-        The buffer is staging storage and stays ``int64``, so its scan
-        counters charge 8 bytes per value read.
+        The buffer is staging storage and stays ``int64``, so the scan
+        charges 8 bytes per value read; an empty buffer scans no range.
         """
-        stats = ScanStats(dims_accessed=query.num_filtered_dimensions)
-        if self._size == 0:
-            return BufferScan(0.0, float("nan"), float("nan"), 0, stats)
-        stats.points_scanned = self._size
-        stats.cell_ranges = 1
-        filters = query.filters()
-        stats.values_scanned = self._size * len(filters)
-        stats.bytes_scanned = 8 * stats.values_scanned
-        mask = self.mask_for_filters(filters)
-        matched = fused_count(mask)
-        stats.rows_matched = matched
-        if matched == 0 or query.aggregate == "count":
-            return BufferScan(0.0, float("nan"), float("nan"), matched, stats)
-        target = self._data[query.aggregate_column][: self._size]
-        stats.values_scanned += self._size
-        stats.bytes_scanned += 8 * self._size
-        return BufferScan(
-            total=float(fused_sum(target, mask)),
-            minimum=float(fused_min(target, mask)),
-            maximum=float(fused_max(target, mask)),
-            matched=matched,
-            stats=stats,
+        value, stats = self._scanner().execute(
+            [RowRange(0, self._size)],
+            query.filters(),
+            query.aggregate,
+            query.aggregate_column,
         )
+        return QueryResult(value=value, stats=stats)
 
     def size_bytes(self) -> int:
         """Logical footprint of the buffered values (8 bytes per live value)."""
@@ -412,20 +386,7 @@ class DeltaBufferedIndex:
         rows = list(rows)
         if not rows:
             return
-        index = self._require_built()
-        table = index.table
-        column_names = table.column_names
-        columns: dict[str, np.ndarray] = {}
-        for name in column_names:
-            try:
-                values = [row[name] for row in rows]
-            except KeyError:
-                position = next(i for i, row in enumerate(rows) if name not in row)
-                missing = [c for c in column_names if c not in rows[position]]
-                raise SchemaError(
-                    f"insert is missing values for columns {missing}"
-                ) from None
-            columns[name] = table.column(name).to_storage_array(values)
+        columns = self._require_built().table.encode_rows(rows)
         assert self._buffer is not None
         total = len(rows)
         offset = 0
@@ -460,11 +421,7 @@ class DeltaBufferedIndex:
         faults.trigger("delta.merge")
         start = time.perf_counter()
         if self.merge_strategy == "local" and supports_local_merge(index):
-            buffer_columns = {
-                name: self._buffer.column(name)
-                for name in index.table.column_names
-            }
-            outcome = local_merge(index, buffer_columns)
+            outcome = local_merge(index, self._buffer.table)
             report = MergeReport(
                 rows_merged=pending,
                 rebuild_seconds=time.perf_counter() - start,
@@ -482,25 +439,7 @@ class DeltaBufferedIndex:
     def _rebuild_merge(self, index: ClusteredIndex, start: float) -> MergeReport:
         """The global path: concatenate the buffer and rebuild the index."""
         assert self._buffer is not None
-        old_table = index.table
-        columns = []
-        for name in old_table.column_names:
-            source = old_table.column(name)
-            # Concatenating the (possibly narrow) main column with the int64
-            # buffer promotes to int64; the Column constructor then narrows to
-            # the smallest dtype covering the *merged* range.  An insert that
-            # overflows the old narrow dtype therefore widens the column
-            # instead of crashing or wrapping.
-            merged_values = np.concatenate([source.values, self._buffer.column(name)])
-            columns.append(
-                Column(
-                    name,
-                    merged_values,
-                    dictionary=source.dictionary,
-                    scaler=source.scaler,
-                )
-            )
-        merged_table = Table(old_table.name, columns)
+        merged_table = Table.concat(index.table.name, [index.table, self._buffer.table])
         # Build the replacement fully before installing it: a rebuild that
         # fails (or is fault-injected) must leave the index serving the old
         # table with the buffer intact, not half-replaced.
@@ -521,25 +460,6 @@ class DeltaBufferedIndex:
 
     # -- queries ----------------------------------------------------------------------
 
-    @staticmethod
-    def _buffer_partial(query: Query, scan: BufferScan) -> PartialAggregate:
-        """The buffer scan's contribution as a recombinable partial."""
-        if query.aggregate == "count":
-            value: float = scan.matched
-        elif query.aggregate in ("sum", "avg"):
-            value = scan.total
-        elif query.aggregate == "min":
-            value = scan.minimum
-        else:
-            value = scan.maximum
-        return PartialAggregate(value=value, matched=scan.matched, stats=scan.stats)
-
-    def _combine(self, query: Query, main: QueryResult, scan: BufferScan) -> QueryResult:
-        """Recombine the main index's result with the buffer scan, per aggregate."""
-        return combine_partial_results(
-            query.aggregate, [partial_of(main), self._buffer_partial(query, scan)]
-        )
-
     def execute(self, query: Query) -> QueryResult:
         """Answer ``query`` over the main index plus the delta buffer: a batch of one."""
         return self.execute_batch([query])[0]
@@ -551,8 +471,9 @@ class DeltaBufferedIndex:
         them in one batch (sharing grid-tree routing and plan-cache lookups),
         each running the :func:`~repro.baselines.base.avg_as_sum` rewrite so
         ``avg`` gets its sum and matched-row count from one pass.  The buffer
-        is scanned once per distinct template, and the results are recombined
-        per aggregate, in input order.
+        runs the same rewritten query once per distinct template, and the two
+        partials are recombined per aggregate the way a sharded index
+        recombines its shards', in input order.
         """
         index = self._require_built()
         assert self._buffer is not None
@@ -560,10 +481,13 @@ class DeltaBufferedIndex:
         if not queries:
             return []
         distinct, order = dedupe_queries(queries)
-        main_results = index.execute_batch([avg_as_sum(query) for query in distinct])
+        rewritten = [avg_as_sum(query) for query in distinct]
+        main_results = index.execute_batch(rewritten)
         combined = [
-            self._combine(query, main, self._buffer.scan(query))
-            for query, main in zip(distinct, main_results)
+            combine_partial_results(
+                query.aggregate, [partial_of(main), partial_of(self._buffer.scan(partial))]
+            )
+            for query, partial, main in zip(distinct, rewritten, main_results)
         ]
         return expand_deduped_results(combined, order)
 

@@ -111,7 +111,7 @@ def _route_rows(
 
 def _merged_columns(
     old_table: Table,
-    buffer_columns: Mapping[str, np.ndarray],
+    pending: Table,
     region_slices: list[tuple[int, int, np.ndarray]],
 ) -> list[Column]:
     """Materialize merged columns in the new physical region order.
@@ -125,9 +125,8 @@ def _merged_columns(
     columns: list[Column] = []
     for name in old_table.column_names:
         source = old_table.column(name)
-        buffered = np.asarray(buffer_columns[name])
-        low = int(buffered.min())
-        high = int(buffered.max())
+        buffered = pending.values(name)
+        low, high = pending.bounds(name)
         if len(source):
             low = min(low, source.min())
             high = max(high, source.max())
@@ -175,25 +174,16 @@ def _widened_bounds(
     return bounds
 
 
-def local_merge(
-    index: TsunamiIndex, buffer_columns: Mapping[str, np.ndarray]
-) -> LocalMergeResult:
+def local_merge(index: TsunamiIndex, pending: Table) -> LocalMergeResult:
     """Fold buffered rows into ``index`` by reorganizing only touched regions.
 
-    ``buffer_columns`` maps every table column to an equal-length int64 array
-    of storage-domain values (the live prefix of a
-    :class:`~repro.core.delta.DeltaBuffer`).  The caller is responsible for
-    checking :func:`supports_local_merge` first and for resetting its buffer
-    afterwards.
+    ``pending`` holds the buffered rows in storage-domain values, one column
+    per table column (a :class:`~repro.core.delta.DeltaBuffer`'s
+    :attr:`~repro.core.delta.DeltaBuffer.table`).  The caller is responsible
+    for checking :func:`supports_local_merge` first and for resetting its
+    buffer afterwards.
     """
     old_table = index.table
-    pending = Table(
-        f"{old_table.name}_pending",
-        [
-            Column(name, np.asarray(buffer_columns[name]), narrow=False)
-            for name in old_table.column_names
-        ],
-    )
     rows_by_region = _route_rows(index, pending)
 
     # -- phase 1: compute the merged table without touching the index ------
@@ -207,7 +197,7 @@ def local_merge(
         )
         new_offsets.append(offset)
         offset += region.num_rows + len(new_rows)
-    merged_table = Table(old_table.name, _merged_columns(old_table, buffer_columns, region_slices))
+    merged_table = Table(old_table.name, _merged_columns(old_table, pending, region_slices))
 
     typed = index.typed_workload or Workload([], name="empty")
     updates: list[dict] = []

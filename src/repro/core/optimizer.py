@@ -61,6 +61,14 @@ MAPPING_ERROR_THRESHOLD = 0.10
 EMPTY_CELL_THRESHOLD = 0.25
 #: Partition counts used when probing the empty-cell fraction heuristic.
 _PROBE_PARTITIONS = 16
+#: Sample-workload queries a candidate configuration is planned against.
+MAX_EVALUATION_QUERIES = 40
+#: Cap on one dimension's initial partition count.
+MAX_INITIAL_PARTITIONS = 1024
+#: AGD's first line-search step, as a fraction of each partition count.
+GRADIENT_STEP = 0.5
+#: Relative cost drop below which an AGD step does not count as an improvement.
+MIN_RELATIVE_IMPROVEMENT = 1e-3
 
 
 @dataclass
@@ -85,7 +93,6 @@ class ConfigurationEvaluator:
         cost_model: CostModel | None = None,
         sample_rows: int = 20_000,
         max_cells: int = DEFAULT_MAX_CELLS,
-        max_evaluation_queries: int = 40,
         seed: int = 23,
     ) -> None:
         self.cost_model = cost_model or CostModel()
@@ -97,10 +104,10 @@ class ConfigurationEvaluator:
             self.sample = table
         self.scale = self.full_rows / max(self.sample.num_rows, 1)
         queries = list(workload)
-        if len(queries) > max_evaluation_queries:
+        if len(queries) > MAX_EVALUATION_QUERIES:
             rng = make_rng(seed + 1)
             chosen = sorted(
-                rng.choice(len(queries), size=max_evaluation_queries, replace=False)
+                rng.choice(len(queries), size=MAX_EVALUATION_QUERIES, replace=False)
             )
             queries = [queries[i] for i in chosen]
         self.queries: list[Query] = queries
@@ -191,8 +198,6 @@ def initialize_skeleton(
                 strategies[other], IndependentCDFStrategy
             ):
                 continue
-            if other == dim:
-                continue
             model = BoundedLinearModel.fit(values[dim], values[other])
             relative = model.relative_error(domains[other])
             if relative < MAPPING_ERROR_THRESHOLD and (
@@ -232,7 +237,6 @@ def initialize_partitions(
     table: Table,
     workload: Workload,
     target_points_per_cell: int = 256,
-    max_partitions_per_dimension: int = 1024,
     max_cells: int = DEFAULT_MAX_CELLS,
     sample_rows: int = 10_000,
     seed: int = 31,
@@ -260,7 +264,7 @@ def initialize_partitions(
     partitions = {}
     for dim in grid_dims:
         count = int(round(weights[dim] * scale))
-        partitions[dim] = int(np.clip(count, 1, max_partitions_per_dimension))
+        partitions[dim] = int(np.clip(count, 1, MAX_INITIAL_PARTITIONS))
     return _enforce_cell_budget(partitions, max_cells)
 
 
@@ -299,8 +303,6 @@ class AdaptiveGradientDescent:
 
     cost_model: CostModel = field(default_factory=CostModel)
     max_iterations: int = 5
-    gradient_step: float = 0.5
-    min_relative_improvement: float = 1e-3
     naive_init: bool = False
     search_skeleton: bool = True
     target_points_per_cell: int = 256
@@ -350,7 +352,7 @@ class AdaptiveGradientDescent:
             new_partitions, new_cost = self._gradient_step(
                 evaluator, skeleton, partitions, cost
             )
-            if new_cost < cost * (1.0 - self.min_relative_improvement):
+            if new_cost < cost * (1.0 - MIN_RELATIVE_IMPROVEMENT):
                 partitions, cost, improved = new_partitions, new_cost, True
 
             # Step 3: local search over skeletons one hop away.
@@ -358,7 +360,7 @@ class AdaptiveGradientDescent:
                 new_skeleton, new_partitions, new_cost = self._skeleton_search(
                     evaluator, skeleton, partitions, defaults, cost
                 )
-                if new_cost < cost * (1.0 - self.min_relative_improvement):
+                if new_cost < cost * (1.0 - MIN_RELATIVE_IMPROVEMENT):
                     skeleton, partitions, cost = new_skeleton, new_partitions, new_cost
                     improved = True
 
@@ -420,7 +422,7 @@ class AdaptiveGradientDescent:
         if norm == 0:
             return partitions, current_cost
 
-        step = self.gradient_step
+        step = GRADIENT_STEP
         for _ in range(4):  # backtracking line search
             proposal = {}
             for dim in grid_dims:

@@ -84,7 +84,6 @@ from repro.common.records import Record
 from repro.common.resilience import CircuitBreaker, FaultPolicy
 from repro.query.query import Query
 from repro.query.workload import Workload
-from repro.storage.column import Column
 from repro.storage.scan import ScanStats
 from repro.storage.table import Table
 
@@ -308,7 +307,7 @@ class ShardedIndex:
         index._shards = list(shards)
         index._dimension = dimension
         index._boundaries = np.asarray(boundaries, dtype=np.int64)
-        index._table = _concat_shard_tables(index._shards, table_name)
+        index._table = Table.concat(table_name, [shard.table for shard in index._shards])
         index._breakers = [index.fault_policy.build_breaker() for _ in index._shards]
         index._box_cache = {}
         return index
@@ -340,7 +339,7 @@ class ShardedIndex:
         assert self._table is not None
         merges = sum(len(getattr(shard, "merge_history", ())) for shard in self._shards)
         if merges != self._table_merges:
-            self._table = _concat_shard_tables(self._shards, self._table.name)
+            self._table = Table.concat(self._table.name, [shard.table for shard in self._shards])
             self._table_merges = merges
         return self._table
 
@@ -383,9 +382,10 @@ class ShardedIndex:
 
         The box over the shard's clustered table is cached and invalidated
         when a delta shard merges (its table object is replaced); pending
-        buffered inserts widen the box so a query matching only unmerged rows
-        is never pruned.  The widened box is cached by buffer length, so it
-        is recomputed once per insert batch rather than once per query.
+        buffered inserts widen the box, through the bounds the buffer's table
+        view caches, so a query matching only unmerged rows is never pruned.
+        The widened box is cached by buffer length, so it is recomputed once
+        per insert batch rather than once per query.
         """
         shard = self._shards[position]
         merges = len(getattr(shard, "merge_history", ()))
@@ -399,14 +399,11 @@ class ShardedIndex:
         if pending == 0:
             return cached[1]
         if cached[2] != pending:
-            buffer = shard.buffer
+            buffered = shard.buffer.table
             widened = {}
             for name, (low, high) in cached[1].items():
-                values = buffer.column(name)
-                widened[name] = (
-                    min(low, int(values.min())),
-                    max(high, int(values.max())),
-                )
+                buffered_low, buffered_high = buffered.bounds(name)
+                widened[name] = (min(low, buffered_low), max(high, buffered_high))
             cached = (cached[0], cached[1], pending, widened)
             self._box_cache[position] = cached
         return cached[3]
@@ -447,21 +444,7 @@ class ShardedIndex:
         self._require_built()
         self._require_updatable()
         assert self._dimension is not None
-        table = self._shards[0].table
-        routing: np.ndarray | None = None
-        for name in table.column_names:
-            try:
-                values = [row[name] for row in rows]
-            except KeyError:
-                position = next(i for i, row in enumerate(rows) if name not in row)
-                missing = [c for c in table.column_names if c not in rows[position]]
-                raise SchemaError(
-                    f"insert is missing values for columns {missing}"
-                ) from None
-            storage = table.column(name).to_storage_array(values)
-            if name == self._dimension:
-                routing = storage
-        assert routing is not None
+        routing = self._shards[0].table.encode_rows(rows)[self._dimension]
         assigned = np.searchsorted(self._boundaries, routing, side="right")
         for shard_id in np.unique(assigned):
             selected = np.flatnonzero(assigned == shard_id)
@@ -800,21 +783,3 @@ class ShardedIndex:
             "circuit_breakers": [breaker.as_dict() for breaker in self._breakers],
             "shards": [shard.describe() for shard in self._shards],
         }
-
-
-def _concat_shard_tables(shards: Sequence, name: str) -> Table:
-    """Concatenate shard tables into one logical table (snapshot reassembly)."""
-    first = shards[0].table
-    columns = []
-    for column_name in first.column_names:
-        source = first.column(column_name)
-        values = np.concatenate([shard.table.values(column_name) for shard in shards])
-        columns.append(
-            Column(
-                column_name,
-                values,
-                dictionary=source.dictionary,
-                scaler=source.scaler,
-            )
-        )
-    return Table(name, columns)

@@ -47,8 +47,9 @@ from repro.storage.scan import RowRange
 from repro.storage.table import Table
 
 #: Plans each region's grid caches.  A skewed workload's plans repeat (99.5%
-#: of servebench's ``taxi_skewed`` lookups hit), and a hit costs 0.5-0.7x an
-#: uncached plan.
+#: of servebench's ``taxi_skewed`` lookups hit), and a warm hit costs about
+#: 0.35x an uncached plan (2.0 against 5.8-6.1 us per query and gridded
+#: region on that index, 2-core host).
 PLAN_CACHE_ENTRIES = 4096
 
 

@@ -21,7 +21,6 @@ model compiles again on first use.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from math import inf, nextafter
 from typing import NamedTuple
 
@@ -144,23 +143,11 @@ class EmpiricalCDF:
             compiled = self._compiled[num_partitions] = self._compile(num_partitions)
         return compiled
 
-    def partition_of(self, x: float, num_partitions: int) -> int:
-        """Partition id of value ``x`` when the dimension has ``num_partitions``."""
-        breaks, ids, _, _ = self.partitioning(num_partitions)
-        return ids[bisect_right(breaks, float(x))]
-
     def partitions_of(self, values: np.ndarray, num_partitions: int) -> np.ndarray:
-        """Vectorized :meth:`partition_of`."""
+        """Partition id of every value when the dimension has ``num_partitions``."""
         _, _, breaks, ids = self.partitioning(num_partitions)
         values = np.asarray(values, dtype=np.float64)
         return ids[np.searchsorted(breaks, values, side="right")]
-
-    def partition_range(
-        self, low: float, high: float, num_partitions: int
-    ) -> tuple[int, int]:
-        """Inclusive partition-id range intersecting the filter ``[low, high]``."""
-        breaks, ids, _, _ = self.partitioning(num_partitions)
-        return ids[bisect_right(breaks, float(low))], ids[bisect_right(breaks, float(high))]
 
     def size_bytes(self) -> int:
         """Approximate footprint of the model: its knots (§5.1's accounting).
@@ -357,10 +344,6 @@ class ConditionalCDF:
             )
         return self._models[base_partition]
 
-    def partition_of(self, y: float, base_partition: int, num_partitions: int) -> int:
-        """Partition id of dependent value ``y`` given the base partition."""
-        return self.model_for(base_partition).partition_of(y, num_partitions)
-
     def partitions_of(
         self, y_values: np.ndarray, base_partitions: np.ndarray, num_partitions: int
     ) -> np.ndarray:
@@ -376,13 +359,6 @@ class ConditionalCDF:
                 y_values[mask], num_partitions
             )
         return result
-
-    def partition_range(
-        self, low: float, high: float, base_partition: int, num_partitions: int
-    ) -> tuple[int, int]:
-        """Inclusive partition-id range of ``[low, high]`` within one base partition."""
-        model = self.model_for(base_partition)
-        return model.partition_range(low, high, num_partitions)
 
     def size_bytes(self) -> int:
         """Approximate in-memory footprint (deduplicating the shared marginal)."""

@@ -243,8 +243,8 @@ def _save_delta_index(index, path: Path) -> Path:
     """Snapshot an updatable index: wrapped index under ``main/`` plus buffer."""
     path.mkdir(parents=True, exist_ok=True)
     _save_index_into(index.base_index, path / _DELTA_MAIN_DIR)
-    buffer = index.buffer
-    arrays = {name: np.asarray(buffer.column(name)) for name in buffer.column_names}
+    pending = index.buffer.table
+    arrays = {name: np.asarray(pending.values(name)) for name in pending.column_names}
     np.savez_compressed(path / _BUFFER_VALUES, **arrays)
     _save_factory(index._index_factory, path)
     if index.workload is not None:

@@ -59,6 +59,25 @@ class Table:
         ]
         return cls(name, columns)
 
+    @classmethod
+    def concat(cls, name: str, tables: Sequence["Table"]) -> "Table":
+        """The rows of ``tables`` one after another, in the first table's encodings.
+
+        Each column lands on the narrowest dtype covering the concatenated
+        values, so rows outside a narrow column's range widen that column
+        instead of wrapping.
+        """
+        columns = [
+            Column(
+                column.name,
+                np.concatenate([table.values(column.name) for table in tables]),
+                dictionary=column.dictionary,
+                scaler=column.scaler,
+            )
+            for column in tables[0]._columns.values()
+        ]
+        return cls(name, columns)
+
     # -- basic protocol --------------------------------------------------------
 
     def __len__(self) -> int:
@@ -103,6 +122,26 @@ class Table:
     def values(self, name: str) -> np.ndarray:
         """Shortcut for ``table.column(name).values``."""
         return self.column(name).values
+
+    def encode_rows(self, rows: Sequence[Mapping[str, object]]) -> dict[str, np.ndarray]:
+        """Storage-domain arrays, one per column, of ``{column: user value}`` rows.
+
+        Each column converts all its values at once through its own encoding
+        (:meth:`~repro.storage.column.Column.to_storage_array`).  A row
+        missing a column, or a value a column cannot store, raises
+        :class:`SchemaError`, so a caller that encodes before it stores
+        anything rejects the whole batch.
+        """
+        encoded: dict[str, np.ndarray] = {}
+        for name, column in self._columns.items():
+            try:
+                values = [row[name] for row in rows]
+            except KeyError:
+                position = next(i for i, row in enumerate(rows) if name not in row)
+                missing = [c for c in self._columns if c not in rows[position]]
+                raise SchemaError(f"insert is missing values for columns {missing}") from None
+            encoded[name] = column.to_storage_array(values)
+        return encoded
 
     def matrix(self, names: Iterable[str] | None = None) -> np.ndarray:
         """Stack the requested columns into an ``(n_rows, n_dims)`` matrix.

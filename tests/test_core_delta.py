@@ -2,16 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import FloodIndex, FullScanIndex, KdTreeIndex
+from repro.baselines.base import avg_as_sum
 from repro.common.errors import IndexBuildError, QueryError, SchemaError
 from repro.core.delta import MIN_BUFFER_CAPACITY, DeltaBuffer, DeltaBufferedIndex
 from repro.core.sharding import ShardedIndex
 from repro.core.tsunami import TsunamiConfig, TsunamiIndex
 from repro.query.engine import QueryEngine, execute_full_scan
 from repro.query.query import Query
+from repro.query.workload import Workload
 from repro.storage.column import Column
 from repro.storage.scaling import FixedPointScaler
+from repro.storage.scan import ScanStats
 from repro.storage.table import Table
 
 
@@ -145,14 +150,14 @@ class TestDeltaBuffer:
         buffer.append_many({"a": [1], "b": [10]})
         buffer.append_many({"a": [2], "b": [20]})
         assert len(buffer) == 2
-        assert buffer.column("a").tolist() == [1, 2]
-        assert buffer.column("b").tolist() == [10, 20]
+        assert buffer.table.values("a").tolist() == [1, 2]
+        assert buffer.table.values("b").tolist() == [10, 20]
 
     def test_append_many_is_columnar(self):
         buffer = DeltaBuffer(["a", "b"])
         appended = buffer.append_many({"a": np.arange(5), "b": np.arange(5) * 2})
         assert appended == 5
-        assert buffer.column("b").tolist() == [0, 2, 4, 6, 8]
+        assert buffer.table.values("b").tolist() == [0, 2, 4, 6, 8]
 
     def test_capacity_grows_by_doubling(self):
         buffer = DeltaBuffer(["a"])
@@ -160,7 +165,7 @@ class TestDeltaBuffer:
         buffer.append_many({"a": np.arange(start + 1)})
         assert buffer.capacity == 2 * start
         assert len(buffer) == start + 1
-        assert buffer.column("a").tolist() == list(range(start + 1))
+        assert buffer.table.values("a").tolist() == list(range(start + 1))
 
     def test_clear_resets_size_and_allocation(self):
         buffer = DeltaBuffer(["a"])
@@ -179,33 +184,55 @@ class TestDeltaBuffer:
             buffer.append_many({"a": np.arange(4).reshape(2, 2), "b": np.arange(4).reshape(2, 2)})
         assert len(buffer) == 0
 
+    def test_table_view_follows_appends(self):
+        buffer = DeltaBuffer(["a"])
+        buffer.append_many({"a": [4, 9]})
+        view = buffer.table
+        assert buffer.table is view  # cached until the next append
+        assert view.column("a").dtype == np.int64
+        assert view.bounds("a") == (4, 9)
+        buffer.append_many({"a": [-3]})
+        assert buffer.table is not view
+        assert buffer.table.bounds("a") == (-3, 9)
+        buffer.clear()
+        assert buffer.table.num_rows == 0
+
     def test_unknown_column_rejected(self):
         buffer = DeltaBuffer(["a"])
+        buffer.append_many({"a": [1]})
         with pytest.raises(SchemaError):
-            buffer.column("missing")
+            buffer.table.column("missing")
+        with pytest.raises(SchemaError):
+            buffer.scan(Query.from_ranges({"missing": (0, 1)}))
         with pytest.raises(QueryError):
-            buffer.mask_for_filters({"missing": (0, 1)})
+            buffer.scan(Query.from_ranges({"a": (0, 1)}, aggregate="sum", aggregate_column="missing"))
 
-    def test_scan_computes_every_aggregate_piece_in_one_pass(self):
+    def test_scan_answers_each_aggregate(self):
         buffer = DeltaBuffer(["x", "v"])
         buffer.append_many({"x": [1, 5, 9], "v": [30, 10, 20]})
-        scan = buffer.scan(
-            Query.from_ranges({"x": (0, 6)}, aggregate="sum", aggregate_column="v")
-        )
-        assert scan.matched == 2
-        assert scan.total == 40.0
-        assert scan.minimum == 10.0
-        assert scan.maximum == 30.0
-        assert scan.stats.points_scanned == 3
-        assert scan.stats.rows_matched == 2
-        assert scan.stats.cell_ranges == 1
+        answers = {}
+        for aggregate in ("count", "sum", "avg", "min", "max"):
+            column = None if aggregate == "count" else "v"
+            result = buffer.scan(
+                Query.from_ranges({"x": (0, 6)}, aggregate=aggregate, aggregate_column=column)
+            )
+            answers[aggregate] = result.value
+            assert result.stats.points_scanned == 3
+            assert result.stats.cell_ranges == 1
+            assert result.stats.rows_matched == 2
+            assert result.stats.values_scanned == (3 if aggregate == "count" else 6)
+            assert result.stats.bytes_scanned == 8 * result.stats.values_scanned
+        assert answers == {"count": 2.0, "sum": 40.0, "avg": 20.0, "min": 10.0, "max": 30.0}
 
     def test_scan_of_empty_buffer_is_free(self):
-        buffer = DeltaBuffer(["x"])
-        scan = buffer.scan(Query.from_ranges({"x": (0, 10)}))
-        assert scan.matched == 0
-        assert np.isnan(scan.minimum) and np.isnan(scan.maximum)
-        assert scan.stats.points_scanned == 0
+        buffer = DeltaBuffer(["x", "v"])
+        for aggregate in ("count", "sum", "avg", "min", "max"):
+            column = None if aggregate == "count" else "v"
+            result = buffer.scan(
+                Query.from_ranges({"x": (0, 10)}, aggregate=aggregate, aggregate_column=column)
+            )
+            assert _same_value(result.value, float("nan") if aggregate in ("avg", "min", "max") else 0.0)
+            assert result.stats.as_dict() == ScanStats(dims_accessed=1).as_dict()
 
 
 class TestVectorizedInsertMany:
@@ -224,7 +251,7 @@ class TestVectorizedInsertMany:
         assert bulk.num_pending == loop.num_pending
         assert len(bulk.merge_history) == len(loop.merge_history)
         for name in fresh_table.column_names:
-            assert np.array_equal(bulk.buffer.column(name), loop.buffer.column(name))
+            assert np.array_equal(bulk.buffer.table.values(name), loop.buffer.table.values(name))
         query = Query.from_ranges({"x": (0, 10_000)})
         assert bulk.execute(query).value == loop.execute(query).value
 
@@ -429,12 +456,12 @@ class TestAvgStatsConservation:
 
         avg_stats = index.execute(avg_query).stats
         main_sum_stats = index.base_index.execute(sum_query).stats
-        buffer_scan = index.buffer.scan(avg_query)
+        buffer_stats = index.buffer.scan(sum_query).stats
 
         assert avg_stats.points_scanned == main_sum_stats.points_scanned + pending
-        assert avg_stats.cell_ranges == main_sum_stats.cell_ranges + buffer_scan.stats.cell_ranges
-        assert avg_stats.rows_matched == main_sum_stats.rows_matched + buffer_scan.matched
-        assert avg_stats.dims_accessed == main_sum_stats.dims_accessed + buffer_scan.stats.dims_accessed
+        assert avg_stats.cell_ranges == main_sum_stats.cell_ranges + buffer_stats.cell_ranges
+        assert avg_stats.rows_matched == main_sum_stats.rows_matched + buffer_stats.rows_matched
+        assert avg_stats.dims_accessed == main_sum_stats.dims_accessed + buffer_stats.dims_accessed
 
     def test_avg_value_still_exact(self, fresh_table, fresh_workload):
         index = DeltaBufferedIndex(lambda: KdTreeIndex(page_size=512), merge_threshold=10_000)
@@ -451,6 +478,102 @@ def _same_value(left: float, right: float) -> bool:
     if np.isnan(left) or np.isnan(right):
         return np.isnan(left) and np.isnan(right)
     return left == right
+
+
+#: Main-table domains: ``x`` is stored as uint8, ``y`` as int16, ``z`` as int32.
+NARROW_DOMAINS = {"x": (0, 250), "y": (-1_000, 1_000), "z": (0, 100_000)}
+
+
+@pytest.fixture(scope="module")
+def narrow_delta_index() -> DeltaBufferedIndex:
+    rng = np.random.default_rng(12)
+    table = Table.from_arrays(
+        "narrow",
+        {name: rng.integers(low, high + 1, 3_000) for name, (low, high) in NARROW_DOMAINS.items()},
+    )
+    queries = [
+        Query.from_ranges({"x": (low, low + 30), "z": (0, 40_000)}, query_type=0)
+        for low in range(0, 220, 20)
+    ]
+    index = DeltaBufferedIndex(tsunami_factory, merge_threshold=10**9)
+    return index.build(table, Workload(queries))
+
+
+@st.composite
+def buffer_cases(draw):
+    """Pending rows (possibly none, possibly past the main table's narrow
+    dtypes), a query with 0-3 filters and one of the five aggregates."""
+    wide = st.integers(-70_000, 70_000)
+    rows = draw(
+        st.lists(st.fixed_dictionaries({"x": wide, "y": wide, "z": wide}), max_size=40)
+    )
+    filtered = draw(st.lists(st.sampled_from(sorted(NARROW_DOMAINS)), max_size=3, unique=True))
+    ranges = {}
+    for dim in filtered:
+        low, high = sorted(draw(st.tuples(wide, wide)))
+        ranges[dim] = (low, high)
+    aggregate = draw(st.sampled_from(["count", "sum", "avg", "min", "max"]))
+    column = None if aggregate == "count" else draw(st.sampled_from(sorted(NARROW_DOMAINS)))
+    return rows, Query.from_ranges(ranges, aggregate=aggregate, aggregate_column=column)
+
+
+class TestBufferCounterContract:
+    @settings(max_examples=80, deadline=None)
+    @given(buffer_cases())
+    def test_execute_batch_is_main_sum_plus_a_scan_of_the_pending_rows(
+        self, narrow_delta_index, case
+    ):
+        """The answer and every ``ScanStats`` field equal the main index's
+        result for the ``avg`` -> ``sum`` rewrite combined with a numpy scan
+        of the pending rows, which charges ``n`` points, one range when
+        ``n > 0``, ``n`` values per filter plus ``n`` when a non-count query
+        matches, 8 bytes per value, and one dimension per filter."""
+        rows, query = case
+        index = narrow_delta_index
+        index.buffer.clear()
+        index.insert_many(rows)
+        assert index.num_pending == len(rows)
+
+        n = len(rows)
+        pending = {
+            name: np.array([row[name] for row in rows], dtype=np.int64) for name in NARROW_DOMAINS
+        }
+        mask = np.ones(n, dtype=bool)
+        for dim, (low, high) in query.filters().items():
+            mask &= (pending[dim] >= low) & (pending[dim] <= high)
+        matched = int(mask.sum())
+        selected = pending[query.aggregate_column][mask] if query.aggregate_column else None
+        reads = n * len(query.filters())
+        if query.aggregate != "count" and matched:
+            reads += n
+        buffer_stats = ScanStats(
+            points_scanned=n,
+            cell_ranges=1 if n else 0,
+            rows_matched=matched,
+            dims_accessed=query.num_filtered_dimensions,
+            values_scanned=reads,
+            bytes_scanned=8 * reads,
+        )
+
+        main = index.base_index.execute_batch([avg_as_sum(query)])[0]
+        if query.aggregate == "count":
+            expected = 0.0 + main.value + matched
+        elif query.aggregate == "sum":
+            expected = 0.0 + main.value + float(selected.sum())
+        elif query.aggregate == "avg":
+            total = 0.0 + main.value + float(selected.sum())
+            count = main.stats.rows_matched + matched
+            expected = total / count if count else float("nan")
+        else:
+            candidates = [value for value in [main.value] if not np.isnan(value)]
+            if matched:
+                candidates.append(float(selected.min() if query.aggregate == "min" else selected.max()))
+            pick = min if query.aggregate == "min" else max
+            expected = pick(candidates) if candidates else float("nan")
+
+        result = index.execute_batch([query])[0]
+        assert _same_value(result.value, expected)
+        assert result.stats.as_dict() == main.stats.copy().merge(buffer_stats).as_dict()
 
 
 class TestReporting:

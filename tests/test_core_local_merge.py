@@ -293,12 +293,16 @@ class TestLocalMerge:
         rng = np.random.default_rng(51)
         count = max(64, int(region.num_rows * 2))
         xs = rng.integers(max(int(low), 0), max(int(high), 1), count)
-        buffer_columns = {
-            "x": xs.astype(np.int64),
-            "y": (xs * 3).astype(np.int64),
-            "z": rng.integers(0, 120, count).astype(np.int64),
-        }
-        outcome = local_merge(index, buffer_columns)
+        pending = Table.from_arrays(
+            "pending",
+            {
+                "x": xs.astype(np.int64),
+                "y": (xs * 3).astype(np.int64),
+                "z": rng.integers(0, 120, count).astype(np.int64),
+            },
+            narrow=False,
+        )
+        outcome = local_merge(index, pending)
         assert outcome.rows_merged == count
         assert outcome.regions_split >= 1
         assert outcome.regions_touched <= outcome.regions_total
@@ -501,8 +505,12 @@ def assert_region_bookkeeping(index: TsunamiIndex) -> None:
     assert per_row == []
 
 
-def buffer_of(rows: list[dict]) -> dict[str, np.ndarray]:
-    return {name: np.array([row[name] for row in rows], dtype=np.int64) for name in ("x", "y", "z")}
+def buffer_of(rows: list[dict]) -> Table:
+    return Table.from_arrays(
+        "pending",
+        {name: np.array([row[name] for row in rows], dtype=np.int64) for name in ("x", "y", "z")},
+        narrow=False,
+    )
 
 
 def absorb_merge(index: TsunamiIndex, tmp_path) -> TsunamiIndex:

@@ -7,6 +7,7 @@ from reference_evaluator import reference_features
 from repro.common.errors import OptimizationError
 from repro.core.augmented_grid import AugmentedGrid
 from repro.core.optimizer import (
+    MAX_EVALUATION_QUERIES,
     AdaptiveGradientDescent,
     BlackBoxOptimizer,
     ConfigurationEvaluator,
@@ -158,8 +159,10 @@ class TestConfigurationEvaluator:
         assert any(f.points_scanned > 2_000 for f in features)
 
     def test_query_subsampling(self, table, workload):
-        evaluator = ConfigurationEvaluator(table, workload, max_evaluation_queries=10)
-        assert len(evaluator.queries) == 10
+        assert len(workload) > MAX_EVALUATION_QUERIES
+        evaluator = ConfigurationEvaluator(table, workload)
+        assert len(evaluator.queries) == MAX_EVALUATION_QUERIES
+        assert set(evaluator.queries) <= set(workload)
 
     def test_finer_partitions_reduce_cost_on_filtered_dim(self, table, workload):
         evaluator = ConfigurationEvaluator(table, workload)

@@ -386,7 +386,7 @@ class TestUpdatableShards:
             # Shard i owns values in [boundaries[i-1], boundaries[i]).
             low = boundaries[position - 1] if position > 0 else None
             high = boundaries[position] if position < len(boundaries) else None
-            pending = shard.buffer.column("x")
+            pending = shard.buffer.table.values("x")
             if low is not None:
                 assert (pending >= low).all()
             if high is not None:

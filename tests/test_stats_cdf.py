@@ -1,5 +1,7 @@
 """Tests for repro.stats.cdf."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,13 @@ from repro.stats.cdf import ConditionalCDF, EmpiricalCDF
 def interp_partition(model: EmpiricalCDF, value: float, num_partitions: int) -> int:
     """The partition formula the compiled functions must reproduce."""
     return min(int(model.evaluate(value) * num_partitions), num_partitions - 1)
+
+
+def window(model: EmpiricalCDF, low: float, high: float, num_partitions: int) -> tuple[int, int]:
+    """The partitions of ``low`` and ``high``, read off the compiled lists the
+    way the planner's windows read them (two bisects)."""
+    breaks, ids, _, _ = model.partitioning(num_partitions)
+    return ids[bisect_right(breaks, float(low))], ids[bisect_right(breaks, float(high))]
 
 
 def ulp_neighbours(values: np.ndarray, steps: int) -> np.ndarray:
@@ -75,9 +84,9 @@ class TestCompiledPartitions:
         )
         expected = [interp_partition(model, float(x), num_partitions) for x in probes]
         assert model.partitions_of(probes, num_partitions).tolist() == expected
-        assert [model.partition_of(x, num_partitions) for x in probes] == expected
+        assert [window(model, x, x, num_partitions)[0] for x in probes] == expected
         pairs = rng.integers(0, probes.size, (64, 2))
-        assert [model.partition_range(probes[a], probes[b], num_partitions) for a, b in pairs] == [
+        assert [window(model, probes[a], probes[b], num_partitions) for a, b in pairs] == [
             (expected[a], expected[b]) for a, b in pairs
         ]
 
@@ -108,7 +117,7 @@ class TestCompiledPartitions:
         knot = knots[1]
         around = [np.nextafter(knot, -np.inf), knot, np.nextafter(knot, np.inf)]
         assert [interp_partition(model, float(x), 49) for x in around] == [1, 0, 1]
-        assert [model.partition_of(x, 49) for x in around] == [1, 0, 1]
+        assert [window(model, x, x, 49)[0] for x in around] == [1, 0, 1]
         assert model.partitions_of(np.array(around), 49).tolist() == [1, 0, 1]
 
 
@@ -136,18 +145,9 @@ class TestEmpiricalCDF:
         # Equal-depth up to quantization noise.
         assert counts.min() > 800 and counts.max() < 1200
 
-    def test_partition_of_range_consistency(self):
-        values = np.random.default_rng(1).normal(0, 100, 4000).astype(np.int64)
-        cdf = EmpiricalCDF(values)
-        first, last = cdf.partition_range(-50, 50, 8)
-        assert first == cdf.partition_of(-50, 8)
-        assert last == cdf.partition_of(50, 8)
-        assert first <= last
-
     def test_partition_bounds(self):
         cdf = EmpiricalCDF(np.arange(100))
-        assert cdf.partition_of(99, 4) == 3
-        assert cdf.partition_of(0, 4) == 0
+        assert window(cdf, 0, 99, 4) == (0, 3)
 
     def test_knot_compression(self):
         values = np.random.default_rng(2).integers(0, 10_000, 50_000)
@@ -166,15 +166,13 @@ class TestEmpiricalCDF:
         cdf = EmpiricalCDF(np.arange(10))
         for count in (0, -3):
             with pytest.raises(ValueError):
-                cdf.partition_of(5, count)
+                cdf.partitioning(count)
             with pytest.raises(ValueError):
                 cdf.partitions_of(np.arange(5), count)
-            with pytest.raises(ValueError):
-                cdf.partition_range(1, 5, count)
 
     def test_constant_values(self):
         cdf = EmpiricalCDF(np.full(100, 7))
-        assert cdf.partition_of(7, 4) in (0, 3)
+        assert window(cdf, 7, 7, 4)[0] in (0, 3)
         assert cdf.evaluate(6) == 0.0
 
 
@@ -206,8 +204,7 @@ class TestConditionalCDF:
 
     def test_partition_range_given_base(self):
         _, y, x_partitions, conditional = self._make()
-        first, last = conditional.partition_range(float(y.min()), float(y.max()), 3, 4)
-        assert (first, last) == (0, 3)
+        assert window(conditional.model_for(3), float(y.min()), float(y.max()), 4) == (0, 3)
 
     def test_invalid_base_partition(self):
         _, _, _, conditional = self._make()

@@ -184,7 +184,7 @@ class TestIndexSnapshotRoundTrip:
                     assert np.array_equal(restored.values, original.values)
                     assert restored.is_memory_mapped == (mmap_mode == "r")
                     assert np.array_equal(
-                        loaded.buffer.column(name), index.buffer.column(name)
+                        loaded.buffer.table.values(name), index.buffer.table.values(name)
                     )
 
 

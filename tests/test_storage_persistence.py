@@ -237,8 +237,8 @@ class TestDeltaRoundTrip:
         assert isinstance(loaded, DeltaBufferedIndex)
         assert loaded.num_pending == 64
         assert loaded.num_rows == index.num_rows
-        for name in index.buffer.column_names:
-            assert np.array_equal(loaded.buffer.column(name), index.buffer.column(name))
+        for name in index.buffer.table.column_names:
+            assert np.array_equal(loaded.buffer.table.values(name), index.buffer.table.values(name))
         for query in self.queries():
             assert loaded.execute(query).value == index.execute(query).value
 
@@ -402,10 +402,10 @@ class TestShardedRoundTrip:
                 assert isinstance(array, np.memmap)
         assert loaded.num_pending == 24
         for original_shard, loaded_shard in zip(index.shards, loaded.shards):
-            for name in original_shard.buffer.column_names:
+            for name in original_shard.buffer.table.column_names:
                 assert np.array_equal(
-                    loaded_shard.buffer.column(name),
-                    original_shard.buffer.column(name),
+                    loaded_shard.buffer.table.values(name),
+                    original_shard.buffer.table.values(name),
                 )
         for query in self.queries():
             assert loaded.execute(query).value == index.execute(query).value
