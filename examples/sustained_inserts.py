@@ -11,7 +11,10 @@ merge cost tracks the size of the write hotspot instead of the table.
 This example streams one million localized inserts through a
 ``LifecycleManager`` loop and prints the updates/sec curve as the table
 grows from 100k to over a million rows — the curve stays roughly flat,
-where the legacy ``merge_strategy="rebuild"`` falls off as 1/n.
+where the legacy ``merge_strategy="rebuild"`` falls off as 1/n.  A merge
+runs once 50,000 rows are pending (the index's ``merge_threshold``) or
+once they reach 10% of the table (the loop's pressure), whichever comes
+first.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import numpy as np
 
 from repro import (
     DeltaBufferedIndex,
-    LifecycleConfig,
     LifecycleManager,
     Query,
     TsunamiConfig,
@@ -80,7 +82,7 @@ def main() -> None:
         merge_strategy="local",
     )
     index.build(make_table(BASE_ROWS), make_workload())
-    manager = LifecycleManager(index, LifecycleConfig(merge_pressure=0.05))
+    manager = LifecycleManager(index)
 
     hotspot_probe = Query.from_ranges({"x": HOTSPOT, "z": (0, 50_000)})
     rng = np.random.default_rng(13)

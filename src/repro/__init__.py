@@ -66,7 +66,6 @@ from repro.core import (
     DeltaBuffer,
     DeltaBufferedIndex,
     IncrementalReoptimizer,
-    LifecycleConfig,
     LifecycleManager,
     LifecycleReport,
     ShardedIndex,
@@ -138,7 +137,6 @@ __all__ = [
     "DeltaBuffer",
     "DeltaBufferedIndex",
     "IncrementalReoptimizer",
-    "LifecycleConfig",
     "LifecycleManager",
     "LifecycleReport",
     "ShardedIndex",

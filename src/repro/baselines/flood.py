@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.baselines.base import ClusteredIndex
 from repro.common.errors import OptimizationError
-from repro.core.augmented_grid import DEFAULT_MAX_CELLS, AugmentedGrid, AugmentedGridConfig
+from repro.core.augmented_grid import AugmentedGrid, AugmentedGridConfig
 from repro.core.cost_model import CostModel
 from repro.core.optimizer import GradientDescentOnly, initialize_partitions
 from repro.core.skeleton import Skeleton
@@ -27,9 +27,17 @@ from repro.query.workload import Workload
 from repro.storage.scan import RowRange
 from repro.storage.table import Table
 
+#: Rows gradient descent samples to evaluate candidate grids.
+SAMPLE_ROWS = 20_000
+#: Seeds the row sample and the initial partition counts.
+SEED = 47
+
 
 class FloodIndex(ClusteredIndex):
-    """A workload-tuned uniform grid with per-dimension CDF models."""
+    """A workload-tuned uniform grid with per-dimension CDF models.
+
+    Its grid has at most the Augmented Grid's ``DEFAULT_MAX_CELLS`` cells.
+    """
 
     name = "flood"
 
@@ -38,62 +46,43 @@ class FloodIndex(ClusteredIndex):
         cost_model: CostModel | None = None,
         optimizer_iterations: int = 4,
         target_points_per_cell: int = 256,
-        sample_rows: int = 20_000,
-        max_cells: int = DEFAULT_MAX_CELLS,
-        seed: int = 47,
     ) -> None:
         super().__init__()
         self.cost_model = cost_model or CostModel()
         self.optimizer_iterations = optimizer_iterations
         self.target_points_per_cell = target_points_per_cell
-        self.sample_rows = sample_rows
-        self.max_cells = max_cells
-        self.seed = seed
         self.grid: AugmentedGrid | None = None
         self._config: AugmentedGridConfig | None = None
         self.optimizer_result = None
 
     def _optimize(self, table: Table, workload: Workload | None) -> None:
         dims = list(table.column_names)
+        if workload is not None and len(workload) > 0:
+            optimizer = GradientDescentOnly(
+                cost_model=self.cost_model,
+                max_iterations=self.optimizer_iterations,
+                naive_init=True,
+                target_points_per_cell=self.target_points_per_cell,
+                sample_rows=SAMPLE_ROWS,
+                seed=SEED,
+            )
+            try:
+                result = optimizer.optimize(table, workload, dimensions=dims)
+            except OptimizationError:
+                pass  # fall back to the initial partition counts below
+            else:
+                self.optimizer_result = result
+                self._config = result.config
+                return
         skeleton = Skeleton.all_independent(dims)
-        if workload is None or len(workload) == 0:
-            partitions = initialize_partitions(
-                skeleton,
-                table,
-                Workload([]),
-                target_points_per_cell=self.target_points_per_cell,
-                max_cells=self.max_cells,
-                seed=self.seed,
-            )
-            self._config = AugmentedGridConfig(
-                skeleton=skeleton, partitions=partitions, max_cells=self.max_cells
-            )
-            return
-        optimizer = GradientDescentOnly(
-            cost_model=self.cost_model,
-            max_iterations=self.optimizer_iterations,
-            naive_init=True,
+        partitions = initialize_partitions(
+            skeleton,
+            table,
+            workload or Workload([]),
             target_points_per_cell=self.target_points_per_cell,
-            sample_rows=self.sample_rows,
-            max_cells=self.max_cells,
-            seed=self.seed,
+            seed=SEED,
         )
-        try:
-            result = optimizer.optimize(table, workload, dimensions=dims)
-            self.optimizer_result = result
-            self._config = result.config
-        except OptimizationError:
-            partitions = initialize_partitions(
-                skeleton,
-                table,
-                workload,
-                target_points_per_cell=self.target_points_per_cell,
-                max_cells=self.max_cells,
-                seed=self.seed,
-            )
-            self._config = AugmentedGridConfig(
-                skeleton=skeleton, partitions=partitions, max_cells=self.max_cells
-            )
+        self._config = AugmentedGridConfig(skeleton=skeleton, partitions=partitions)
 
     def _layout_permutation(self, table: Table) -> np.ndarray | None:
         assert self._config is not None

@@ -31,11 +31,11 @@ from repro.storage.table import Table
 
 #: Never create more grid cells than this, regardless of page size; protects
 #: the directory from exploding at high dimensionality (§5.1's 2^d blow-up).
-DEFAULT_MAX_CELLS = 1 << 18
+MAX_CELLS = 1 << 18
 
 #: At most this many dimensions receive more than one partition.  Grid Files
 #: degrade quickly with dimensionality, so the most-filtered dimensions win.
-DEFAULT_MAX_INDEXED_DIMENSIONS = 6
+MAX_INDEXED_DIMENSIONS = 6
 
 
 class GridFileIndex(ClusteredIndex):
@@ -43,25 +43,11 @@ class GridFileIndex(ClusteredIndex):
 
     name = "grid-file"
 
-    def __init__(
-        self,
-        page_size: int = 2048,
-        max_cells: int = DEFAULT_MAX_CELLS,
-        max_indexed_dimensions: int = DEFAULT_MAX_INDEXED_DIMENSIONS,
-        dimensions: list[str] | None = None,
-    ) -> None:
+    def __init__(self, page_size: int = 2048, dimensions: list[str] | None = None) -> None:
         super().__init__()
         if page_size < 1:
             raise ValueError(f"page_size must be >= 1, got {page_size}")
-        if max_cells < 1:
-            raise ValueError(f"max_cells must be >= 1, got {max_cells}")
-        if max_indexed_dimensions < 1:
-            raise ValueError(
-                f"max_indexed_dimensions must be >= 1, got {max_indexed_dimensions}"
-            )
         self.page_size = page_size
-        self.max_cells = max_cells
-        self.max_indexed_dimensions = max_indexed_dimensions
         self._requested_dimensions = dimensions
         self.dimensions: list[str] = []
         self.partitions: dict[str, int] = {}
@@ -89,7 +75,7 @@ class GridFileIndex(ClusteredIndex):
                 self.dimensions = filtered or candidates
             else:
                 self.dimensions = candidates
-        self.dimensions = self.dimensions[: self.max_indexed_dimensions]
+        self.dimensions = self.dimensions[:MAX_INDEXED_DIMENSIONS]
         if not self.dimensions:
             raise IndexBuildError("Grid File needs at least one dimension to index")
 
@@ -98,7 +84,7 @@ class GridFileIndex(ClusteredIndex):
         per_dimension = max(1, int(round(target_cells ** (1.0 / num_dims))))
         self.partitions = {dim: per_dimension for dim in self.dimensions}
         # Respect the directory budget by shrinking partition counts evenly.
-        while self._cell_count() > self.max_cells:
+        while self._cell_count() > MAX_CELLS:
             widest = max(self.partitions, key=self.partitions.get)
             if self.partitions[widest] == 1:
                 break

@@ -21,6 +21,11 @@ from repro.query.workload import Workload
 from repro.storage.scan import RowRange
 from repro.storage.table import Table
 
+#: A level subdivides at most this many dimensions (``2^6`` children).
+MAX_SPLIT_DIMENSIONS = 6
+#: A node at this depth stays a leaf whatever its size.
+MAX_DEPTH = 32
+
 
 @dataclass
 class _OctreeNode:
@@ -42,20 +47,11 @@ class HyperOctreeIndex(ClusteredIndex):
 
     name = "hyperoctree"
 
-    def __init__(
-        self,
-        page_size: int = 4096,
-        max_split_dimensions: int = 6,
-        max_depth: int = 32,
-    ) -> None:
+    def __init__(self, page_size: int = 4096) -> None:
         super().__init__()
         if page_size < 1:
             raise ValueError(f"page_size must be >= 1, got {page_size}")
-        if max_split_dimensions < 1:
-            raise ValueError("max_split_dimensions must be >= 1")
         self.page_size = page_size
-        self.max_split_dimensions = max_split_dimensions
-        self.max_depth = max_depth
         self.dimensions: list[str] = []
         self._root: _OctreeNode | None = None
         self._leaves: list[_OctreeNode] = []
@@ -72,7 +68,7 @@ class HyperOctreeIndex(ClusteredIndex):
     def _split_dims_for_depth(self, depth: int) -> list[str]:
         """Dimensions subdivided at this depth (rotating window over all dims)."""
         d = len(self.dimensions)
-        width = min(d, self.max_split_dimensions)
+        width = min(d, MAX_SPLIT_DIMENSIONS)
         start = (depth * width) % d
         return [self.dimensions[(start + i) % d] for i in range(width)]
 
@@ -85,7 +81,7 @@ class HyperOctreeIndex(ClusteredIndex):
         leaf_order: list[np.ndarray],
     ) -> _OctreeNode:
         self._num_nodes += 1
-        if len(row_ids) <= self.page_size or depth >= self.max_depth:
+        if len(row_ids) <= self.page_size or depth >= MAX_DEPTH:
             return self._make_leaf(bounds, row_ids, leaf_order)
 
         split_dims = self._split_dims_for_depth(depth)
@@ -183,7 +179,7 @@ class HyperOctreeIndex(ClusteredIndex):
 
     def index_size_bytes(self) -> int:
         num_internal = self._num_nodes - len(self._leaves)
-        internal_bytes = num_internal * (16 + 8 * (1 << min(self.max_split_dimensions, 6)))
+        internal_bytes = num_internal * (16 + 8 * (1 << min(MAX_SPLIT_DIMENSIONS, 6)))
         leaf_bytes = len(self._leaves) * (16 + 16 * len(self.dimensions))
         return internal_bytes + leaf_bytes
 

@@ -9,7 +9,7 @@ The implementation is a clustered, read-only R-tree built with the classic
 Sort-Tile-Recursive (STR) bulk-loading algorithm: rows are recursively sorted
 and tiled one dimension at a time until each tile fits in a leaf of
 ``page_size`` rows, leaves are stored contiguously (so each is one cell range
-at query time), and internal nodes of fan-out ``fanout`` store the minimum
+at query time), and internal nodes of fan-out ``FANOUT`` store the minimum
 bounding rectangle (MBR) of their subtree.  Queries descend from the root,
 pruning subtrees whose MBR does not intersect the query rectangle.
 """
@@ -30,7 +30,9 @@ from repro.storage.table import Table
 
 #: R-trees degrade sharply with dimensionality; only the most selective
 #: workload dimensions participate in the STR tiling and the MBRs.
-DEFAULT_MAX_INDEXED_DIMENSIONS = 6
+MAX_INDEXED_DIMENSIONS = 6
+#: Children per internal node.
+FANOUT = 16
 
 
 @dataclass
@@ -52,25 +54,11 @@ class RTreeIndex(ClusteredIndex):
 
     name = "r-tree"
 
-    def __init__(
-        self,
-        page_size: int = 2048,
-        fanout: int = 16,
-        max_indexed_dimensions: int = DEFAULT_MAX_INDEXED_DIMENSIONS,
-        dimensions: list[str] | None = None,
-    ) -> None:
+    def __init__(self, page_size: int = 2048, dimensions: list[str] | None = None) -> None:
         super().__init__()
         if page_size < 1:
             raise ValueError(f"page_size must be >= 1, got {page_size}")
-        if fanout < 2:
-            raise ValueError(f"fanout must be >= 2, got {fanout}")
-        if max_indexed_dimensions < 1:
-            raise ValueError(
-                f"max_indexed_dimensions must be >= 1, got {max_indexed_dimensions}"
-            )
         self.page_size = page_size
-        self.fanout = fanout
-        self.max_indexed_dimensions = max_indexed_dimensions
         self._requested_dimensions = dimensions
         self.dimensions: list[str] = []
         self._root: _RTreeNode | None = None
@@ -83,13 +71,13 @@ class RTreeIndex(ClusteredIndex):
     def _optimize(self, table: Table, workload: Workload | None) -> None:
         """Choose the indexing dimensions (most selective workload dimensions first)."""
         if self._requested_dimensions is not None:
-            self.dimensions = list(self._requested_dimensions)[: self.max_indexed_dimensions]
+            self.dimensions = list(self._requested_dimensions)[:MAX_INDEXED_DIMENSIONS]
             if not self.dimensions:
                 raise IndexBuildError("R-tree needs at least one dimension to index")
             return
         candidates = list(table.column_names)
         if workload is None or len(workload) == 0:
-            self.dimensions = candidates[: self.max_indexed_dimensions]
+            self.dimensions = candidates[:MAX_INDEXED_DIMENSIONS]
             return
         sample = table
         if table.num_rows > 20_000:
@@ -98,7 +86,7 @@ class RTreeIndex(ClusteredIndex):
         filtered.sort(
             key=lambda dim: average_dimension_selectivity(sample, workload.queries, dim)
         )
-        self.dimensions = (filtered or candidates)[: self.max_indexed_dimensions]
+        self.dimensions = (filtered or candidates)[:MAX_INDEXED_DIMENSIONS]
 
     def _str_tiles(self, table: Table, row_ids: np.ndarray, depth: int) -> list[np.ndarray]:
         """Recursively sort-tile ``row_ids`` into leaves of at most ``page_size`` rows."""
@@ -155,12 +143,12 @@ class RTreeIndex(ClusteredIndex):
         self._num_nodes = len(leaves)
         self._height = 1
 
-        # Pack nodes bottom-up into parents of ``fanout`` children.
+        # Pack nodes bottom-up into parents of ``FANOUT`` children.
         level = leaves
         while len(level) > 1:
             parents: list[_RTreeNode] = []
-            for start in range(0, len(level), self.fanout):
-                children = level[start : start + self.fanout]
+            for start in range(0, len(level), FANOUT):
+                children = level[start : start + FANOUT]
                 parents.append(_RTreeNode(bounds=self._merge_bounds(children), children=children))
             self._num_nodes += len(parents)
             self._height += 1
@@ -201,7 +189,7 @@ class RTreeIndex(ClusteredIndex):
 
     def index_size_bytes(self) -> int:
         """Every node stores one MBR (two ints per indexed dimension) plus pointers."""
-        per_node = 16 * len(self.dimensions) + 8 * self.fanout
+        per_node = 16 * len(self.dimensions) + 8 * FANOUT
         return self._num_nodes * per_node
 
     def describe(self) -> dict:
@@ -209,7 +197,7 @@ class RTreeIndex(ClusteredIndex):
         info.update(
             {
                 "page_size": self.page_size,
-                "fanout": self.fanout,
+                "fanout": FANOUT,
                 "dimensions": list(self.dimensions),
                 "num_nodes": self._num_nodes,
                 "num_leaves": self._num_leaves,

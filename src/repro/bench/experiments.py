@@ -256,10 +256,8 @@ def experiment_table4(
         table, workload = load_dataset(
             name, num_rows=num_rows, queries_per_type=queries_per_type, seed=seed
         )
-        tsunami = TsunamiIndex()
-        tsunami.build(table, workload)
-        flood = FloodIndex()
-        flood.build(table, workload)
+        tsunami = TsunamiIndex().build(_own_copy(table), workload)
+        flood = FloodIndex().build(_own_copy(table), workload)
         stats = tsunami.describe()
         rows.append(
             {
@@ -431,8 +429,7 @@ def experiment_creation_time(
     rows = []
     data = {}
     for name, factory in factories.items():
-        index = factory()
-        index.build(table, workload)
+        index = factory().build(_own_copy(table), workload)
         rows.append(
             {
                 "index": name,
@@ -641,14 +638,14 @@ def experiment_optimizers(
         }
         data[name] = {}
         for method_name, optimizer in methods.items():
-            result = optimizer.optimize(table, workload)
+            clustered = _own_copy(table)
+            result = optimizer.optimize(clustered, workload)
             grid = AugmentedGrid(result.config)
-            permutation = grid.fit(table)
-            table.reorder(permutation)
+            clustered.reorder(grid.fit(clustered))
             # Measure per-query wall-clock time and plan features on the fully
             # built grid, then fit the cost-model weights to the measurements
             # to quantify the model's relative error (the Fig. 12b error bars).
-            executor = ScanExecutor(table)
+            executor = ScanExecutor(clustered)
             per_query_seconds = []
             features = []
             for query in workload:

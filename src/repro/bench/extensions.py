@@ -34,6 +34,7 @@ from repro.bench.experiments import (
     _check,
     _check_correct,
     _check_scans,
+    _own_copy,
     _row,
     default_index_factories,
     measure_suite,
@@ -319,8 +320,8 @@ def experiment_region_budget(num_rows: int, queries_per_type: int) -> Experiment
     table, workload = load_dataset("taxi", num_rows=num_rows, queries_per_type=queries_per_type)
     rows = []
     for max_regions in (1, 8, 48):
-        index = TsunamiIndex(TsunamiConfig(grid_tree=GridTreeConfig(max_regions=max_regions)))
-        index.build(table, workload)
+        config = TsunamiConfig(grid_tree=GridTreeConfig(max_regions=max_regions))
+        index = TsunamiIndex(config).build(_own_copy(table), workload)
         _, stats = index.execute_workload(workload)
         rows.append(
             {

@@ -59,7 +59,7 @@ from repro.common import faults
 from repro.common.errors import ConfigError
 from repro.common.resilience import FaultPolicy, RetryPolicy
 from repro.core.delta import DeltaBufferedIndex
-from repro.core.lifecycle import LifecycleConfig, LifecycleManager
+from repro.core.lifecycle import LifecycleManager
 from repro.core.sharding import ShardedIndex, scaled_tsunami_config
 from repro.core.tsunami import TsunamiConfig, TsunamiIndex
 from repro.query.engine import QueryEngine, execute_full_scan
@@ -178,7 +178,7 @@ class _Serving:
                 builds[key] = (index, self.build_seconds)
         self.index = index
         if variant == "lifecycle":
-            self.lifecycle = LifecycleManager(index, LifecycleConfig())
+            self.lifecycle = LifecycleManager(index)
             self.backend = self.lifecycle
         else:
             self.backend = QueryEngine(index=index)

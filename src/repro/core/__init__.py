@@ -48,12 +48,7 @@ from repro.core.categorical import CategoricalReordering, co_access_counts
 from repro.core.delta import DeltaBuffer, DeltaBufferedIndex, MergeReport
 from repro.core.incremental import IncrementalReoptimizer, IncrementalReport, RegionShift
 from repro.core.sharding import ShardedIndex, balanced_cuts, scaled_tsunami_config
-from repro.core.lifecycle import (
-    LifecycleConfig,
-    LifecycleEvent,
-    LifecycleManager,
-    LifecycleReport,
-)
+from repro.core.lifecycle import LifecycleEvent, LifecycleManager, LifecycleReport
 
 __all__ = [
     "IndependentCDFStrategy",
@@ -86,7 +81,6 @@ __all__ = [
     "ShardedIndex",
     "balanced_cuts",
     "scaled_tsunami_config",
-    "LifecycleConfig",
     "LifecycleEvent",
     "LifecycleManager",
     "LifecycleReport",

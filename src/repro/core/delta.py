@@ -9,8 +9,9 @@ one level up, wrapping *any* clustered index in the repository:
 * Inserted rows land in a :class:`DeltaBuffer` — a columnar, amortized-growth
   set of ``int64`` arrays in the same storage domain the main index uses.
   :meth:`DeltaBufferedIndex.insert_many` converts whole columns at once
-  through :meth:`~repro.storage.table.Table.encode_rows`, so bulk ingestion
-  is vectorized end to end; :meth:`DeltaBufferedIndex.insert` is an
+  through :meth:`~repro.storage.table.Table.encode_rows` and buffers them
+  with :meth:`DeltaBufferedIndex.insert_encoded`, so bulk ingestion is
+  vectorized end to end; :meth:`DeltaBufferedIndex.insert` is an
   ``insert_many`` of one row.
 * Pending rows are table rows: the buffer shows its live rows as one
   :class:`~repro.storage.table.Table` of ``int64`` columns
@@ -91,7 +92,7 @@ from repro.storage.table import Table
 
 IndexFactory = Callable[[], ClusteredIndex]
 
-#: Smallest per-column allocation of a :class:`DeltaBuffer`.
+#: Per-column rows a :class:`DeltaBuffer` allocates when created or cleared.
 MIN_BUFFER_CAPACITY = 64
 
 
@@ -129,14 +130,14 @@ class DeltaBuffer:
     :class:`~repro.storage.scan.ScanExecutor` the main index uses.
     """
 
-    def __init__(self, column_names: Sequence[str], capacity: int = MIN_BUFFER_CAPACITY) -> None:
+    def __init__(self, column_names: Sequence[str]) -> None:
         names = list(column_names)
         if not names:
             raise SchemaError("DeltaBuffer needs at least one column")
         if len(set(names)) != len(names):
             raise SchemaError(f"DeltaBuffer has duplicate column names: {names}")
         self._names = names
-        self._capacity = max(int(capacity), MIN_BUFFER_CAPACITY)
+        self._capacity = MIN_BUFFER_CAPACITY
         self._size = 0
         self._data = {name: np.empty(self._capacity, dtype=np.int64) for name in names}
         # Scans the table view of the live rows; ``None`` after an append.
@@ -379,16 +380,24 @@ class DeltaBufferedIndex:
         with :class:`~repro.common.errors.SchemaError` and buffers nothing.
         A categorical value not present in the column's dictionary is
         rejected (extending dictionaries online is out of scope for this
-        extension and the paper's).  Rows are then appended in
-        merge-threshold-sized chunks so the automatic merge cadence matches a
-        per-row insert loop.
+        extension and the paper's).  The rows are then buffered by
+        :meth:`insert_encoded`.
         """
         rows = list(rows)
-        if not rows:
-            return
-        columns = self._require_built().table.encode_rows(rows)
+        if rows:
+            self.insert_encoded(self.table.encode_rows(rows))
+
+    def insert_encoded(self, columns: Mapping[str, np.ndarray]) -> None:
+        """Buffer rows given as storage-domain arrays, one per column.
+
+        ``columns`` is what :meth:`~repro.storage.table.Table.encode_rows`
+        returns; a sharded index encodes a batch once and hands each shard
+        its slice.  Rows are appended in merge-threshold-sized chunks so the
+        automatic merge cadence matches a per-row insert loop.
+        """
+        self._require_built()
         assert self._buffer is not None
-        total = len(rows)
+        total = len(next(iter(columns.values())))
         offset = 0
         while offset < total:
             chunk = total - offset

@@ -36,14 +36,16 @@ MIN_QUERIES_FRACTION = 0.05
 #: A dimension with at most this many distinct values gets one histogram
 #: bin per value instead of equi-width bins.
 MAX_UNIQUE_VALUES_FOR_EXACT_BINS = 128
+#: A node at this depth stays a leaf (the paper's trees are at most 4 deep).
+MAX_DEPTH = 4
+#: A node splits into at most this many children.
+MAX_CHILDREN = 6
 
 
 @dataclass(frozen=True)
 class GridTreeConfig:
-    """Size limits for Grid Tree construction (defaults follow §4.3)."""
+    """The Grid Tree's region budget; its other limits are module constants."""
 
-    max_depth: int = 4
-    max_children: int = 6
     max_regions: int = 48
 
 
@@ -186,7 +188,7 @@ class GridTree:
         # least one leaf, so the budget check holds across the whole
         # depth-first build rather than only locally.
         if (
-            depth >= self.config.max_depth
+            depth >= MAX_DEPTH
             or len(self.leaves) + reserved + 1 > self.config.max_regions
             or len(row_ids) <= MIN_POINTS_FRACTION * total_points
             or len(queries) <= MIN_QUERIES_FRACTION * total_queries
@@ -202,9 +204,9 @@ class GridTree:
         dimension = candidate.dimension
         low, high = bounds[dimension]
         split_values = list(candidate.split_values)
-        # Keep the tree lightweight: a node may have at most ``max_children``
+        # Keep the tree lightweight: a node may have at most ``MAX_CHILDREN``
         # children, so thin out excess split values evenly if needed.
-        max_splits = max(1, self.config.max_children - 1)
+        max_splits = max(1, MAX_CHILDREN - 1)
         if len(split_values) > max_splits:
             chosen = np.linspace(0, len(split_values) - 1, max_splits).round().astype(int)
             split_values = [split_values[i] for i in sorted(set(chosen.tolist()))]

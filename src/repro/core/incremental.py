@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.common.errors import IndexBuildError
 from repro.common.records import Record
+from repro.core import tsunami
 from repro.core.query_types import cluster_query_types
 from repro.core.tsunami import TsunamiIndex
 from repro.query.workload import Workload
@@ -156,7 +157,7 @@ class IncrementalReoptimizer:
         table = index.table
         typed = new_workload
         if len(new_workload) > 0 and any(q.query_type is None for q in new_workload):
-            typed = cluster_query_types(table, new_workload, seed=index.config.seed)
+            typed = cluster_query_types(table, new_workload, seed=tsunami.SEED)
 
         shifts = self.region_shifts(typed)
         selected = set(self._select_regions(shifts))

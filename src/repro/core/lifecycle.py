@@ -10,13 +10,13 @@ where it moved.  :class:`LifecycleManager` ties them into one loop:
 * **Serve.**  Queries go through the wrapped index's batched pipeline
   (:meth:`LifecycleManager.run_batch` → ``DeltaBufferedIndex.execute_batch``)
   and are simultaneously *observed* into a sliding window.
-* **Drift.**  Every ``observe_window`` observed queries, the window is handed
-  to the drift detector.  On drift, pending inserts are merged first (so the
-  re-optimized layout covers them), then the most-shifted regions are
-  incrementally re-optimized for the window's queries, the detector is
+* **Drift.**  Every :data:`OBSERVE_WINDOW` observed queries, the window is
+  handed to the drift detector.  On drift, pending inserts are merged first
+  (so the re-optimized layout covers them), then the most-shifted regions
+  are incrementally re-optimized for the window's queries, the detector is
   re-fitted, and the delta index's rebuild workload is advanced so later
   merges rebuild for the workload actually being served.
-* **Pressure.**  Inserts that push the buffer past ``merge_pressure`` (a
+* **Pressure.**  Inserts that push the buffer past :data:`MERGE_PRESSURE` (a
   fraction of the main table) trigger a merge even before the wrapper's own
   absolute ``merge_threshold`` does.
 
@@ -51,36 +51,11 @@ from repro.core.tsunami import TsunamiIndex
 from repro.query.query import Query
 from repro.query.workload import Workload
 
-
-@dataclass(frozen=True)
-class LifecycleConfig:
-    """Knobs of the serving loop.
-
-    Parameters
-    ----------
-    observe_window:
-        Number of observed queries per drift-detection window.
-    merge_pressure:
-        Pending-insert fraction of the main table's rows at which inserts
-        trigger a merge (``None`` disables pressure-based merging and leaves
-        merging to the delta index's absolute ``merge_threshold``).
-    reoptimize_on_drift:
-        Whether detected drift triggers incremental re-optimization (requires
-        the wrapped base index to be a :class:`TsunamiIndex`); when off (or
-        unsupported) drift is still detected and recorded.
-    """
-
-    observe_window: int = 256
-    merge_pressure: float | None = 0.10
-    reoptimize_on_drift: bool = True
-
-    def __post_init__(self) -> None:
-        if self.observe_window < 1:
-            raise ValueError(f"observe_window must be >= 1, got {self.observe_window}")
-        if self.merge_pressure is not None and self.merge_pressure <= 0:
-            raise ValueError(
-                f"merge_pressure must be positive or None, got {self.merge_pressure}"
-            )
+#: Observed queries per drift-detection window.
+OBSERVE_WINDOW = 256
+#: Pending-insert fraction of the main table's rows at which inserts
+#: trigger a merge.
+MERGE_PRESSURE = 0.10
 
 
 @dataclass(frozen=True)
@@ -119,38 +94,25 @@ class LifecycleReport(Record):
 class LifecycleManager:
     """Serves an updatable index while keeping it merged and re-optimized.
 
-    Parameters
-    ----------
-    index:
-        A built :class:`DeltaBufferedIndex`.
-    config:
-        Loop thresholds (see :class:`LifecycleConfig`).
-    detector:
-        A fitted :class:`WorkloadDriftDetector`; by default one is fitted on
-        the base index's recorded workload (drift detection is disabled when
-        no workload is available to fit on).
-
-    After drift, an :class:`IncrementalReoptimizer` with its default
-    thresholds repairs the base index the delta index serves at that moment
-    (a rebuild merge replaces it).
+    ``index`` is a built :class:`DeltaBufferedIndex`.  Its drift detector is
+    fitted on the base index's recorded workload (drift detection is
+    disabled when no workload is available to fit on).  After drift, an
+    :class:`IncrementalReoptimizer` with its default thresholds repairs the
+    base index the delta index serves at that moment when it is a
+    :class:`TsunamiIndex` (a rebuild merge replaces it); for any other base
+    index drift is only recorded.
     """
 
-    def __init__(
-        self,
-        index: DeltaBufferedIndex,
-        config: LifecycleConfig | None = None,
-        detector: WorkloadDriftDetector | None = None,
-    ) -> None:
+    def __init__(self, index: DeltaBufferedIndex) -> None:
         if not index.is_built:
             raise IndexBuildError("LifecycleManager requires a built DeltaBufferedIndex")
         self.index = index
-        self.config = config or LifecycleConfig()
         self._report = LifecycleReport()
         self._window: list[Query] = []
         self._observed = 0  # queries handed to drift observation so far
         self._stamp = 0  # observed-query offset new events are stamped with
         self._listeners: list[Callable[[LifecycleEvent], None]] = []
-        self._detector = detector if detector is not None else self._fit_detector()
+        self._detector = self._fit_detector()
 
     def _fit_detector(self) -> WorkloadDriftDetector | None:
         base = self.index.base_index
@@ -210,11 +172,10 @@ class LifecycleManager:
     # -- the loop -----------------------------------------------------------------------
 
     def _check_pressure(self) -> None:
-        pressure = self.config.merge_pressure
-        if pressure is None or self.index.num_pending == 0:
+        if self.index.num_pending == 0:
             return
         main_rows = max(self.index.table.num_rows, 1)
-        if self.index.num_pending / main_rows >= pressure:
+        if self.index.num_pending / main_rows >= MERGE_PRESSURE:
             self._merge(trigger="pressure")
 
     def _maintenance_failed(
@@ -283,7 +244,7 @@ class LifecycleManager:
         self._observed += len(queries)
         if self._detector is not None:
             self._window.extend(queries)
-            size = self.config.observe_window
+            size = OBSERVE_WINDOW
             while len(self._window) >= size:
                 window = self._window[:size]
                 del self._window[:size]
@@ -301,8 +262,6 @@ class LifecycleManager:
             return
         self._report.drifts_detected += 1
         self._record("drift", 0.0, {"reasons": list(drift.reasons)})
-        if not self.config.reoptimize_on_drift:
-            return
         base = self.index.base_index
         if not isinstance(base, TsunamiIndex):
             return

@@ -433,10 +433,12 @@ class ShardedIndex:
     def insert_many(self, rows: Sequence[Mapping[str, object]]) -> None:
         """Insert several rows, routed per shard through the vectorized path.
 
-        Every row is schema-checked and every column converted before any
-        shard buffers anything, so a bad value rejects the whole batch (the
-        same all-or-nothing contract as ``DeltaBufferedIndex.insert_many``)
-        instead of leaving earlier shards with half the batch inserted.
+        Every row is schema-checked and every column converted once, before
+        any shard buffers anything, so a bad value rejects the whole batch
+        (the same all-or-nothing contract as
+        ``DeltaBufferedIndex.insert_many``) instead of leaving earlier shards
+        with half the batch inserted.  Each shard buffers its slice of that
+        one encoding.
         """
         rows = list(rows)
         if not rows:
@@ -444,11 +446,13 @@ class ShardedIndex:
         self._require_built()
         self._require_updatable()
         assert self._dimension is not None
-        routing = self._shards[0].table.encode_rows(rows)[self._dimension]
-        assigned = np.searchsorted(self._boundaries, routing, side="right")
+        columns = self._shards[0].table.encode_rows(rows)
+        assigned = np.searchsorted(self._boundaries, columns[self._dimension], side="right")
         for shard_id in np.unique(assigned):
             selected = np.flatnonzero(assigned == shard_id)
-            self._shards[int(shard_id)].insert_many([rows[int(i)] for i in selected])
+            self._shards[int(shard_id)].insert_encoded(
+                {name: array[selected] for name, array in columns.items()}
+            )
 
     def merge(self) -> list:
         """Fold every shard's pending inserts into its main index.

@@ -51,6 +51,14 @@ from repro.storage.table import Table
 #: 0.35x an uncached plan (2.0 against 5.8-6.1 us per query and gridded
 #: region on that index, 2-core host).
 PLAN_CACHE_ENTRIES = 4096
+#: The cost model AGD minimizes (§5.3.1's weights).
+COST_MODEL = CostModel()
+#: Rows AGD samples from a region to evaluate candidate layouts.
+OPTIMIZER_SAMPLE_ROWS = 10_000
+#: Points per cell the initial partition counts aim for.
+TARGET_POINTS_PER_CELL = 128
+#: Seeds query-type clustering, AGD's row sample and its initialization.
+SEED = 43
 
 
 @dataclass(frozen=True)
@@ -60,17 +68,14 @@ class TsunamiConfig:
     The two ``use_*`` switches exist for the Fig. 12a ablation:
     ``use_grid_tree=False`` yields the Augmented-Grid-only variant,
     ``use_augmented_strategies=False`` yields the Grid-Tree-only variant
-    (a Flood-style independent grid inside each region).
+    (a Flood-style independent grid inside each region).  Every other
+    tuning value is a module constant.
     """
 
     grid_tree: GridTreeConfig = field(default_factory=GridTreeConfig)
     use_grid_tree: bool = True
     use_augmented_strategies: bool = True
-    cost_model: CostModel = field(default_factory=CostModel)
     optimizer_iterations: int = 4
-    optimizer_sample_rows: int = 10_000
-    target_points_per_cell: int = 128
-    seed: int = 43
 
 
 def _int_box(bounds: Mapping[str, tuple[float, float]]) -> dict[str, tuple[int, int]]:
@@ -130,13 +135,13 @@ class TsunamiIndex(ClusteredIndex):
         Returns ``None`` when AGD fails; the caller picks the fallback.
         """
         optimizer = AdaptiveGradientDescent(
-            cost_model=self.config.cost_model,
+            cost_model=COST_MODEL,
             max_iterations=self.config.optimizer_iterations,
             naive_init=not self.config.use_augmented_strategies,
             search_skeleton=self.config.use_augmented_strategies,
-            target_points_per_cell=self.config.target_points_per_cell,
-            sample_rows=self.config.optimizer_sample_rows,
-            seed=self.config.seed,
+            target_points_per_cell=TARGET_POINTS_PER_CELL,
+            sample_rows=OPTIMIZER_SAMPLE_ROWS,
+            seed=SEED,
         )
         try:
             return optimizer.optimize(rows, Workload(list(queries), name=rows.name)).config
@@ -170,15 +175,15 @@ class TsunamiIndex(ClusteredIndex):
             skeleton,
             table,
             workload,
-            target_points_per_cell=self.config.target_points_per_cell,
-            seed=self.config.seed,
+            target_points_per_cell=TARGET_POINTS_PER_CELL,
+            seed=SEED,
         )
         return AugmentedGridConfig(skeleton=skeleton, partitions=partitions)
 
     def _optimize(self, table: Table, workload: Workload | None) -> None:
         workload = workload or Workload([], name="empty")
         if len(workload) > 0:
-            self.typed_workload = cluster_query_types(table, workload, seed=self.config.seed)
+            self.typed_workload = cluster_query_types(table, workload, seed=SEED)
         else:
             self.typed_workload = workload
 

@@ -84,7 +84,7 @@ class Column:
             if narrow:
                 array = array.astype(np.int64, copy=False)
             self._meta = StorageMeta(dtype=array.dtype)
-        self._values = array
+        self._store(array)
         self.dictionary = dictionary
         self.scaler = scaler
 
@@ -131,10 +131,14 @@ class Column:
 
     @property
     def values(self) -> np.ndarray:
-        """The stored integer values (a read-only view)."""
-        view = self._values.view()
-        view.flags.writeable = False
-        return view
+        """The stored integer values: one read-only view, the same on every read."""
+        return self._readonly
+
+    def _store(self, array: np.ndarray) -> None:
+        """Make ``array`` the column's storage, with its read-only view."""
+        self._values = array
+        self._readonly = array.view()
+        self._readonly.flags.writeable = False
 
     @property
     def dtype(self) -> np.dtype:
@@ -159,9 +163,7 @@ class Column:
 
     def slice(self, start: int, stop: int) -> np.ndarray:
         """Read-only view of the stored values in physical rows ``[start, stop)``."""
-        view = self._values[start:stop]
-        view.flags.writeable = False
-        return view
+        return self._readonly[start:stop]
 
     def min(self) -> int:
         """Minimum stored value (raises on an empty column)."""
@@ -241,7 +243,7 @@ class Column:
                 f"permutation length {permutation.shape} does not match column "
                 f"length {len(self)}"
             )
-        self._values = self._values[permutation]
+        self._store(self._values[permutation])
 
     def reorder_rows(self, rows: np.ndarray, start: int, stop: int) -> None:
         """Physically reorder only the rows in ``[start, stop)`` by ``rows``.
@@ -267,7 +269,7 @@ class Column:
                 f"range [{start}, {stop})"
             )
         if not self._values.flags.writeable:
-            self._values = np.array(self._values)
+            self._store(np.array(self._values))
         self._values[start:stop] = self._values[start:stop][rows]
 
     def size_bytes(self) -> int:

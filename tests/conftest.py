@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.common import faults
+from repro.core import tsunami
 from repro.query.query import Query
 from repro.query.workload import Workload
 from repro.storage.table import Table
@@ -20,6 +21,16 @@ from repro.storage.table import Table
 def rng() -> np.random.Generator:
     """A session-wide deterministic RNG for ad-hoc test data."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="module")
+def small_agd_sample():
+    """Tsunami's AGD samples 2,000 rows for a whole module, so builds,
+    merges and repairs on the 5,000-row tables stay fast.  Module-scoped,
+    so a module's own index fixtures see it too."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tsunami, "OPTIMIZER_SAMPLE_ROWS", 2_000)
+        yield
 
 
 @pytest.fixture(autouse=True)

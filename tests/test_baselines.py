@@ -12,6 +12,8 @@ from repro.baselines import (
     KdTreeIndex,
     SingleDimensionIndex,
     ZOrderIndex,
+    flood,
+    octree,
 )
 from repro.baselines.base import BuildReport, containment_exactness
 from repro.common.errors import IndexBuildError
@@ -26,8 +28,14 @@ INDEX_FACTORIES = {
     "z-order": lambda: ZOrderIndex(page_size=256),
     "kd-tree": lambda: KdTreeIndex(page_size=512),
     "hyperoctree": lambda: HyperOctreeIndex(page_size=512),
-    "flood": lambda: FloodIndex(optimizer_iterations=1, sample_rows=3_000),
+    "flood": lambda: FloodIndex(optimizer_iterations=1),
 }
+
+
+@pytest.fixture(autouse=True)
+def small_gd_sample(monkeypatch):
+    """Flood's GD samples 3,000 of the 5,000 rows, keeping builds fast."""
+    monkeypatch.setattr(flood, "SAMPLE_ROWS", 3_000)
 
 
 def extra_queries(seed: int = 0) -> list[Query]:
@@ -89,8 +97,9 @@ class TestCommonContract:
         assert len(results) == len(fresh_workload)
         assert total.points_scanned == sum(r.stats.points_scanned for r in results)
 
-    def test_build_report_timings(self, fresh_table, fresh_workload):
-        index = FloodIndex(optimizer_iterations=1, sample_rows=2_000)
+    def test_build_report_timings(self, fresh_table, fresh_workload, monkeypatch):
+        monkeypatch.setattr(flood, "SAMPLE_ROWS", 2_000)
+        index = FloodIndex(optimizer_iterations=1)
         index.build(fresh_table, fresh_workload)
         report = index.build_report
         assert isinstance(report, BuildReport)
@@ -212,8 +221,9 @@ class TestHyperOctreeIndex:
         expected, _ = execute_full_scan(table, query)
         assert index.execute(query).value == expected
 
-    def test_split_dimension_rotation(self, fresh_table, fresh_workload):
-        index = HyperOctreeIndex(page_size=256, max_split_dimensions=2)
+    def test_split_dimension_rotation(self, fresh_table, fresh_workload, monkeypatch):
+        monkeypatch.setattr(octree, "MAX_SPLIT_DIMENSIONS", 2)
+        index = HyperOctreeIndex(page_size=256)
         index.build(fresh_table, fresh_workload)
         for query in list(fresh_workload)[:5]:
             expected, _ = execute_full_scan(fresh_table, query)
@@ -222,13 +232,12 @@ class TestHyperOctreeIndex:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             HyperOctreeIndex(page_size=0)
-        with pytest.raises(ValueError):
-            HyperOctreeIndex(max_split_dimensions=0)
 
 
 class TestFloodIndex:
-    def test_uses_all_independent_skeleton(self, fresh_table, fresh_workload):
-        index = FloodIndex(optimizer_iterations=1, sample_rows=2_000)
+    def test_uses_all_independent_skeleton(self, fresh_table, fresh_workload, monkeypatch):
+        monkeypatch.setattr(flood, "SAMPLE_ROWS", 2_000)
+        index = FloodIndex(optimizer_iterations=1)
         index.build(fresh_table, fresh_workload)
         assert index.grid is not None
         assert index.grid.skeleton.num_functional_mappings == 0
@@ -242,13 +251,14 @@ class TestFloodIndex:
                 for _ in range(40)
             ]
         )
-        index = FloodIndex(optimizer_iterations=2, sample_rows=3_000)
+        index = FloodIndex(optimizer_iterations=2)
         index.build(fresh_table, only_x)
         partitions = index.grid.config.partitions
         assert partitions["x"] >= max(partitions["z"], partitions["c"])
 
-    def test_num_cells_reported(self, fresh_table, fresh_workload):
-        index = FloodIndex(optimizer_iterations=1, sample_rows=2_000)
+    def test_num_cells_reported(self, fresh_table, fresh_workload, monkeypatch):
+        monkeypatch.setattr(flood, "SAMPLE_ROWS", 2_000)
+        index = FloodIndex(optimizer_iterations=1)
         index.build(fresh_table, fresh_workload)
         assert index.num_cells == index.grid.num_cells
         assert index.describe()["num_cells"] == index.num_cells

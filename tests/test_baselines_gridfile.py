@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines import gridfile
 from repro.baselines.gridfile import GridFileIndex
 from repro.common.errors import IndexBuildError
 from repro.query.engine import execute_full_scan
@@ -59,8 +60,9 @@ class TestStructure:
         fine = GridFileIndex(page_size=128).build(fresh_table, fresh_workload)
         assert fine.num_cells > coarse.num_cells
 
-    def test_cell_budget_respected(self, fresh_table, fresh_workload):
-        index = GridFileIndex(page_size=1, max_cells=500)
+    def test_cell_budget_respected(self, fresh_table, fresh_workload, monkeypatch):
+        monkeypatch.setattr(gridfile, "MAX_CELLS", 500)
+        index = GridFileIndex(page_size=1)
         index.build(fresh_table, fresh_workload)
         assert index.num_cells <= 500
 
@@ -69,8 +71,9 @@ class TestStructure:
         index.build(fresh_table, fresh_workload)
         assert set(index.dimensions) <= set(fresh_workload.filtered_dimensions())
 
-    def test_max_indexed_dimensions_cap(self, fresh_table):
-        index = GridFileIndex(page_size=256, max_indexed_dimensions=2)
+    def test_max_indexed_dimensions_cap(self, fresh_table, monkeypatch):
+        monkeypatch.setattr(gridfile, "MAX_INDEXED_DIMENSIONS", 2)
+        index = GridFileIndex(page_size=256)
         index.build(fresh_table, None)
         assert len(index.dimensions) == 2
 
@@ -93,14 +96,7 @@ class TestStructure:
 
 
 class TestValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"page_size": 0},
-            {"max_cells": 0},
-            {"max_indexed_dimensions": 0},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"page_size": 0}])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             GridFileIndex(**kwargs)

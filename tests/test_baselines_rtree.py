@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines import rtree
 from repro.baselines.rtree import RTreeIndex
 from repro.common.errors import IndexBuildError
 from repro.query.engine import execute_full_scan
@@ -48,8 +49,11 @@ class TestCorrectness:
         expected, _ = execute_full_scan(fresh_table, query)
         assert index.execute(query).value == expected
 
-    def test_filter_on_unindexed_dimension_still_correct(self, fresh_table, fresh_workload):
-        index = RTreeIndex(page_size=256, max_indexed_dimensions=1)
+    def test_filter_on_unindexed_dimension_still_correct(
+        self, fresh_table, fresh_workload, monkeypatch
+    ):
+        monkeypatch.setattr(rtree, "MAX_INDEXED_DIMENSIONS", 1)
+        index = RTreeIndex(page_size=256)
         index.build(fresh_table, fresh_workload)
         query = Query.from_ranges({"c": (0, 2), "x": (0, 4_000)})
         expected, _ = execute_full_scan(fresh_table, query)
@@ -61,9 +65,11 @@ class TestStructure:
         index = RTreeIndex(page_size=200).build(fresh_table, fresh_workload)
         assert index._num_leaves >= fresh_table.num_rows / 200
 
-    def test_height_grows_with_smaller_fanout(self, fresh_table, fresh_workload):
-        wide = RTreeIndex(page_size=128, fanout=64).build(fresh_table, fresh_workload)
-        narrow = RTreeIndex(page_size=128, fanout=2).build(fresh_table, fresh_workload)
+    def test_height_grows_with_smaller_fanout(self, fresh_table, fresh_workload, monkeypatch):
+        monkeypatch.setattr(rtree, "FANOUT", 64)
+        wide = RTreeIndex(page_size=128).build(fresh_table, fresh_workload)
+        monkeypatch.setattr(rtree, "FANOUT", 2)
+        narrow = RTreeIndex(page_size=128).build(fresh_table, fresh_workload)
         assert narrow.height >= wide.height
 
     def test_pruning_reduces_scanned_points(self, fresh_table, fresh_workload):
@@ -75,7 +81,7 @@ class TestStructure:
     def test_selective_dimensions_come_first(self, fresh_table, fresh_workload):
         index = RTreeIndex(page_size=256).build(fresh_table, fresh_workload)
         assert set(index.dimensions) <= set(fresh_table.column_names)
-        assert len(index.dimensions) <= index.max_indexed_dimensions
+        assert len(index.dimensions) <= rtree.MAX_INDEXED_DIMENSIONS
 
     def test_describe_and_size(self, fresh_table, fresh_workload):
         index = RTreeIndex(page_size=256).build(fresh_table, fresh_workload)
@@ -87,14 +93,7 @@ class TestStructure:
 
 
 class TestValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"page_size": 0},
-            {"fanout": 1},
-            {"max_indexed_dimensions": 0},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"page_size": 0}])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RTreeIndex(**kwargs)

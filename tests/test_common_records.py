@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from repro.common.records import Record
+from repro.core import lifecycle, tsunami
 from repro.core.delta import DeltaBufferedIndex
 from repro.core.incremental import IncrementalReoptimizer
-from repro.core.lifecycle import LifecycleConfig, LifecycleManager
+from repro.core.lifecycle import LifecycleManager
 from repro.core.sharding import ShardedIndex
 from repro.core.tsunami import TsunamiConfig, TsunamiIndex
 from repro.query.query import Query
@@ -36,7 +37,7 @@ PROPERTIES = {
 
 
 def tsunami_factory():
-    return TsunamiIndex(TsunamiConfig(optimizer_iterations=1, optimizer_sample_rows=2_000))
+    return TsunamiIndex(TsunamiConfig(optimizer_iterations=1))
 
 
 def make_table(num_rows: int = 4_000, seed: int = 3) -> Table:
@@ -54,7 +55,18 @@ def ranges(dimension: str, lows: np.ndarray, width: int, query_type: int | None 
 @pytest.fixture(scope="module")
 def records() -> dict[str, Record]:
     """One instance of each record, taken from a served lifecycle stack that
-    merged, drifted and re-optimized, and from a sharded index."""
+    merged, drifted and re-optimized, and from a sharded index.
+
+    AGD samples 2,000 rows, windows hold 32 queries and 0.1% pending rows
+    merge, so the stack does all of it in a few seconds."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tsunami, "OPTIMIZER_SAMPLE_ROWS", 2_000)
+        patch.setattr(lifecycle, "OBSERVE_WINDOW", 32)
+        patch.setattr(lifecycle, "MERGE_PRESSURE", 0.001)
+        return _served_records()
+
+
+def _served_records() -> dict[str, Record]:
     rng = np.random.default_rng(11)
     workload = Workload(
         ranges("x", rng.integers(7_000, 9_500, 30), 300, 0) + ranges("y", rng.integers(0, 8_000, 30), 900, 1)
@@ -62,7 +74,7 @@ def records() -> dict[str, Record]:
     novel = ranges("z", rng.integers(0, 500, 32), 400)
     index = DeltaBufferedIndex(tsunami_factory, merge_threshold=1_000_000)
     index.build(make_table(), workload)
-    manager = LifecycleManager(index, LifecycleConfig(observe_window=32, merge_pressure=0.001))
+    manager = LifecycleManager(index)
     with ServingFrontend(manager, ServingConfig(max_batch_size=16, cache_entries=64)) as frontend:
         served = [frontend.query(query) for query in list(workload)[:20] * 2]
         frontend.insert_many([{"x": 5, "y": 15, "z": 5} for _ in range(10)])

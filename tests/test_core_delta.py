@@ -20,8 +20,11 @@ from repro.storage.scan import ScanStats
 from repro.storage.table import Table
 
 
+pytestmark = pytest.mark.usefixtures("small_agd_sample")
+
+
 def tsunami_factory():
-    return TsunamiIndex(TsunamiConfig(optimizer_iterations=1, optimizer_sample_rows=2_000))
+    return TsunamiIndex(TsunamiConfig(optimizer_iterations=1))
 
 
 def new_rows(count: int, seed: int = 21) -> list[dict]:

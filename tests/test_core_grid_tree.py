@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import IndexBuildError
+from repro.core import grid_tree
 from repro.core.grid_tree import GridTree, GridTreeConfig
 from repro.query.query import Query
 from repro.query.workload import Workload
@@ -87,16 +88,18 @@ class TestGridTreeConstruction:
         table = sales_table(seed=4)
         config = GridTreeConfig(max_regions=10)
         tree = GridTree(config).fit(table, fig2_workload(seed=5))
-        assert tree.num_regions <= config.max_regions + config.max_depth * config.max_children
+        assert tree.num_regions <= config.max_regions + grid_tree.MAX_DEPTH * grid_tree.MAX_CHILDREN
 
-    def test_max_depth_respected(self):
+    def test_max_depth_respected(self, monkeypatch):
+        monkeypatch.setattr(grid_tree, "MAX_DEPTH", 1)
         table = sales_table(seed=6)
-        tree = GridTree(GridTreeConfig(max_depth=1)).fit(table, fig2_workload(seed=7))
+        tree = GridTree().fit(table, fig2_workload(seed=7))
         assert tree.depth <= 1
 
-    def test_max_children_respected(self):
+    def test_max_children_respected(self, monkeypatch):
+        monkeypatch.setattr(grid_tree, "MAX_CHILDREN", 3)
         table = sales_table(seed=8)
-        tree = GridTree(GridTreeConfig(max_children=3)).fit(table, fig2_workload(seed=9))
+        tree = GridTree().fit(table, fig2_workload(seed=9))
 
         def check(node):
             assert len(node.children) <= 3

@@ -13,9 +13,11 @@ from repro.query.query import Query
 from repro.query.workload import Workload
 
 
+pytestmark = pytest.mark.usefixtures("small_agd_sample")
+
+
 def build_index(table, workload) -> TsunamiIndex:
-    config = TsunamiConfig(optimizer_iterations=1, optimizer_sample_rows=2_000)
-    return TsunamiIndex(config).build(table, workload)
+    return TsunamiIndex(TsunamiConfig(optimizer_iterations=1)).build(table, workload)
 
 
 def shifted_workload(seed: int = 77) -> Workload:

@@ -5,15 +5,19 @@ import pytest
 
 from repro.baselines import KdTreeIndex
 from repro.common.errors import IndexBuildError
+from repro.core import lifecycle
 from repro.core.delta import DeltaBufferedIndex
-from repro.core.lifecycle import LifecycleConfig, LifecycleManager
+from repro.core.lifecycle import LifecycleManager
 from repro.core.tsunami import TsunamiConfig, TsunamiIndex
 from repro.query.engine import execute_full_scan
 from repro.query.query import Query
 
 
+pytestmark = pytest.mark.usefixtures("small_agd_sample")
+
+
 def tsunami_factory():
-    return TsunamiIndex(TsunamiConfig(optimizer_iterations=1, optimizer_sample_rows=2_000))
+    return TsunamiIndex(TsunamiConfig(optimizer_iterations=1))
 
 
 def build_delta(table, workload, factory=tsunami_factory, merge_threshold=100_000):
@@ -46,12 +50,6 @@ class TestConstruction:
         with pytest.raises(IndexBuildError):
             LifecycleManager(DeltaBufferedIndex(tsunami_factory))
 
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            LifecycleConfig(observe_window=0)
-        with pytest.raises(ValueError):
-            LifecycleConfig(merge_pressure=0.0)
-
     def test_detector_fitted_from_recorded_workload(self, fresh_table, fresh_workload):
         manager = LifecycleManager(build_delta(fresh_table, fresh_workload))
         assert manager.detector is not None
@@ -66,9 +64,10 @@ class TestConstruction:
 
 
 class TestServing:
-    def test_run_and_run_batch_answer_correctly(self, fresh_table, fresh_workload):
+    def test_run_and_run_batch_answer_correctly(self, fresh_table, fresh_workload, monkeypatch):
+        monkeypatch.setattr(lifecycle, "OBSERVE_WINDOW", 1_000)
         index = build_delta(fresh_table, fresh_workload)
-        manager = LifecycleManager(index, LifecycleConfig(observe_window=1_000))
+        manager = LifecycleManager(index)
         manager.insert_many(new_rows(20))
         queries = list(fresh_workload)[:8]
         batched = manager.run_batch(queries)
@@ -82,9 +81,10 @@ class TestServing:
 
 
 class TestMergePressure:
-    def test_pressure_triggers_merge(self, fresh_table, fresh_workload):
+    def test_pressure_triggers_merge(self, fresh_table, fresh_workload, monkeypatch):
+        monkeypatch.setattr(lifecycle, "MERGE_PRESSURE", 0.01)
         index = build_delta(fresh_table, fresh_workload, factory=lambda: KdTreeIndex(page_size=512))
-        manager = LifecycleManager(index, LifecycleConfig(merge_pressure=0.01))
+        manager = LifecycleManager(index)
         manager.insert_many(new_rows(60))  # 60 / 5000 > 1%
         assert index.num_pending == 0
         report = manager.report()
@@ -93,9 +93,12 @@ class TestMergePressure:
         assert [event.kind for event in report.events] == ["merge"]
         assert report.events[0].details["trigger"] == "pressure"
 
-    def test_pressure_merge_refits_detector_on_new_table(self, fresh_table, fresh_workload):
+    def test_pressure_merge_refits_detector_on_new_table(
+        self, fresh_table, fresh_workload, monkeypatch
+    ):
+        monkeypatch.setattr(lifecycle, "MERGE_PRESSURE", 0.01)
         index = build_delta(fresh_table, fresh_workload, factory=lambda: KdTreeIndex(page_size=512))
-        manager = LifecycleManager(index, LifecycleConfig(merge_pressure=0.01))
+        manager = LifecycleManager(index)
         stale_table = index.table
         manager.insert_many(new_rows(60))
         assert index.num_pending == 0
@@ -103,18 +106,21 @@ class TestMergePressure:
         assert manager.detector._table is index.base_index.table
         assert manager.detector._table is not stale_table
 
-    def test_pressure_disabled(self, fresh_table, fresh_workload):
+    def test_rows_under_pressure_stay_pending(self, fresh_table, fresh_workload):
         index = build_delta(fresh_table, fresh_workload, factory=lambda: KdTreeIndex(page_size=512))
-        manager = LifecycleManager(index, LifecycleConfig(merge_pressure=None))
-        manager.insert_many(new_rows(60))
+        manager = LifecycleManager(index)
+        manager.insert_many(new_rows(60))  # 60 / 5000 < 10%
         assert index.num_pending == 60
         assert manager.report().merges == 0
 
 
 class TestDriftLoop:
-    def test_drift_triggers_reoptimize_and_advances_baselines(self, fresh_table, fresh_workload):
+    def test_drift_triggers_reoptimize_and_advances_baselines(
+        self, fresh_table, fresh_workload, monkeypatch
+    ):
+        monkeypatch.setattr(lifecycle, "OBSERVE_WINDOW", 32)
         index = build_delta(fresh_table, fresh_workload)
-        manager = LifecycleManager(index, LifecycleConfig(observe_window=32, merge_pressure=None))
+        manager = LifecycleManager(index)
         manager.insert_many(new_rows(15))
         manager.run_batch(novel_queries(32))
         report = manager.report()
@@ -131,41 +137,37 @@ class TestDriftLoop:
             expected, _ = execute_full_scan(index.table, query)
             assert index.execute(query).value == expected
 
-    def test_reoptimize_can_be_disabled(self, fresh_table, fresh_workload):
-        index = build_delta(fresh_table, fresh_workload)
-        manager = LifecycleManager(
-            index, LifecycleConfig(observe_window=32, reoptimize_on_drift=False)
-        )
-        manager.run_batch(novel_queries(32))
-        report = manager.report()
-        assert report.drifts_detected == 1
-        assert report.reoptimizations == 0
+    def test_events_are_stamped_with_their_window_end(
+        self, fresh_table, fresh_workload, monkeypatch
+    ):
+        """One batch spanning many windows stamps each drift at its own window.
 
-    def test_events_are_stamped_with_their_window_end(self, fresh_table, fresh_workload):
-        """One batch spanning many windows stamps each drift at its own window."""
-        index = build_delta(fresh_table, fresh_workload)
-        manager = LifecycleManager(
-            index, LifecycleConfig(observe_window=128, reoptimize_on_drift=False)
-        )
+        A k-d tree base records drift without repairing it, so every window
+        of the novel stream drifts."""
+        monkeypatch.setattr(lifecycle, "OBSERVE_WINDOW", 128)
+        index = build_delta(fresh_table, fresh_workload, factory=lambda: KdTreeIndex(page_size=512))
+        manager = LifecycleManager(index)
         manager.run_batch(novel_queries(1024))
         stamps = [event.at_query for event in manager.report().events if event.kind == "drift"]
         assert len(stamps) >= 2
         assert len(set(stamps)) == len(stamps)
         assert all(stamp % 128 == 0 and 0 < stamp <= 1024 for stamp in stamps)
 
-    def test_non_tsunami_base_records_drift_only(self, fresh_table, fresh_workload):
+    def test_non_tsunami_base_records_drift_only(self, fresh_table, fresh_workload, monkeypatch):
+        monkeypatch.setattr(lifecycle, "OBSERVE_WINDOW", 32)
         index = build_delta(
             fresh_table, fresh_workload, factory=lambda: KdTreeIndex(page_size=512)
         )
-        manager = LifecycleManager(index, LifecycleConfig(observe_window=32))
+        manager = LifecycleManager(index)
         manager.run_batch(novel_queries(32))
         report = manager.report()
         assert report.drifts_detected == 1
         assert report.reoptimizations == 0
 
-    def test_stable_workload_never_drifts(self, fresh_table, fresh_workload):
+    def test_stable_workload_never_drifts(self, fresh_table, fresh_workload, monkeypatch):
+        monkeypatch.setattr(lifecycle, "OBSERVE_WINDOW", 40)
         index = build_delta(fresh_table, fresh_workload)
-        manager = LifecycleManager(index, LifecycleConfig(observe_window=40))
+        manager = LifecycleManager(index)
         # Serve the fitted workload itself, interleaved so each window mixes
         # both query types the way live traffic would.
         queries = list(fresh_workload)
@@ -178,29 +180,32 @@ class TestDriftLoop:
 
 
 class TestTickAndReport:
-    def test_tick_flushes_partial_window(self, fresh_table, fresh_workload):
+    def test_tick_flushes_partial_window(self, fresh_table, fresh_workload, monkeypatch):
+        monkeypatch.setattr(lifecycle, "OBSERVE_WINDOW", 1_000)
         index = build_delta(fresh_table, fresh_workload)
-        manager = LifecycleManager(index, LifecycleConfig(observe_window=1_000))
+        manager = LifecycleManager(index)
         manager.run_batch(novel_queries(30))
         assert manager.report().windows_observed == 0
         events = manager.tick()
         assert manager.report().windows_observed == 1
         assert any(event.kind == "drift" for event in events)
 
-    def test_tick_checks_pressure(self, fresh_table, fresh_workload):
+    def test_tick_checks_pressure(self, fresh_table, fresh_workload, monkeypatch):
         index = build_delta(fresh_table, fresh_workload, factory=lambda: KdTreeIndex(page_size=512))
-        manager = LifecycleManager(index, LifecycleConfig(merge_pressure=None))
-        manager.insert_many(new_rows(60))
-        manager.config = LifecycleConfig(merge_pressure=0.01)
+        manager = LifecycleManager(index)
+        manager.insert_many(new_rows(60))  # 60 / 5000 < 10%
+        assert index.num_pending == 60
+        monkeypatch.setattr(lifecycle, "MERGE_PRESSURE", 0.01)
         events = manager.tick()
         assert [event.kind for event in events] == ["merge"]
         assert index.num_pending == 0
 
-    def test_report_as_dict_is_serializable(self, fresh_table, fresh_workload):
+    def test_report_as_dict_is_serializable(self, fresh_table, fresh_workload, monkeypatch):
         import json
 
+        monkeypatch.setattr(lifecycle, "OBSERVE_WINDOW", 32)
         index = build_delta(fresh_table, fresh_workload)
-        manager = LifecycleManager(index, LifecycleConfig(observe_window=32))
+        manager = LifecycleManager(index)
         manager.insert_many(new_rows(10))
         manager.run_batch(novel_queries(32))
         payload = manager.report().as_dict()
@@ -215,15 +220,15 @@ class TestMaintenanceFailures:
     retried the next time its trigger fires."""
 
     def test_pressure_merge_failure_keeps_serving_then_retries(
-        self, fresh_table, fresh_workload
+        self, fresh_table, fresh_workload, monkeypatch
     ):
         from repro.common import faults
         from repro.common.faults import FaultPlan, FaultSpec
 
+        monkeypatch.setattr(lifecycle, "OBSERVE_WINDOW", 10_000)
+        monkeypatch.setattr(lifecycle, "MERGE_PRESSURE", 0.001)
         index = build_delta(fresh_table, fresh_workload)
-        manager = LifecycleManager(
-            index, LifecycleConfig(observe_window=10_000, merge_pressure=0.001)
-        )
+        manager = LifecycleManager(index)
         plan = FaultPlan([FaultSpec(site="delta.merge", max_triggers=1)])
         with faults.active(plan):
             manager.insert_many(new_rows(15))  # pressure merge fails inside
@@ -260,15 +265,14 @@ class TestMaintenanceFailures:
         assert index.num_pending == 10
 
     def test_reoptimize_failure_records_event_and_serving_continues(
-        self, fresh_table, fresh_workload
+        self, fresh_table, fresh_workload, monkeypatch
     ):
         from repro.common import faults
         from repro.common.faults import FaultPlan, FaultSpec
 
+        monkeypatch.setattr(lifecycle, "OBSERVE_WINDOW", 32)
         index = build_delta(fresh_table, fresh_workload)
-        manager = LifecycleManager(
-            index, LifecycleConfig(observe_window=32, merge_pressure=None)
-        )
+        manager = LifecycleManager(index)
         manager.insert_many(new_rows(15))
         plan = FaultPlan([FaultSpec(site="lifecycle.reoptimize", max_triggers=1)])
         with faults.active(plan):
@@ -285,14 +289,15 @@ class TestMaintenanceFailures:
             expected, _ = execute_full_scan(index.table, query)
             assert manager.run(query).value == expected
 
-    def test_failed_drift_merge_skips_reoptimization(self, fresh_table, fresh_workload):
+    def test_failed_drift_merge_skips_reoptimization(
+        self, fresh_table, fresh_workload, monkeypatch
+    ):
         from repro.common import faults
         from repro.common.faults import FaultPlan, FaultSpec
 
+        monkeypatch.setattr(lifecycle, "OBSERVE_WINDOW", 32)
         index = build_delta(fresh_table, fresh_workload)
-        manager = LifecycleManager(
-            index, LifecycleConfig(observe_window=32, merge_pressure=None)
-        )
+        manager = LifecycleManager(index)
         manager.insert_many(new_rows(15))
         plan = FaultPlan([FaultSpec(site="delta.merge")])
         with faults.active(plan):
@@ -303,14 +308,16 @@ class TestMaintenanceFailures:
         assert report.reoptimizations == 0  # layout repair skipped, not crashed
         assert index.num_pending == 15
 
-    def test_listeners_see_maintenance_error_events(self, fresh_table, fresh_workload):
+    def test_listeners_see_maintenance_error_events(
+        self, fresh_table, fresh_workload, monkeypatch
+    ):
         from repro.common import faults
         from repro.common.faults import FaultPlan, FaultSpec
 
+        monkeypatch.setattr(lifecycle, "OBSERVE_WINDOW", 10_000)
+        monkeypatch.setattr(lifecycle, "MERGE_PRESSURE", 0.001)
         index = build_delta(fresh_table, fresh_workload)
-        manager = LifecycleManager(
-            index, LifecycleConfig(observe_window=10_000, merge_pressure=0.001)
-        )
+        manager = LifecycleManager(index)
         seen = []
         manager.subscribe(seen.append)
         plan = FaultPlan([FaultSpec(site="delta.merge", max_triggers=1)])

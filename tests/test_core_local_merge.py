@@ -35,8 +35,11 @@ from repro.storage.persistence import load_index, load_table, save_index, save_t
 from repro.storage.table import Table
 
 
+pytestmark = pytest.mark.usefixtures("small_agd_sample")
+
+
 def tsunami_factory():
-    return TsunamiIndex(TsunamiConfig(optimizer_iterations=1, optimizer_sample_rows=2_000))
+    return TsunamiIndex(TsunamiConfig(optimizer_iterations=1))
 
 
 def make_table(num_rows: int = 2_000, seed: int = 3) -> Table:

@@ -25,6 +25,7 @@ from repro.core.tsunami import TsunamiConfig, TsunamiIndex
 from repro.query.engine import QueryEngine, execute_full_scan
 from repro.query.query import Query
 from repro.query.workload import Workload
+from repro.storage.column import Column
 from repro.storage.scan import ScanStats
 from repro.storage.table import Table
 
@@ -391,6 +392,23 @@ class TestUpdatableShards:
                 assert (pending >= low).all()
             if high is not None:
                 assert (pending < high).all()
+
+    def test_insert_converts_each_column_once(self, updatable, monkeypatch):
+        # The batch is encoded once to route it; each shard buffers its slice
+        # of that encoding instead of converting its rows again.
+        _, sharded = updatable
+        converted = []
+        to_storage_array = Column.to_storage_array
+
+        def counting(column, values):
+            converted.append(column.name)
+            return to_storage_array(column, values)
+
+        monkeypatch.setattr(Column, "to_storage_array", counting)
+        sharded.insert_many(self.insert_rows(400))
+        assert sorted(converted) == ["x", "y", "z"]
+        assert all(len(shard.buffer) for shard in sharded.shards)
+        assert sharded.num_pending == 400
 
     def test_queries_with_pending_match_full_scan(self, updatable):
         queries, sharded = updatable

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import FloodIndex
+from repro.core import tsunami
 from repro.core.tsunami import TsunamiConfig, TsunamiIndex, make_tsunami
 from repro.core.variants import AugmentedGridOnlyIndex, GridTreeOnlyIndex
 from repro.query.engine import execute_full_scan
@@ -11,7 +12,15 @@ from repro.query.query import Query
 from repro.query.workload import Workload
 
 
-FAST = TsunamiConfig(optimizer_iterations=1, optimizer_sample_rows=3_000)
+FAST = TsunamiConfig(optimizer_iterations=1)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def small_agd_sample():
+    """AGD samples 3,000 of the 5,000 rows, keeping builds fast."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tsunami, "OPTIMIZER_SAMPLE_ROWS", 3_000)
+        yield
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ persistence, and CSV ingestion feeding the SQL front-end.
 """
 
 import numpy as np
+import pytest
 
 from repro.core.categorical import CategoricalReordering
 from repro.core.delta import DeltaBufferedIndex
@@ -22,8 +23,11 @@ from repro.storage.persistence import load_index, save_index
 from repro.storage.table import Table
 
 
+pytestmark = pytest.mark.usefixtures("small_agd_sample")
+
+
 def small_config() -> TsunamiConfig:
-    return TsunamiConfig(optimizer_iterations=1, optimizer_sample_rows=2_000)
+    return TsunamiConfig(optimizer_iterations=1)
 
 
 def shifted_workload(seed: int = 31) -> Workload:

@@ -22,8 +22,9 @@ from repro.common.errors import (
     ServerOverloadedError,
     ServingError,
 )
+from repro.core import lifecycle
 from repro.core.delta import DeltaBufferedIndex
-from repro.core.lifecycle import LifecycleConfig, LifecycleManager
+from repro.core.lifecycle import LifecycleManager
 from repro.core.sharding import ShardedIndex
 from repro.core.tsunami import TsunamiConfig, TsunamiIndex
 from repro.query.engine import QueryEngine, execute_full_scan
@@ -32,8 +33,11 @@ from repro.serve import ServingConfig, ServingFrontend
 from repro.storage.table import Table
 
 
+pytestmark = pytest.mark.usefixtures("small_agd_sample")
+
+
 def tsunami_factory():
-    return TsunamiIndex(TsunamiConfig(optimizer_iterations=1, optimizer_sample_rows=2_000))
+    return TsunamiIndex(TsunamiConfig(optimizer_iterations=1))
 
 
 def small_config(**overrides) -> ServingConfig:
@@ -137,10 +141,11 @@ class TestConcurrentDifferential:
         assert stats["cache"]["hits"] > 0
         assert stats["batching"]["batches"] < stats["serving"]["queries_submitted"]
 
-    def test_lifecycle_backend_serves_identically(self, fresh_table, fresh_workload):
+    def test_lifecycle_backend_serves_identically(self, fresh_table, fresh_workload, monkeypatch):
+        monkeypatch.setattr(lifecycle, "OBSERVE_WINDOW", 100_000)
         index = DeltaBufferedIndex(tsunami_factory, merge_threshold=100_000)
         index.build(fresh_table, fresh_workload)
-        manager = LifecycleManager(index, LifecycleConfig(observe_window=100_000))
+        manager = LifecycleManager(index)
         queries = list(fresh_workload)[:12]
         expected = [index.execute(q).value for q in queries]
         with ServingFrontend(manager, small_config()) as frontend:
@@ -150,12 +155,13 @@ class TestConcurrentDifferential:
 
 
 class TestWriteInvalidation:
-    def test_insert_triggered_merge_invalidates_cache(self, fresh_table, fresh_workload):
+    def test_insert_triggered_merge_invalidates_cache(
+        self, fresh_table, fresh_workload, monkeypatch
+    ):
+        monkeypatch.setattr(lifecycle, "OBSERVE_WINDOW", 100_000)
         index = DeltaBufferedIndex(tsunami_factory, merge_threshold=50)
         index.build(fresh_table, fresh_workload)
-        manager = LifecycleManager(
-            index, LifecycleConfig(observe_window=100_000, merge_pressure=None)
-        )
+        manager = LifecycleManager(index)
         probe = Query.from_ranges({"x": (2_000, 2_300)})
         rows = [{"x": 2_100, "y": 6_300, "z": 5, "c": 1} for _ in range(60)]
         with ServingFrontend(manager, small_config()) as frontend:
@@ -175,12 +181,13 @@ class TestWriteInvalidation:
             # And the re-cached entry keeps returning the post-merge answer.
             assert frontend.query(probe).value == expected
 
-    def test_lifecycle_reoptimize_invalidates_cache(self, fresh_table, fresh_workload):
+    def test_lifecycle_reoptimize_invalidates_cache(
+        self, fresh_table, fresh_workload, monkeypatch
+    ):
+        monkeypatch.setattr(lifecycle, "OBSERVE_WINDOW", 32)
         index = DeltaBufferedIndex(tsunami_factory, merge_threshold=100_000)
         index.build(fresh_table, fresh_workload)
-        manager = LifecycleManager(
-            index, LifecycleConfig(observe_window=32, merge_pressure=None)
-        )
+        manager = LifecycleManager(index)
         # 32 distinct novel queries (wide, single-dimension) so every one
         # misses the cache, reaches the backend, and is observed for drift.
         novel = [
@@ -305,10 +312,11 @@ class TestBackpressureAndShutdown:
         with pytest.raises(ServerClosedError):
             frontend.insert_many(insert_rows(1))
 
-    def test_close_unsubscribes_from_lifecycle(self, fresh_table, fresh_workload):
+    def test_close_unsubscribes_from_lifecycle(self, fresh_table, fresh_workload, monkeypatch):
+        monkeypatch.setattr(lifecycle, "OBSERVE_WINDOW", 100_000)
         index = DeltaBufferedIndex(tsunami_factory, merge_threshold=100_000)
         index.build(fresh_table, fresh_workload)
-        manager = LifecycleManager(index, LifecycleConfig(observe_window=100_000))
+        manager = LifecycleManager(index)
         frontend = ServingFrontend(manager, small_config())
         assert manager._listeners == [frontend._on_lifecycle_event]
         frontend.close()
@@ -348,12 +356,11 @@ class TestCacheHitObservation:
     and its drift windows starved exactly when caching worked best.
     """
 
-    def test_cache_hits_reach_lifecycle_observer(self, fresh_table, fresh_workload):
+    def test_cache_hits_reach_lifecycle_observer(self, fresh_table, fresh_workload, monkeypatch):
+        monkeypatch.setattr(lifecycle, "OBSERVE_WINDOW", 64)
         index = DeltaBufferedIndex(tsunami_factory, merge_threshold=100_000)
         index.build(fresh_table, fresh_workload)
-        manager = LifecycleManager(
-            index, LifecycleConfig(observe_window=64, reoptimize_on_drift=False)
-        )
+        manager = LifecycleManager(index)
         query = list(fresh_workload)[0]
         with ServingFrontend(manager, small_config()) as frontend:
             for _ in range(260):
@@ -374,10 +381,11 @@ class TestCacheHitObservation:
         assert report.windows_observed >= (executed + observed) // 64 - 1
         assert report.windows_observed > executed // 64
 
-    def test_observation_preserves_served_values(self, fresh_table, fresh_workload):
+    def test_observation_preserves_served_values(self, fresh_table, fresh_workload, monkeypatch):
+        monkeypatch.setattr(lifecycle, "OBSERVE_WINDOW", 32)
         index = DeltaBufferedIndex(tsunami_factory, merge_threshold=100_000)
         index.build(fresh_table, fresh_workload)
-        manager = LifecycleManager(index, LifecycleConfig(observe_window=32))
+        manager = LifecycleManager(index)
         queries = list(fresh_workload)[:8]
         expected = [index.execute(q).value for q in queries]
         stream = zipf_stream(queries, 500, seed=9)

@@ -79,6 +79,53 @@ class TestColumnAccess:
         assert wide.dtype == np.int64
 
 
+@pytest.fixture(params=["heap", "memory-mapped"])
+def stored(request, tmp_path):
+    """A column over ``[10, 20, 30, 40]`` in the heap or in a read-only file."""
+    values = np.array([10, 20, 30, 40], dtype=np.int64)
+    if request.param == "heap":
+        return Column("a", values)
+    np.save(tmp_path / "a.npy", values)
+    column = Column("a", np.load(tmp_path / "a.npy", mmap_mode="r"), narrow=False)
+    assert column.is_memory_mapped
+    return column
+
+
+class TestValuesArray:
+    """A column hands out one read-only array, which follows its re-sorts."""
+
+    @staticmethod
+    def assert_one_read_only_array(column: Column, expected: list[int]) -> None:
+        assert column.values is column.values
+        assert not column.values.flags.writeable
+        assert column.values.tolist() == expected
+
+    def test_one_read_only_array(self, stored):
+        self.assert_one_read_only_array(stored, [10, 20, 30, 40])
+        with pytest.raises(ValueError):
+            stored.values[0] = 9
+
+    def test_follows_reorder(self, stored):
+        stored.reorder(np.array([3, 2, 1, 0]))
+        self.assert_one_read_only_array(stored, [40, 30, 20, 10])
+
+    def test_follows_reorder_rows(self, stored, tmp_path):
+        stored.reorder_rows(np.array([1, 0]), 1, 3)
+        self.assert_one_read_only_array(stored, [10, 30, 20, 40])
+        stored.reorder_rows(np.array([2, 1, 0]), 0, 3)
+        self.assert_one_read_only_array(stored, [20, 30, 10, 40])
+        if (tmp_path / "a.npy").exists():
+            # The mapped file is never written through.
+            assert np.load(tmp_path / "a.npy").tolist() == [10, 20, 30, 40]
+
+    def test_reorder_rows_leaves_the_viewed_column_alone(self):
+        owner = Column("a", np.array([10, 20, 30, 40]))
+        view = Column("a", owner.slice(0, 4), narrow=False)
+        view.reorder_rows(np.array([3, 2, 1, 0]), 0, 4)
+        self.assert_one_read_only_array(view, [40, 30, 20, 10])
+        self.assert_one_read_only_array(owner, [10, 20, 30, 40])
+
+
 class TestValueConversion:
     def test_string_roundtrip(self):
         column = Column.from_values("mode", ["rail", "air"])

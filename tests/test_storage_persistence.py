@@ -6,8 +6,15 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.baselines import KdTreeIndex
+from repro.baselines import (
+    FloodIndex,
+    GridFileIndex,
+    HyperOctreeIndex,
+    KdTreeIndex,
+    RTreeIndex,
+)
 from repro.common.errors import IndexBuildError, SchemaError
+from repro.core.cost_model import CostModel
 from repro.core.delta import DeltaBufferedIndex
 from repro.core.sharding import ShardedIndex
 from repro.core.tsunami import TsunamiConfig, TsunamiIndex
@@ -168,6 +175,55 @@ class TestIndexRoundTrip:
             assert list(loaded._ranges_for_query(query)) == ranges
             assert loaded.execute(query).value == answer
         assert loaded.plan_cache_stats().hits > hits
+
+    @staticmethod
+    def assert_round_trips_alike(index, queries, tmp_path) -> None:
+        """The snapshot of ``index``, and a fresh save of the loaded copy,
+        answer every query with the same value and ``ScanStats``."""
+        served = [index.execute(query) for query in queries]
+        save_index(index, tmp_path / "older")
+        loaded = load_index(tmp_path / "older")
+        save_index(loaded, tmp_path / "resaved")
+        for restored in (loaded, load_index(tmp_path / "resaved")):
+            assert restored.index_size_bytes() == index.index_size_bytes()
+            for query, result in zip(queries, served):
+                again = restored.execute(query)
+                assert again.value == result.value
+                assert again.stats == result.stats
+
+    def test_snapshot_with_removed_tuning_fields_loads(self, tmp_path, fresh_table, fresh_workload):
+        """Older snapshots pickled ``TsunamiConfig`` with ``cost_model``,
+        ``optimizer_sample_rows``, ``target_points_per_cell`` and ``seed``,
+        and ``GridTreeConfig`` with ``max_depth`` and ``max_children``; they
+        are module constants now."""
+        index = TsunamiIndex(TsunamiConfig(optimizer_iterations=1)).build(
+            fresh_table, fresh_workload
+        )
+        index.config.__dict__.update(
+            cost_model=CostModel(), optimizer_sample_rows=10_000, target_points_per_cell=128, seed=43
+        )
+        index.config.grid_tree.__dict__.update(max_depth=4, max_children=6)
+        assert index.grid_tree.config is index.config.grid_tree
+        self.assert_round_trips_alike(index, list(fresh_workload)[:15], tmp_path)
+
+    @pytest.mark.parametrize(
+        "factory, removed",
+        [
+            (lambda: FloodIndex(optimizer_iterations=1), {"sample_rows": 20_000, "max_cells": 1 << 20, "seed": 47}),
+            (lambda: HyperOctreeIndex(page_size=256), {"max_split_dimensions": 6, "max_depth": 32}),
+            (lambda: RTreeIndex(page_size=256), {"fanout": 16, "max_indexed_dimensions": 6}),
+            (lambda: GridFileIndex(page_size=256), {"max_cells": 1 << 18, "max_indexed_dimensions": 6}),
+        ],
+        ids=["flood", "hyperoctree", "r-tree", "grid-file"],
+    )
+    def test_baseline_snapshot_with_removed_attributes_loads(
+        self, tmp_path, fresh_table, fresh_workload, factory, removed
+    ):
+        """Older baseline snapshots pickled their tuning values as attributes;
+        they are module constants now."""
+        index = factory().build(fresh_table, fresh_workload)
+        index.__dict__.update(removed)
+        self.assert_round_trips_alike(index, list(fresh_workload)[:15], tmp_path)
 
     def test_original_index_still_usable_after_save(self, tmp_path, fresh_table, fresh_workload):
         index = TsunamiIndex(TsunamiConfig(optimizer_iterations=1)).build(
