@@ -38,9 +38,11 @@ NUM_CLIENTS = 16
 
 def main() -> None:
     table, workload = load_dataset("taxi", num_rows=40_000, queries_per_type=30)
-    # The 500-row insert burst below reaches the merge threshold, so a merge
-    # folds every inserted row into the table while the front-end serves
-    # (the loop's 10% pressure, 4,000 rows here, is not reached).
+    # The 500-row insert burst below reaches the merge threshold, so the
+    # delta index folds every inserted row into the table inside that write,
+    # while the front-end holds its batches back; the loop books the merge
+    # as a "threshold" event, which drops the result cache once more (the
+    # loop's 10% pressure, 4,000 rows here, is not reached).
     index = DeltaBufferedIndex(
         lambda: TsunamiIndex(TsunamiConfig(optimizer_iterations=2)),
         merge_threshold=500,
@@ -80,7 +82,8 @@ def main() -> None:
 
         # Writes go through the same front door; every cached result is
         # dropped at insert time (pending delta rows are visible immediately),
-        # and a lifecycle merge or re-optimization invalidates the same way.
+        # and every merge or re-optimization the loop books invalidates the
+        # same way, the threshold merge inside this write included.
         probe = stream[0]
         before = frontend.query(probe).value
         base = backend.index.table

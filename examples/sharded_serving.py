@@ -67,7 +67,7 @@ def main() -> None:
     # A skewed batch through the engine, checked against the full-scan oracle.
     engine = QueryEngine(index=index)
     batch = [list(workload)[i % len(workload)] for i in range(512)]
-    results = engine.run_batch(batch, batch_size=256)
+    results = engine.run_batch(batch)
     for query, result in zip(batch[:5], results[:5]):
         expected, _ = execute_full_scan(index.table, query)
         assert result.value == expected

@@ -24,8 +24,14 @@ one level up, wrapping *any* clustered index in the repository:
   insert immediately and the buffer's work counters are those of a scan.
 * Once the buffer reaches ``merge_threshold`` rows (or on an explicit
   :meth:`merge` call), the buffered rows are folded into the table — the
-  "periodic merge" of the differential-file technique the paper cites.  How
-  the fold happens is controlled by ``merge_strategy``:
+  "periodic merge" of the differential-file technique the paper cites.
+  :attr:`DeltaBufferedIndex.merge_history` records every attempt, a failed
+  one with its ``error``; it is the one record of merges, and the lifecycle
+  loop reads its events from it.  An automatic merge is maintenance, not
+  part of the write: one that fails keeps every row buffered (the rest of
+  the batch included) and is retried at the next threshold crossing, while
+  an explicit :meth:`merge` re-raises.  How the fold happens is controlled by
+  ``merge_strategy``:
 
   * ``"local"`` (the default): when the wrapped index is a built
     :class:`~repro.core.tsunami.TsunamiIndex`, the merge routes buffered rows
@@ -107,8 +113,9 @@ class MergeReport(Record):
     ``strategy`` records the path that actually ran (a ``"local"`` request
     falls back to ``"rebuild"`` when the wrapped index has no region layout);
     ``regions_touched`` / ``regions_total`` are filled by local merges only.
-    ``rebuild_seconds`` keeps its historical name and times whichever
-    reorganization ran.
+    ``rebuild_seconds`` keeps its historical name and times the whole
+    attempt.  A failed attempt carries its ``error`` (the exception's
+    ``repr``), merged no rows, and reports the table it left in place.
     """
 
     rows_merged: int
@@ -117,6 +124,7 @@ class MergeReport(Record):
     strategy: str = "rebuild"
     regions_touched: int | None = None
     regions_total: int | None = None
+    error: str | None = None
 
 
 class DeltaBuffer:
@@ -363,10 +371,6 @@ class DeltaBufferedIndex:
         """Total rows visible to queries (main table plus pending inserts)."""
         return self._require_built().table.num_rows + self.num_pending
 
-    def _maybe_merge(self) -> None:
-        if self.num_pending and self.num_pending >= self.merge_threshold:
-            self.merge()
-
     def insert(self, row: Mapping[str, object]) -> None:
         """Insert one ``{column: user-facing value}`` row: an :meth:`insert_many` of one."""
         self.insert_many([row])
@@ -393,22 +397,30 @@ class DeltaBufferedIndex:
         ``columns`` is what :meth:`~repro.storage.table.Table.encode_rows`
         returns; a sharded index encodes a batch once and hands each shard
         its slice.  Rows are appended in merge-threshold-sized chunks so the
-        automatic merge cadence matches a per-row insert loop.
+        automatic merge cadence matches a per-row insert loop.  An automatic
+        merge that fails does not fail the write: it is recorded in
+        :attr:`merge_history`, the rest of the batch is buffered with no
+        second attempt in this call, and the next threshold crossing retries.
         """
         self._require_built()
         assert self._buffer is not None
         total = len(next(iter(columns.values())))
         offset = 0
+        merging = True
         while offset < total:
             chunk = total - offset
-            if self.merge_threshold > 0:
+            if merging and self.merge_threshold > 0:
                 room = self.merge_threshold - self.num_pending
                 chunk = min(chunk, max(room, 1))
             self._buffer.append_many(
                 {name: array[offset : offset + chunk] for name, array in columns.items()}
             )
             offset += chunk
-            self._maybe_merge()
+            if merging and self.num_pending >= self.merge_threshold:
+                try:
+                    self.merge()
+                except Exception:
+                    merging = False  # recorded in the history; rows stay buffered
 
     # -- merging ----------------------------------------------------------------------
 
@@ -419,52 +431,63 @@ class DeltaBufferedIndex:
         ``merge_strategy="local"`` and a wrapped index that supports it, only
         the regions whose rows changed are reorganized (see
         :mod:`repro.core.local_merge`); otherwise the whole wrapped index is
-        rebuilt.  Either way a merge that fails mid-way leaves the index
-        serving the old table with the buffer intact.
+        rebuilt.  Every attempt is appended to :attr:`merge_history`.  A
+        merge that fails mid-way is recorded with its ``error`` and re-raised,
+        and leaves the index serving the old table with the buffer intact.
         """
         index = self._require_built()
         assert self._buffer is not None
         pending = self.num_pending
         if pending == 0:
             return None
-        faults.trigger("delta.merge")
+        strategy = "local" if self.merge_strategy == "local" and supports_local_merge(index) else "rebuild"
+        touched = total = None
         start = time.perf_counter()
-        if self.merge_strategy == "local" and supports_local_merge(index):
-            outcome = local_merge(index, self._buffer.table)
-            report = MergeReport(
-                rows_merged=pending,
+        try:
+            faults.trigger("delta.merge")
+            if strategy == "local":
+                outcome = local_merge(index, self._buffer.table)
+                touched, total = outcome.regions_touched, outcome.regions_total
+            else:
+                self._index = self._rebuilt(index)
+        except Exception as exc:
+            failed = MergeReport(
+                rows_merged=0,
                 rebuild_seconds=time.perf_counter() - start,
                 total_rows=index.table.num_rows,
-                strategy="local",
-                regions_touched=outcome.regions_touched,
-                regions_total=outcome.regions_total,
+                strategy=strategy,
+                error=repr(exc),
             )
-        else:
-            report = self._rebuild_merge(index, start)
+            self._merges.append(failed)
+            raise
+        report = MergeReport(
+            rows_merged=pending,
+            rebuild_seconds=time.perf_counter() - start,
+            total_rows=self._index.table.num_rows,
+            strategy=strategy,
+            regions_touched=touched,
+            regions_total=total,
+        )
         self._buffer = DeltaBuffer(index.table.column_names)
         self._merges.append(report)
         return report
 
-    def _rebuild_merge(self, index: ClusteredIndex, start: float) -> MergeReport:
-        """The global path: concatenate the buffer and rebuild the index."""
+    def _rebuilt(self, index: ClusteredIndex) -> ClusteredIndex:
+        """The global path: a new wrapped index over the table plus the buffer.
+
+        The replacement is built fully before :meth:`merge` installs it, so a
+        rebuild that fails (or is fault-injected) leaves the index serving
+        the old table with the buffer intact, not half-replaced.
+        """
         assert self._buffer is not None
         merged_table = Table.concat(index.table.name, [index.table, self._buffer.table])
-        # Build the replacement fully before installing it: a rebuild that
-        # fails (or is fault-injected) must leave the index serving the old
-        # table with the buffer intact, not half-replaced.
         rebuilt = self._index_factory()
         rebuilt.build(merged_table, self._workload)
-        self._index = rebuilt
-        return MergeReport(
-            rows_merged=len(self._buffer),
-            rebuild_seconds=time.perf_counter() - start,
-            total_rows=merged_table.num_rows,
-            strategy="rebuild",
-        )
+        return rebuilt
 
     @property
     def merge_history(self) -> list[MergeReport]:
-        """Every merge performed so far, in order."""
+        """Every merge attempted so far, in order; a failed one has an ``error``."""
         return list(self._merges)
 
     # -- queries ----------------------------------------------------------------------
@@ -523,13 +546,7 @@ class DeltaBufferedIndex:
         plan["table_fraction_scanned"] = plan["rows_to_scan"] / max(self.num_rows, 1)
         plan["merge_strategy"] = self.merge_strategy
         if self._merges:
-            last = self._merges[-1]
-            plan["last_merge"] = {
-                "strategy": last.strategy,
-                "rows_merged": last.rows_merged,
-                "regions_touched": last.regions_touched,
-                "regions_total": last.regions_total,
-            }
+            plan["last_merge"] = self._merges[-1].as_dict()
         return plan
 
     def index_size_bytes(self) -> int:
@@ -544,16 +561,10 @@ class DeltaBufferedIndex:
             "pending_inserts": self.num_pending,
             "merge_threshold": self.merge_threshold,
             "merge_strategy": self.merge_strategy,
-            "num_merges": len(self._merges),
+            "num_merges": sum(report.error is None for report in self._merges),
             "total_rows": self.num_rows,
             "base_index": self._require_built().describe(),
         }
         if self._merges:
-            last = self._merges[-1]
-            info["last_merge"] = {
-                "strategy": last.strategy,
-                "rows_merged": last.rows_merged,
-                "regions_touched": last.regions_touched,
-                "regions_total": last.regions_total,
-            }
+            info["last_merge"] = self._merges[-1].as_dict()
         return info

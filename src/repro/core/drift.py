@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.common.records import Record
-from repro.core.query_types import DEFAULT_EPS, cluster_query_types, queries_by_type
+from repro.core.query_types import EPS, cluster_query_types, queries_by_type
 from repro.query.query import Query
 from repro.query.selectivity import selectivity_vector
 from repro.query.workload import Workload
@@ -63,7 +63,7 @@ class WorkloadDriftDetector:
 
     An observed query is an instance of a known type when its selectivity
     embedding lies within the type-clustering DBSCAN ``eps``
-    (:data:`~repro.core.query_types.DEFAULT_EPS`) of that type's centroid.
+    (:data:`~repro.core.query_types.EPS`) of that type's centroid.
     """
 
     _table: Table | None = field(default=None, init=False, repr=False)
@@ -135,7 +135,7 @@ class WorkloadDriftDetector:
             distance = float(np.linalg.norm(embedding - centroid))
             if best is None or distance < best[0]:
                 best = (distance, type_id)
-        if best is None or best[0] > DEFAULT_EPS:
+        if best is None or best[0] > EPS:
             return None
         return best[1]
 

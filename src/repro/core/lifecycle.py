@@ -20,18 +20,28 @@ where it moved.  :class:`LifecycleManager` ties them into one loop:
   fraction of the main table) trigger a merge even before the wrapper's own
   absolute ``merge_threshold`` does.
 
-Everything the loop does is recorded in a :class:`LifecycleReport` (counters
-plus an ordered :class:`LifecycleEvent` log) that the benchmarks serialize via
+The delta index's :attr:`~repro.core.delta.DeltaBufferedIndex.merge_history`
+is the one record of merges.  After each call that can merge (an insert,
+whose threshold merges the delta index runs itself, the pressure check and
+a drift's repair), the loop turns each new history entry into one ``merge``
+event, or one ``maintenance_error`` event for a failed attempt, whose
+details are the entry's ``as_dict()`` plus its trigger (``threshold``,
+``pressure`` or ``drift``), and refits the drift detector once on the table
+now served.  The ordered :class:`LifecycleEvent` log is the report: a
+:class:`LifecycleReport` keeps only serving counters beside it and reads its
+maintenance totals from the log, so it cannot disagree with its events or
+with the index.  The benchmarks serialize it via
 :meth:`LifecycleReport.as_dict`, and every event is also pushed to listeners
 registered via :meth:`LifecycleManager.subscribe` — that is how the serving
 front-end's result cache learns that a merge or reoptimization it did not
 initiate (buffer pressure, drift) made its entries stale.
 
-Maintenance degrades gracefully: a merge or re-optimization that fails (for
-real, or through an injected fault at the ``delta.merge`` /
-``lifecycle.reoptimize`` sites) is recorded as a ``maintenance_error`` event
-and serving continues on the current layout — the failed action retries the
-next time its trigger fires.
+Maintenance degrades gracefully: an automatic merge is maintenance, not part
+of the write, and a merge or re-optimization that fails (for real, or
+through an injected fault at the ``delta.merge`` / ``lifecycle.reoptimize``
+sites) is recorded as a ``maintenance_error`` event while serving continues
+on the current layout.  A failed merge keeps every row buffered, and the
+failed action retries the next time its trigger fires.
 """
 
 from __future__ import annotations
@@ -72,23 +82,58 @@ class LifecycleEvent:
 
 @dataclass
 class LifecycleReport(Record):
-    """Running totals of everything the lifecycle loop has done."""
+    """Serving counters plus the event log; maintenance totals come from the log."""
 
     queries_served: int = 0
     batches_served: int = 0
     rows_inserted: int = 0
     windows_observed: int = 0
-    drifts_detected: int = 0
-    merges: int = 0
-    local_merges: int = 0
-    rows_merged: int = 0
-    merge_regions_touched: int = 0
-    merge_regions_total: int = 0
-    reoptimizations: int = 0
-    regions_reoptimized: int = 0
-    maintenance_failures: int = 0
-    maintenance_seconds: float = 0.0
     events: list[LifecycleEvent] = field(default_factory=list)
+
+    def _of(self, kind: str) -> list[LifecycleEvent]:
+        return [event for event in self.events if event.kind == kind]
+
+    @property
+    def drifts_detected(self) -> int:
+        """Windows whose queries had drifted from the fitted workload."""
+        return len(self._of("drift"))
+
+    @property
+    def merges(self) -> int:
+        """Merges that folded pending rows into the table."""
+        return len(self._of("merge"))
+
+    @property
+    def local_merges(self) -> int:
+        """Merges that reorganized only the regions their rows touched."""
+        return sum(event.details["strategy"] == "local" for event in self._of("merge"))
+
+    @property
+    def rows_merged(self) -> int:
+        """Pending rows folded into the table across every merge."""
+        return sum(event.details["rows_merged"] for event in self._of("merge"))
+
+    @property
+    def reoptimizations(self) -> int:
+        """Drift repairs that ran to completion."""
+        return len(self._of("reoptimize"))
+
+    @property
+    def regions_reoptimized(self) -> int:
+        """Regions the drift repairs re-optimized."""
+        return sum(
+            len(event.details["regions_reoptimized"]) for event in self._of("reoptimize")
+        )
+
+    @property
+    def maintenance_failures(self) -> int:
+        """Merges and re-optimizations that failed."""
+        return len(self._of("maintenance_error"))
+
+    @property
+    def maintenance_seconds(self) -> float:
+        """Time spent in merges and re-optimizations, failed ones included."""
+        return sum(event.seconds for event in self.events)
 
 
 class LifecycleManager:
@@ -108,6 +153,7 @@ class LifecycleManager:
             raise IndexBuildError("LifecycleManager requires a built DeltaBufferedIndex")
         self.index = index
         self._report = LifecycleReport()
+        self._booked = len(index.merge_history)  # history entries turned into events
         self._window: list[Query] = []
         self._observed = 0  # queries handed to drift observation so far
         self._stamp = 0  # observed-query offset new events are stamped with
@@ -163,10 +209,15 @@ class LifecycleManager:
         self.insert_many([row])
 
     def insert_many(self, rows: Sequence) -> None:
-        """Insert several rows, merging if buffer pressure demands it."""
+        """Insert several rows, merging if buffer pressure demands it.
+
+        The merges the delta index runs itself at its ``merge_threshold``
+        are booked as ``threshold`` events.
+        """
         rows = list(rows)
         self.index.insert_many(rows)
         self._report.rows_inserted += len(rows)
+        self._book_merges("threshold")
         self._check_pressure()
 
     # -- the loop -----------------------------------------------------------------------
@@ -178,67 +229,46 @@ class LifecycleManager:
         if self.index.num_pending / main_rows >= MERGE_PRESSURE:
             self._merge(trigger="pressure")
 
-    def _maintenance_failed(
-        self, operation: str, trigger: str, error: BaseException, seconds: float
-    ) -> None:
-        """Record a failed maintenance action and keep serving.
+    def _merge(self, trigger: str) -> bool:
+        """Merge pending inserts; ``False`` only when the merge *failed*.
 
         Maintenance (merge, reoptimize) is an optimization, not a
-        correctness requirement: the delta buffer keeps absorbing inserts and
-        the current layout keeps answering queries, so a failed action is
-        recorded as a ``maintenance_error`` event (listeners see it too) and
-        retried naturally the next time its trigger fires.
+        correctness requirement: the delta buffer keeps absorbing inserts
+        and the current layout keeps answering queries, so a failed merge is
+        booked from the history as a ``maintenance_error`` event and retried
+        the next time its trigger fires.
         """
-        self._report.maintenance_failures += 1
-        self._report.maintenance_seconds += seconds
-        self._record(
-            "maintenance_error",
-            seconds,
-            {"operation": operation, "trigger": trigger, "error": repr(error)},
-        )
-
-    def _merge(self, trigger: str) -> bool:
-        """Merge pending inserts; ``False`` only when the merge *failed*."""
-        start = time.perf_counter()
         try:
-            report = self.index.merge()
-        except Exception as exc:
-            self._maintenance_failed("merge", trigger, exc, time.perf_counter() - start)
-            return False
-        seconds = time.perf_counter() - start
-        if report is None:
-            return True
-        self._report.merges += 1
-        self._report.rows_merged += report.rows_merged
-        self._report.maintenance_seconds += seconds
-        # Thread the MergeReport through so scenario reports show per-merge
-        # cost over time: which strategy ran, how long the reorganization
-        # took, and — for local merges — how localized it actually was.
-        details = {
-            "trigger": trigger,
-            "rows_merged": report.rows_merged,
-            "total_rows": report.total_rows,
-            "strategy": report.strategy,
-            "merge_seconds": report.rebuild_seconds,
-        }
-        if report.strategy == "local":
-            self._report.local_merges += 1
-        if report.regions_touched is not None:
-            details["regions_touched"] = report.regions_touched
-            details["regions_total"] = report.regions_total
-            self._report.merge_regions_touched += report.regions_touched
-            self._report.merge_regions_total += report.regions_total or 0
-        self._record("merge", seconds, details)
-        if self._detector is not None:
-            # The merge replaced the table the detector sampled selectivities
-            # from; resample against the data now being served (keeping the
-            # same workload baseline) so verdicts don't drift from reality and
-            # the superseded table isn't pinned in memory.
+            self.index.merge()
+        except Exception:
+            pass  # the failed attempt is in the merge history
+        return self._book_merges(trigger)
+
+    def _book_merges(self, trigger: str) -> bool:
+        """Turn the index's new merge history entries into events.
+
+        Refits the detector once if any of them folded rows in: the merge
+        replaced the table it sampled selectivities from, so it resamples
+        against the data now served (keeping the same workload baseline) and
+        stops pinning the superseded table.  Returns whether every new entry
+        succeeded.
+        """
+        history = self.index.merge_history
+        entries = history[self._booked :]
+        self._booked = len(history)
+        for entry in entries:
+            details = {**entry.as_dict(), "trigger": trigger}
+            if entry.error is None:
+                self._record("merge", entry.rebuild_seconds, details)
+            else:
+                details = {"operation": "merge", **details}
+                self._record("maintenance_error", entry.rebuild_seconds, details)
+        if self._detector is not None and any(entry.error is None for entry in entries):
             base = self.index.base_index
             workload = getattr(base, "typed_workload", None) or self.index.workload
             if workload is not None and len(workload) > 0:
                 self._detector = self._detector.refit(workload, base.table)
-        return True
+        return all(entry.error is None for entry in entries)
 
     def _observe(self, queries: Sequence[Query]) -> None:
         self._observed += len(queries)
@@ -260,7 +290,6 @@ class LifecycleManager:
         drift = self._detector.observe(window)
         if not drift.drifted:
             return
-        self._report.drifts_detected += 1
         self._record("drift", 0.0, {"reasons": list(drift.reasons)})
         base = self.index.base_index
         if not isinstance(base, TsunamiIndex):
@@ -279,17 +308,15 @@ class LifecycleManager:
             faults.trigger("lifecycle.reoptimize")
             report = IncrementalReoptimizer(base).reoptimize(observed)
         except Exception as exc:
-            self._maintenance_failed(
-                "reoptimize", "drift", exc, time.perf_counter() - start
+            self._record(
+                "maintenance_error",
+                time.perf_counter() - start,
+                {"operation": "reoptimize", "trigger": "drift", "error": repr(exc)},
             )
             return
-        seconds = time.perf_counter() - start
-        self._report.reoptimizations += 1
-        self._report.regions_reoptimized += len(report.regions_reoptimized)
-        self._report.maintenance_seconds += seconds
         self._record(
             "reoptimize",
-            seconds,
+            time.perf_counter() - start,
             {
                 "regions_reoptimized": list(report.regions_reoptimized),
                 "regions_considered": report.regions_considered,
@@ -330,20 +357,6 @@ class LifecycleManager:
         self._report.events.append(event)
         for listener in list(self._listeners):
             listener(event)
-
-    def tick(self) -> list[LifecycleEvent]:
-        """Run one maintenance pass now, regardless of thresholds.
-
-        Checks buffer pressure and evaluates whatever partial window has
-        accumulated; returns the events the pass produced.
-        """
-        before = len(self._report.events)
-        self._check_pressure()
-        if self._detector is not None and self._window:
-            window = list(self._window)
-            self._window.clear()
-            self._evaluate_window(window)
-        return self._report.events[before:]
 
     def report(self) -> LifecycleReport:
         """The running lifecycle report (live object, not a copy)."""

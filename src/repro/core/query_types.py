@@ -30,30 +30,27 @@ from repro.query.workload import Workload
 from repro.stats.clustering import assign_noise_to_clusters, dbscan
 from repro.storage.table import Table
 
-DEFAULT_EPS = 0.2
-DEFAULT_MIN_SAMPLES = 4
+#: DBSCAN's neighbourhood radius over selectivity vectors (the paper's 0.2).
+EPS = 0.2
+#: DBSCAN's core-point size, capped at half of a small group.
+MIN_SAMPLES = 4
+#: Rows of the table the selectivity embeddings are computed on.
+SAMPLE_ROWS = 20_000
 
 
-def cluster_query_types(
-    table: Table,
-    workload: Workload,
-    eps: float = DEFAULT_EPS,
-    min_samples: int = DEFAULT_MIN_SAMPLES,
-    sample_rows: int = 20_000,
-    seed: int = 17,
-) -> Workload:
+def cluster_query_types(table: Table, workload: Workload, seed: int = 17) -> Workload:
     """Return a copy of ``workload`` with every query labelled by query type.
 
-    Selectivity embeddings are computed against a row sample of ``table`` for
-    efficiency; the clustering only needs selectivities to be approximately
-    right, not exact.
+    Selectivity embeddings are computed against a row sample of at most
+    :data:`SAMPLE_ROWS` rows of ``table`` for efficiency; the clustering only
+    needs selectivities to be approximately right, not exact.
     """
     if len(workload) == 0:
         return Workload([], name=workload.name)
 
     sample = table
-    if table.num_rows > sample_rows:
-        sample = table.sample_rows(sample_rows, make_rng(seed))
+    if table.num_rows > SAMPLE_ROWS:
+        sample = table.sample_rows(SAMPLE_ROWS, make_rng(seed))
 
     # Step 1: group queries by the set of dimensions they filter.
     groups: dict[tuple[str, ...], list[tuple[int, Query]]] = {}
@@ -79,8 +76,8 @@ def cluster_query_types(
             embeddings[row] = [vector[dim] for dim in key]
 
         # Step 3: DBSCAN with eps=0.2 determines the clusters automatically.
-        effective_min_samples = min(min_samples, max(1, len(members) // 2))
-        labels = dbscan(embeddings, eps=eps, min_samples=effective_min_samples)
+        effective_min_samples = min(MIN_SAMPLES, max(1, len(members) // 2))
+        labels = dbscan(embeddings, eps=EPS, min_samples=effective_min_samples)
         labels = assign_noise_to_clusters(embeddings, labels)
 
         remapped: dict[int, int] = {}

@@ -13,7 +13,7 @@ from repro.query.workload import Workload, WorkloadStatistics
 from repro.query.selectivity import query_selectivity, selectivity_vector
 from repro.query.engine import execute_full_scan
 from repro.query.sql import parse_query, parse_statement, execute_sql
-from repro.query.profile import WorkloadProfile, DimensionProfile, profile_workload
+from repro.query.profile import WorkloadProfile, DimensionProfile
 
 __all__ = [
     "Predicate",
@@ -31,5 +31,4 @@ __all__ = [
     "execute_sql",
     "WorkloadProfile",
     "DimensionProfile",
-    "profile_workload",
 ]

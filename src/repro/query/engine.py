@@ -81,22 +81,14 @@ class QueryEngine:
         """Answer one query; returns a ``QueryResult``."""
         return self._index.execute(query)
 
-    def run_batch(self, queries: Sequence[Query], batch_size: int | None = None):
-        """Answer ``queries`` in batches, in input order.
+    def run_batch(self, queries: Sequence[Query]):
+        """Answer ``queries`` as one index batch, in input order.
 
-        ``batch_size`` bounds how many queries share one index batch (and
-        therefore its dedup and routing); ``None`` runs the whole sequence
-        as a single batch.  Results are identical to calling :meth:`run` per
-        query.
+        The batch shares its dedup and routing; a caller that wants smaller
+        batches slices the sequence itself.  Results are identical to
+        calling :meth:`run` per query.
         """
-        queries = list(queries)
-        if batch_size is not None and batch_size < 1:
-            raise QueryError(f"batch_size must be >= 1, got {batch_size}")
-        step = batch_size or max(len(queries), 1)
-        results = []
-        for start in range(0, len(queries), step):
-            results.extend(self._index.execute_batch(queries[start : start + step]))
-        return results
+        return self._index.execute_batch(list(queries))
 
     def insert(self, row) -> None:
         """Insert one row through an updatable index (delta or sharded)."""

@@ -10,14 +10,14 @@ workload the same way the index does.
 
 The skew number reported per dimension is a ranking signal, not the Grid
 Tree's ``Skew_i``.  Per query type it histograms the query mass over
-``num_bins`` equal-width bins of the dimension's full domain, normalizes the
+:data:`NUM_BINS` equal-width bins of the dimension's full domain, normalizes the
 histogram to total one, and takes its Earth Mover's Distance to the uniform
 histogram (:func:`~repro.stats.emd.earth_movers_distance`); the types' values
-are summed (§4.3.1).  That equals ``num_bins / (the type's query mass)``
+are summed (§4.3.1).  That equals ``NUM_BINS / (the type's query mass)``
 times the Grid Tree's per-type skew (:func:`repro.core.skew.mass_emd`, in
 units of query mass), and it always uses equal-width bins, where the Grid
 Tree uses one bin per distinct value when a dimension has at most
-``num_bins`` of them.  So it reads several times the Grid Tree's root skew
+``NUM_BINS`` of them.  So it reads several times the Grid Tree's root skew
 (5.1-5.7x on every dimension of taxi and perfmon at 20k rows and 25 queries
 per type), and it compares dimensions with each other, not with Grid Tree
 thresholds.
@@ -35,6 +35,13 @@ from repro.query.workload import Workload
 from repro.stats.emd import earth_movers_distance, uniform_like
 from repro.stats.histogram import query_histogram
 from repro.storage.table import Table
+
+#: Equal-width bins per dimension of the skew histograms.
+NUM_BINS = 128
+#: Rows of the table the selectivities are estimated on.
+SAMPLE_ROWS = 50_000
+#: Seed of that row sample.
+SEED = 7
 
 
 @dataclass(frozen=True)
@@ -64,7 +71,7 @@ class WorkloadProfile:
 
     Each dimension's ``skew`` is the sum over query types of the EMD between
     the type's query-mass histogram, normalized to one, and the uniform one
-    (see the module docstring): ``num_bins / type mass`` times the Grid
+    (see the module docstring): ``NUM_BINS / type mass`` times the Grid
     Tree's ``mass_emd``, over equal-width bins only.
     """
 
@@ -76,25 +83,18 @@ class WorkloadProfile:
     # -- construction -------------------------------------------------------------
 
     @classmethod
-    def build(
-        cls,
-        table: Table,
-        workload: Workload,
-        num_bins: int = 128,
-        sample_rows: int = 50_000,
-        seed: int = 7,
-    ) -> "WorkloadProfile":
+    def build(cls, table: Table, workload: Workload) -> "WorkloadProfile":
         """Profile ``workload`` against ``table``.
 
-        Selectivities are estimated on a row sample of at most ``sample_rows``
-        rows; skew uses ``num_bins`` equal-width bins per dimension and is
-        summed over query types as in §4.3.1.
+        Selectivities are estimated on a row sample of at most
+        :data:`SAMPLE_ROWS` rows; skew uses :data:`NUM_BINS` equal-width bins
+        per dimension and is summed over query types as in §4.3.1.
         """
         if len(workload) == 0:
             raise ValueError("cannot profile an empty workload")
         sample = table
-        if table.num_rows > sample_rows:
-            sample = table.sample_rows(sample_rows, np.random.default_rng(seed))
+        if table.num_rows > SAMPLE_ROWS:
+            sample = table.sample_rows(SAMPLE_ROWS, np.random.default_rng(SEED))
 
         types = workload.by_type()
         profiles = []
@@ -115,7 +115,7 @@ class WorkloadProfile:
                     filter_frequency=len(filtering) / len(workload),
                     equality_fraction=equality / len(filtering),
                     avg_selectivity=float(np.mean(selectivities)),
-                    skew=cls._dimension_skew(table, types, dimension, num_bins),
+                    skew=cls._dimension_skew(table, types, dimension),
                 )
             )
         profiles.sort(key=lambda profile: (-profile.filter_frequency, profile.dimension))
@@ -128,10 +128,7 @@ class WorkloadProfile:
 
     @staticmethod
     def _dimension_skew(
-        table: Table,
-        types: dict[int | None, list[Query]],
-        dimension: str,
-        num_bins: int,
+        table: Table, types: dict[int | None, list[Query]], dimension: str
     ) -> float:
         """Per-type EMD of normalized query mass to uniform, summed over types.
 
@@ -148,7 +145,7 @@ class WorkloadProfile:
             ]
             if not intervals:
                 continue
-            histogram = query_histogram(intervals, float(low), domain_high, num_bins=num_bins)
+            histogram = query_histogram(intervals, float(low), domain_high, num_bins=NUM_BINS)
             total += earth_movers_distance(histogram.counts, uniform_like(histogram.counts))
         return total
 
@@ -160,29 +157,6 @@ class WorkloadProfile:
             if profile.dimension == dimension:
                 return profile
         return None
-
-    def ranked_dimensions(self) -> list[str]:
-        """Dimensions ranked by how much index attention they deserve.
-
-        The ranking mirrors the intuition behind Flood's and Tsunami's
-        partition allocation: dimensions that are filtered often and with high
-        selectivity (small selectivity value) come first.
-        """
-        def score(profile: DimensionProfile) -> float:
-            return profile.filter_frequency * (1.0 - min(profile.avg_selectivity, 1.0))
-
-        return [
-            profile.dimension
-            for profile in sorted(self.dimensions, key=score, reverse=True)
-        ]
-
-    def skewed_dimensions(self, threshold: float = 0.25) -> list[str]:
-        """Dimensions whose per-type query skew exceeds ``threshold``.
-
-        These are the dimensions the Grid Tree is most likely to split on
-        (§4.3.2 picks the dimension with the largest skew reduction).
-        """
-        return [profile.dimension for profile in self.dimensions if profile.skew > threshold]
 
     def describe(self) -> str:
         """Multi-line text report (one row per filtered dimension)."""
@@ -209,9 +183,3 @@ class WorkloadProfile:
         )
         return "\n".join(lines)
 
-
-def profile_workload(
-    table: Table, workload: Workload, num_bins: int = 128
-) -> WorkloadProfile:
-    """Convenience wrapper around :meth:`WorkloadProfile.build`."""
-    return WorkloadProfile.build(table, workload, num_bins=num_bins)

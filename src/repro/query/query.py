@@ -9,7 +9,7 @@ queries from user-facing values via the table's column encodings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.common.errors import QueryError
 from repro.query.predicates import EqualityPredicate, Predicate, RangePredicate
@@ -117,21 +117,6 @@ class Query:
             if predicate.dimension == dimension:
                 return predicate
         return None
-
-    def bounds_for(self, dimension: str, default: tuple[int, int]) -> tuple[int, int]:
-        """Bounds over ``dimension``, falling back to ``default`` if unfiltered."""
-        predicate = self.predicate_for(dimension)
-        return predicate.bounds if predicate is not None else default
-
-    def restricted_to(self, dimensions: Sequence[str]) -> "Query":
-        """Return a copy keeping only predicates over ``dimensions``."""
-        kept = tuple(p for p in self.predicates if p.dimension in set(dimensions))
-        return Query(
-            predicates=kept,
-            aggregate=self.aggregate,
-            aggregate_column=self.aggregate_column,
-            query_type=self.query_type,
-        )
 
     def with_type(self, query_type: int) -> "Query":
         """Return a copy of the query labelled with ``query_type``."""

@@ -26,7 +26,16 @@ PROPERTIES = {
     "PlanCacheStats": {"hit_rate"},
     "FanOutStats": set(),
     "MergeReport": set(),
-    "LifecycleReport": set(),
+    "LifecycleReport": {
+        "drifts_detected",
+        "merges",
+        "local_merges",
+        "rows_merged",
+        "reoptimizations",
+        "regions_reoptimized",
+        "maintenance_failures",
+        "maintenance_seconds",
+    },
     "IncrementalReport": set(),
     "DriftReport": set(),
     "BuildReport": {"total_seconds"},

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from repro.baselines import FloodIndex, FullScanIndex, KdTreeIndex
 from repro.baselines.base import avg_as_sum
-from repro.common.errors import IndexBuildError, QueryError, SchemaError
+from repro.common import faults
+from repro.common.errors import IndexBuildError, InjectedFault, QueryError, SchemaError
+from repro.common.faults import FaultPlan, FaultSpec
 from repro.core.delta import MIN_BUFFER_CAPACITY, DeltaBuffer, DeltaBufferedIndex
 from repro.core.sharding import ShardedIndex
 from repro.core.tsunami import TsunamiConfig, TsunamiIndex
@@ -36,14 +38,18 @@ def new_rows(count: int, seed: int = 21) -> list[dict]:
     return rows
 
 
+def reference_table_of(table: Table, inserted: list[dict]) -> Table:
+    """``table``'s rows plus ``inserted``, as a full-scan oracle."""
+    data = {}
+    for name in table.column_names:
+        extra = np.array([row[name] for row in inserted], dtype=np.int64)
+        data[name] = np.concatenate([table.values(name), extra]) if inserted else table.values(name)
+    return Table.from_arrays("reference", data)
+
+
 def reference_table(index: DeltaBufferedIndex, inserted: list[dict]) -> Table:
     """The table queries should behave as if they ran against (main + inserts)."""
-    base = index.base_index.table
-    data = {}
-    for name in base.column_names:
-        extra = np.array([row[name] for row in inserted], dtype=np.int64)
-        data[name] = np.concatenate([base.values(name), extra]) if inserted else base.values(name)
-    return Table.from_arrays("reference", data)
+    return reference_table_of(index.base_index.table, inserted)
 
 
 class TestBuildAndInsert:
@@ -145,6 +151,85 @@ class TestMerging:
         query = Query.from_ranges({"x": (0, 10_000)})
         expected, _ = execute_full_scan(reference, query)
         assert index.execute(query).value == expected
+
+
+def merge_fault(max_triggers: int | None = 1) -> FaultPlan:
+    return FaultPlan([FaultSpec(site="delta.merge", max_triggers=max_triggers)])
+
+
+class TestFailedAutomaticMerge:
+    """An automatic merge is maintenance: one that fails is recorded in the
+    merge history, keeps every row buffered, and is retried at the next
+    threshold crossing; an explicit ``merge()`` still raises."""
+
+    def test_write_buffers_every_row_and_records_the_failure(self, fresh_table, fresh_workload):
+        index = DeltaBufferedIndex(tsunami_factory, merge_threshold=10)
+        index.build(fresh_table, fresh_workload)
+        rows = new_rows(15)
+        with faults.active(merge_fault()):
+            index.insert_many(rows)  # must not raise
+        assert index.num_pending == 15
+        [failed] = index.merge_history
+        assert "InjectedFault" in failed.error
+        assert (failed.rows_merged, failed.total_rows, failed.strategy) == (0, 5_000, "local")
+        reference = reference_table(index, rows)
+        for query in list(fresh_workload)[:10]:
+            expected, _ = execute_full_scan(reference, query)
+            assert index.execute(query).value == expected
+        # The next threshold crossing retries and folds every pending row in.
+        index.insert_many(new_rows(1, seed=5))
+        assert index.num_pending == 0
+        assert [entry.error is None for entry in index.merge_history] == [False, True]
+        assert index.merge_history[-1].rows_merged == 16
+
+    def test_rest_of_the_batch_is_buffered_without_a_second_attempt(
+        self, fresh_table, fresh_workload
+    ):
+        index = DeltaBufferedIndex(lambda: KdTreeIndex(page_size=512), merge_threshold=10)
+        index.build(fresh_table, fresh_workload)
+        plan = merge_fault(max_triggers=None)  # every attempt would fail
+        with faults.active(plan):
+            index.insert_many(new_rows(35))
+        assert len(plan.injections) == 1
+        assert index.num_pending == 35
+        assert [entry.strategy for entry in index.merge_history] == ["rebuild"]
+
+    def test_explicit_merge_raises_and_is_recorded(self, fresh_table, fresh_workload):
+        index = DeltaBufferedIndex(tsunami_factory, merge_threshold=10_000)
+        index.build(fresh_table, fresh_workload)
+        index.insert_many(new_rows(5))
+        with faults.active(merge_fault()):
+            with pytest.raises(InjectedFault):
+                index.merge()
+        assert index.num_pending == 5
+        info = index.describe()
+        assert info["num_merges"] == 0
+        assert info["last_merge"] == index.merge_history[-1].as_dict()
+        assert "InjectedFault" in info["last_merge"]["error"]
+        assert index.merge().rows_merged == 5
+        assert index.describe()["num_merges"] == 1
+
+    def test_sharded_batch_crossing_one_shard_threshold_is_buffered(
+        self, fresh_table, fresh_workload
+    ):
+        original = _make_fresh_copy(fresh_table)
+        sharded = ShardedIndex(
+            lambda: DeltaBufferedIndex(tsunami_factory, merge_threshold=40),
+            num_shards=4,
+            shard_dimension="x",
+        )
+        sharded.build(fresh_table, fresh_workload)
+        # 60 rows cross one shard's threshold; the rest spread over the others.
+        rows = [{"x": 4_100, "y": 12_300, "z": 7, "c": 2} for _ in range(60)] + new_rows(20)
+        with faults.active(merge_fault()):
+            sharded.insert_many(rows)  # must not raise
+        assert sharded.num_pending == 80
+        history = [entry for shard in sharded.shards for entry in shard.merge_history]
+        assert len(history) == 1 and "InjectedFault" in history[0].error
+        oracle = reference_table_of(original, rows)
+        for query in [Query.from_ranges({"x": (4_000, 4_300)})] + list(fresh_workload)[:8]:
+            expected, _ = execute_full_scan(oracle, query)
+            assert sharded.execute(query).value == expected
 
 
 class TestDeltaBuffer:

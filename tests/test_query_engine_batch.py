@@ -106,14 +106,13 @@ class TestQueryEngine:
         engine = QueryEngine(index=index)
         queries = list(workload)
         expected = [engine.run(query).value for query in queries]
-        for batch_size in (1, 7, None):
-            values = [r.value for r in engine.run_batch(queries, batch_size=batch_size)]
+        for size in (1, 7, len(queries)):
+            values = [
+                result.value
+                for start in range(0, len(queries), size)
+                for result in engine.run_batch(queries[start : start + size])
+            ]
             assert values == expected
-
-    def test_invalid_batch_size_rejected(self, built_tsunami):
-        _, workload, index = built_tsunami
-        with pytest.raises(QueryError):
-            QueryEngine(index=index).run_batch(list(workload), batch_size=0)
 
     def test_full_scan_fallback_reuses_one_executor(self, monkeypatch):
         # A full-scan engine must not construct a ScanExecutor per run()

@@ -61,16 +61,6 @@ class TestQueryAccessors:
         query = Query.from_ranges({"x": (1, 5)})
         assert query.filters() == {"x": (1, 5)}
 
-    def test_bounds_for_default(self):
-        query = Query.from_ranges({"x": (1, 5)})
-        assert query.bounds_for("y", (0, 100)) == (0, 100)
-        assert query.bounds_for("x", (0, 100)) == (1, 5)
-
-    def test_restricted_to(self):
-        query = Query.from_ranges({"x": (1, 5), "y": (2, 3)})
-        restricted = query.restricted_to(["x"])
-        assert restricted.filtered_dimensions == ("x",)
-
     def test_with_type(self):
         query = Query.from_ranges({"x": (1, 5)})
         assert query.with_type(3).query_type == 3

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.query.profile import DimensionProfile, WorkloadProfile, profile_workload
+from repro.query.profile import DimensionProfile, WorkloadProfile
 from repro.query.query import Query
 from repro.query.workload import Workload
 from repro.storage.table import Table
@@ -70,7 +70,7 @@ class TestProfileConstruction:
         table = uniform_table()
         profile = WorkloadProfile.build(table, skewed_workload())
         assert profile.profile_for("time").skew > profile.profile_for("value").skew
-        assert "time" in profile.skewed_dimensions(threshold=0.25)
+        assert profile.profile_for("time").skew > 0.25
 
     def test_empty_workload_rejected(self):
         with pytest.raises(ValueError):
@@ -83,17 +83,10 @@ class TestProfileConstruction:
         assert "(no dimension is filtered)" in profile.describe()
 
 
-class TestRankingAndReporting:
-    def test_ranked_dimensions_prefers_frequent_selective_filters(self):
-        table = uniform_table()
-        profile = WorkloadProfile.build(table, skewed_workload())
-        ranking = profile.ranked_dimensions()
-        assert ranking[0] == "time"
-        assert set(ranking) == {"time", "value", "flag"}
-
+class TestReporting:
     def test_describe_contains_every_dimension_row(self):
         table = uniform_table()
-        profile = profile_workload(table, skewed_workload())
+        profile = WorkloadProfile.build(table, skewed_workload())
         text = profile.describe()
         for name in ("time", "value", "flag"):
             assert name in text

@@ -181,6 +181,37 @@ class TestWriteInvalidation:
             # And the re-cached entry keeps returning the post-merge answer.
             assert frontend.query(probe).value == expected
 
+    @pytest.mark.parametrize("backend_kind", ["engine", "lifecycle"])
+    def test_failed_automatic_merge_keeps_the_write_and_drops_the_cache(
+        self, fresh_table, fresh_workload, backend_kind
+    ):
+        """A merge that fails inside a write is maintenance: the write returns,
+        every row is visible, and no cached answer outlives it."""
+        from repro.common import faults
+        from repro.common.faults import FaultPlan, FaultSpec
+
+        table = Table.from_arrays(
+            "corr", {name: fresh_table.values(name)[:2_000].copy() for name in fresh_table.column_names}
+        )
+        index = DeltaBufferedIndex(tsunami_factory, merge_threshold=10)
+        index.build(table, fresh_workload)
+        backend = LifecycleManager(index) if backend_kind == "lifecycle" else QueryEngine(index)
+        probe = Query.from_ranges({"x": (0, 10_000)})
+        with ServingFrontend(backend, small_config()) as frontend:
+            assert frontend.query(probe).value == 2_000
+            assert frontend.query(probe).value == 2_000
+            assert frontend.stats.cache_hits == 1
+            with faults.active(FaultPlan([FaultSpec(site="delta.merge", max_triggers=1)])):
+                frontend.insert_many(insert_rows(15))  # must not raise
+            assert index.num_pending == 15
+            assert frontend.query(probe).value == 2_015
+        [failed] = index.merge_history
+        assert "InjectedFault" in failed.error
+        if backend_kind == "lifecycle":
+            [event] = backend.report().events
+            assert event.kind == "maintenance_error"
+            assert event.details["trigger"] == "threshold"
+
     def test_lifecycle_reoptimize_invalidates_cache(
         self, fresh_table, fresh_workload, monkeypatch
     ):
