@@ -8,14 +8,28 @@ turns those arrivals into batches with one rule and no time constant:
 
 * :meth:`~MicroBatcher.take` blocks until a request is queued, then keeps
   collecting only while the queue grows across one hand-off of the
-  interpreter lock (release the queue, ``time.sleep(0)``, re-acquire), and
-  stops at ``max_batch_size``.
+  interpreter lock (release the queue, ``os.sched_yield()``, re-acquire),
+  and stops at ``max_batch_size``.
 
-Client threads released by the previous batch resubmit during those
-hand-offs, so a closed-loop cohort is collected whole and the batch grows
-until service keeps up with arrivals; a lone request leaves after one
-hand-off.  Arrivals that pile up while the dispatcher is busy are taken
-together at once.  Admission is bounded: once ``max_queue_depth`` requests
+Client threads released by the previous batch that reach the interpreter
+lock during those hand-offs resubmit into the same batch, so a closed-loop
+cohort can be collected whole and the batch grows until service keeps up
+with arrivals; a lone request leaves after one hand-off.  Arrivals that pile up while the dispatcher is busy are taken
+together at once.
+
+The hand-off is untimed on purpose, because every batch that leaves below
+``max_batch_size`` makes at least one.  On Python 3.11 and later
+``time.sleep(0)`` is a timed sleep that lasts about the thread's 50 µs
+timer slack (54–58 µs per call with 3.11–3.13 on a 2-core Linux VM,
+0.5–0.8 µs with 3.10), while ``os.sched_yield()`` costs 0.4–0.7 µs.  With
+one client on servebench's ``taxi_skewed`` index, a request's put to take
+measures 10–14 µs with the yield against 74–76 µs with ``time.sleep(0)``.
+The yield hands the interpreter lock only to a thread already waiting for
+it; on that host a client woken by the previous batch often is not yet,
+and joins the next batch instead (two closed-loop clients averaged 1.1–1.25
+requests per batch, not 2.0; 32 clients 19–22, not 29–31).
+
+Admission is bounded: once ``max_queue_depth`` requests
 are queued, :meth:`~MicroBatcher.put` rejects with a typed
 :class:`~repro.common.errors.ServerOverloadedError` instead of queueing
 unboundedly (backpressure keeps tail latency bounded under overload — the
@@ -24,8 +38,8 @@ alternative is every request slowly timing out).
 
 from __future__ import annotations
 
+import os
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -130,7 +144,7 @@ class MicroBatcher:
                     seen = depth
                     self._cond.release()
                     try:
-                        time.sleep(0)
+                        os.sched_yield()
                     finally:
                         self._cond.acquire()
                 else:

@@ -8,7 +8,8 @@ for.  :class:`ServingFrontend` is that piece:
 * **Micro-batching.**  Client threads call :meth:`ServingFrontend.query`;
   arrivals are coalesced by a :class:`~repro.serve.batcher.MicroBatcher`,
   which keeps collecting only while arrivals keep coming (no timers, so a
-  lone query leaves at once and a closed-loop cohort leaves whole), and a
+  lone query leaves at once and a closed-loop cohort whose clients are
+  ready in time leaves whole), and a
   single dispatcher thread drives each batch through the backend's
   ``run_batch`` — template dedup and one grid-tree traversal per batch.
   Bursty skewed traffic amortizes almost for free.
@@ -33,6 +34,15 @@ for.  :class:`ServingFrontend` is that piece:
   completed exceptionally with
   :class:`~repro.common.errors.DispatcherCrashedError` — no client is left
   blocked on a future that nobody will complete.
+
+Each query crosses threads twice, and neither crossing waits on a timer.
+Client to dispatcher goes through the batcher's hand-off,
+``os.sched_yield()``, which costs 0.4–0.7 µs where ``time.sleep(0)`` would
+sleep 54–58 µs on Python 3.11 and later (2-core Linux host; see
+:mod:`repro.serve.batcher`).  Dispatcher to client goes through one lock
+per request, taken at admission and released once by the dispatcher; the
+client's deadline is a timed ``acquire``, where a ``threading.Event``
+would allocate a condition, its lock and a waiter lock per wait.
 
 The backend is anything with ``run_batch(queries) -> list[QueryResult]``:
 a :class:`~repro.query.engine.QueryEngine` (read-only or wrapping a
@@ -140,15 +150,48 @@ class ServingStats(Record):
 
 
 class _PendingQuery:
-    """One admitted request: the query plus its completion rendezvous."""
+    """One admitted request: the query plus its completion rendezvous.
 
-    __slots__ = ("query", "done", "result", "error")
+    The rendezvous is one lock, taken at admission.  The dispatcher, the
+    only thread that completes a request, sets the outcome and releases the
+    lock exactly once (:meth:`complete`); the client waits for it with a
+    timed ``acquire`` (:meth:`wait`).
+    """
+
+    __slots__ = ("query", "result", "error", "_unserved")
 
     def __init__(self, query: Query) -> None:
         self.query = query
-        self.done = threading.Event()
         self.result: QueryResult | None = None
         self.error: BaseException | None = None
+        self._unserved = threading.Lock()
+        self._unserved.acquire()
+
+    @property
+    def completed(self) -> bool:
+        """Whether the dispatcher has set an outcome (read by the dispatcher).
+
+        Not ``_unserved.locked()``: a client whose ``wait`` returned holds
+        the lock again, so the lock cannot tell a request it collected from
+        one still pending.
+        """
+        return self.result is not None or self.error is not None
+
+    def complete(
+        self,
+        result: QueryResult | None = None,
+        error: BaseException | None = None,
+    ) -> None:
+        """Hand the client its outcome; the dispatcher calls this once."""
+        self.result = result
+        self.error = error
+        self._unserved.release()
+
+    def wait(self, timeout: float | None) -> bool:
+        """Block until completed or ``timeout`` seconds pass (``None``: forever)."""
+        return self._unserved.acquire(
+            timeout=-1 if timeout is None else max(timeout, 0.0)
+        )
 
 
 class ServingFrontend:
@@ -248,7 +291,7 @@ class ServingFrontend:
         except ServingError:
             self.stats.rejections += 1
             raise
-        if not pending.done.wait(timeout):
+        if not pending.wait(timeout):
             raise QueryTimeoutError(
                 f"query was not served within {timeout} seconds",
                 timeout_seconds=timeout,
@@ -390,8 +433,7 @@ class ServingFrontend:
             with self._state_lock:
                 cacheable = self._cache is not None and version == self._version
             for pending, result in served:
-                pending.result = result
-                pending.done.set()
+                pending.complete(result=result)
             if cacheable:
                 for pending, result in served:
                     self._cache.put(pending.query, result)
@@ -459,16 +501,14 @@ class ServingFrontend:
             self._quarantine.add(pending.query)
             self.stats.quarantined += 1
         self.stats.query_failures += 1
-        pending.error = exc
-        pending.done.set()
+        pending.complete(error=exc)
 
     @staticmethod
     def _fail_batch(batch: list, exc: BaseException) -> None:
         """Complete every still-unfinished future in ``batch`` with ``exc``."""
         for pending in batch:
-            if not pending.done.is_set():
-                pending.error = exc
-                pending.done.set()
+            if not pending.completed:
+                pending.complete(error=exc)
 
     def _dispatcher_crashed(
         self, batch: list | None, exc: BaseException

@@ -1,5 +1,6 @@
 """Tests for the serving result cache and the micro-batching admission queue."""
 
+import os
 import sys
 import threading
 import time
@@ -83,21 +84,27 @@ class TestResultCache:
 
 
 def count_hand_offs(monkeypatch, arrivals=()) -> list:
-    """Replace ``time.sleep`` with a fake that records each hand-off.
+    """Replace ``os.sched_yield`` with a fake that records each hand-off.
 
-    Each call queues the next of ``arrivals`` (a callable), as a client
-    thread released during that hand-off would, then nothing once they run
-    out.
+    Each call records how many arguments it got (``os.sched_yield`` takes
+    none, so every entry is 0) and queues the next of ``arrivals`` (a
+    callable), as a client thread released during that hand-off would, then
+    nothing once they run out.  ``time.sleep`` raises meanwhile: the
+    hand-off must not wait on a timer.
     """
     calls: list = []
     pending = list(arrivals)
 
-    def fake_sleep(seconds):
-        calls.append(seconds)
+    def fake_yield(*args):
+        calls.append(len(args))
         if pending:
             pending.pop(0)()
 
-    monkeypatch.setattr(time, "sleep", fake_sleep)
+    def no_sleep(seconds):
+        raise AssertionError(f"the hand-off slept on a timer ({seconds} s)")
+
+    monkeypatch.setattr(os, "sched_yield", fake_yield)
+    monkeypatch.setattr(time, "sleep", no_sleep)
     return calls
 
 

@@ -7,6 +7,7 @@ sequential uncached execution — including across the cache invalidations a
 merge, a lifecycle reoptimization, or a sharded-index merge triggers.
 """
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -152,6 +153,52 @@ class TestConcurrentDifferential:
             results = serve_concurrently(frontend, queries * 3)
         for query, result in zip(queries * 3, results):
             assert result.value == expected[queries.index(query)]
+
+    def test_each_client_collects_its_own_answer(self, fresh_table, fresh_workload):
+        """Eight clients (more than the cores) rendezvous with one dispatcher
+        while the interpreter switches threads as often as it can: every
+        client must collect its own query's answer, none another's."""
+        index = tsunami_factory().build(fresh_table, fresh_workload)
+        clients, per_client = 8, 40
+        streams = [
+            [
+                Query.from_ranges(
+                    {"x": (1_000 * c + 13 * i, 1_000 * c + 13 * i + 600), "z": (0, 700)}
+                )
+                for i in range(per_client)
+            ]
+            for c in range(clients)
+        ]
+        expected = [
+            [execute_full_scan(index.table, query)[0] for query in stream]
+            for stream in streams
+        ]
+        answers: list[list[float]] = [[] for _ in range(clients)]
+        errors: list[BaseException] = []
+
+        def client(c: int) -> None:
+            try:
+                for query in streams[c]:
+                    answers[c].append(frontend.query(query, timeout=30.0).value)
+            except BaseException as exc:  # surfaced by the assertions below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        frontend = ServingFrontend(QueryEngine(index), small_config(cache_entries=0))
+        try:
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=client, args=(c,)) for c in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            frontend.close()
+        assert errors == []
+        assert answers == expected
+        assert frontend.stats.queries_served == clients * per_client
 
 
 class TestWriteInvalidation:

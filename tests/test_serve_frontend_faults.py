@@ -132,6 +132,27 @@ class TestQueryDeadlines:
             backend.release.set()
             frontend.close()
 
+    def test_late_completion_of_a_timed_out_query_is_harmless(self):
+        backend = BlockingBackend()
+        frontend = ServingFrontend(backend, small_config())
+        try:
+            with pytest.raises(QueryTimeoutError):
+                frontend.query(INNOCENT, timeout=0.05)
+            # The abandoned request's batch is still held; releasing it makes
+            # the dispatcher complete a request nobody waits for any more.
+            backend.release.set()
+            deadline = time.monotonic() + 10.0
+            while frontend.stats.queries_served < 1:
+                assert time.monotonic() < deadline, "held batch never finished"
+                time.sleep(0.001)
+            assert frontend.stats.dispatcher_crashes == 0
+            assert frontend.stats.batch_failures == 0
+            assert frontend.query(OTHER, timeout=5.0).value == 1.0
+            assert frontend.stats.queries_served == 2
+        finally:
+            backend.release.set()
+            frontend.close()
+
     def test_config_default_timeout_applies(self):
         backend = BlockingBackend()
         frontend = ServingFrontend(
